@@ -29,12 +29,19 @@ from ..faults.detection import CrcChecker
 from ..faults.errors import TransferCorruption, WriteAbort
 from ..faults.injector import FaultInjector
 from ..obs import metrics as obsm
-from ..sim.engine import AllOf, Delay, Simulator
+from ..sim.engine import AllOf, Delay, Simulator, WaitUntil
 from ..sim.resources import BandwidthChannel, MutexResource
 from .bitstream import Bitstream
 from .catalog import MB, MS
 
 __all__ = ["IcapController", "IcapTimings", "DEFAULT_ICAP_TIMINGS"]
+
+
+def _draws_nothing(injector: Any, rate: str) -> bool:
+    """True when ``injector`` is absent or its ``config.<rate>`` is zero."""
+    return injector is None or getattr(
+        getattr(injector, "config", None), rate, None
+    ) == 0.0
 
 
 @dataclass(frozen=True)
@@ -159,13 +166,18 @@ class IcapController:
         budget runs out); the state machine may abort mid-drain
         (:class:`WriteAbort`).  Either fault aborts the whole attempt with
         the ICAP mutex cleanly released, leaving recovery to the caller.
+
+        After the first-chunk fill the rest of the stream is *folded*
+        into one wake-up when the link is free and no injector can draw
+        (:meth:`_can_fold`); otherwise it runs the per-chunk processes
+        (:meth:`_chunk_stream`).  Both give bit-identical times, link
+        intervals and counters.
         """
         if not bitstream.is_partial:
             raise ValueError(
                 "the ICAP controller path is for partial bitstreams; "
                 "full configuration goes through the vendor SelectMap API"
             )
-        t = self.timings
         sizes = self._chunk_sizes(bitstream.nbytes)
 
         yield from self.icap_mutex.acquire(owner)
@@ -173,39 +185,10 @@ class IcapController:
         try:
             # Fill the first BRAM bank.
             yield from self._fill_chunk(bitstream, 0, sizes[0], owner)
-            for i, size in enumerate(sizes):
-                drain = t.chunk_handshake + size / t.icap_bandwidth
-                if self.injector is not None and self.injector.chunk_aborted():
-                    # The state machine died partway through the write;
-                    # pay the wasted fraction of the drain, then fail.
-                    self.write_aborts += 1
-                    obsm.counter("repro_icap_write_aborts_total").inc()
-                    yield Delay(self.injector.abort_fraction() * drain)
-                    raise WriteAbort(
-                        f"ICAP write abort on chunk {i} of {bitstream.name!r}"
-                    )
-                if i + 1 < len(sizes):
-                    arrived: dict[str, bool] = {}
-
-                    def prefetch(
-                        idx: int = i + 1, nb: int = sizes[i + 1]
-                    ) -> Generator[Any, Any, None]:
-                        _, ok = yield from self.in_link.transfer_ok(
-                            nb, f"{owner}:bs{idx}"
-                        )
-                        arrived["ok"] = ok
-
-                    nxt = self.sim.spawn(
-                        prefetch(), name=f"icap-prefetch-{i+1}"
-                    )
-                    yield Delay(drain)
-                    yield AllOf([nxt.done])
-                    if not arrived.get("ok", True):
-                        yield from self._retransmit(
-                            bitstream, i + 1, sizes[i + 1], owner
-                        )
-                else:
-                    yield Delay(drain)
+            if self._can_fold():
+                yield from self._folded_stream(sizes, owner)
+            else:
+                yield from self._chunk_stream(bitstream, sizes, owner)
             self.configurations += 1
             self.bytes_configured += bitstream.nbytes
             obsm.counter("repro_icap_configurations_total").inc()
@@ -218,6 +201,109 @@ class IcapController:
             )
             self.icap_mutex.release(owner)
         return self.sim.now
+
+    def fold_stream(
+        self,
+        sizes: list[int],
+        t: float,
+        prefetches: list[tuple[float, float, int]] | None = None,
+    ) -> float:
+        """End time of the double-buffered drain once bank 0 is full at ``t``.
+
+        The one fold of the per-chunk pipeline, shared by the DES fast
+        path and :func:`repro.model.hybrid.replay_icap_configure`: per
+        chunk, the drain and the next chunk's prefetch both start at the
+        barrier ``t`` and the next barrier is the later of their ends —
+        the same float additions and ``max`` the per-chunk processes of
+        :meth:`_chunk_stream` perform.  ``prefetches`` collects each
+        prefetch's ``(start, end, chunk index)`` when given.
+        """
+        timings = self.timings
+        link = self.in_link
+        last = len(sizes) - 1
+        for i, size in enumerate(sizes):
+            drain = timings.chunk_handshake + size / timings.icap_bandwidth
+            if i < last:
+                t_prefetch = t + link.transfer_time(sizes[i + 1])
+                if prefetches is not None:
+                    prefetches.append((t, t_prefetch, i + 1))
+                t_drain = t + drain
+                t = t_drain if t_drain >= t_prefetch else t_prefetch
+            else:
+                t = t + drain
+        return t
+
+    def _can_fold(self) -> bool:
+        """May the rest of the stream skip its per-chunk events?
+
+        Only when the link is free (no other owner won it during the
+        fill) and no injector can draw inside the window: a zero rate
+        never consumes a draw, so the fold leaves the RNG stream as the
+        per-chunk path would.
+        """
+        return (
+            not self.in_link.busy
+            and _draws_nothing(self.injector, "chunk_abort_rate")
+            and _draws_nothing(self.in_link.injector, "transfer_ber")
+        )
+
+    def _folded_stream(
+        self, sizes: list[int], owner: str
+    ) -> Generator[Any, Any, None]:
+        """The fault-free stream in one wake-up at its exact end time.
+
+        The link is reserved for the window (a competing transfer raises)
+        and the prefetches' intervals and byte counts are recorded
+        afterwards, as the per-chunk path would have left them.
+        """
+        prefetches: list[tuple[float, float, int]] = []
+        end = self.fold_stream(sizes, self.sim.now, prefetches)
+        link = self.in_link
+        link.reserve(owner, end)
+        yield WaitUntil(end)
+        for start, stop, idx in prefetches:
+            link.record(start, stop, sizes[idx], f"{owner}:bs{idx}")
+
+    def _chunk_stream(
+        self, bitstream: Bitstream, sizes: list[int], owner: str
+    ) -> Generator[Any, Any, None]:
+        """The per-chunk pipeline: one prefetch process per chunk.
+
+        The path whenever an injector can draw or the link is contended,
+        and the reference the folded stream is tested against.
+        """
+        t = self.timings
+        for i, size in enumerate(sizes):
+            drain = t.chunk_handshake + size / t.icap_bandwidth
+            if self.injector is not None and self.injector.chunk_aborted():
+                # The state machine died partway through the write;
+                # pay the wasted fraction of the drain, then fail.
+                self.write_aborts += 1
+                obsm.counter("repro_icap_write_aborts_total").inc()
+                yield Delay(self.injector.abort_fraction() * drain)
+                raise WriteAbort(
+                    f"ICAP write abort on chunk {i} of {bitstream.name!r}"
+                )
+            if i + 1 < len(sizes):
+                arrived: dict[str, bool] = {}
+
+                def prefetch(
+                    idx: int = i + 1, nb: int = sizes[i + 1]
+                ) -> Generator[Any, Any, None]:
+                    _, ok = yield from self.in_link.transfer_ok(
+                        nb, f"{owner}:bs{idx}"
+                    )
+                    arrived["ok"] = ok
+
+                nxt = self.sim.spawn(prefetch(), name=f"icap-prefetch-{i+1}")
+                yield Delay(drain)
+                yield AllOf([nxt.done])
+                if not arrived.get("ok", True):
+                    yield from self._retransmit(
+                        bitstream, i + 1, sizes[i + 1], owner
+                    )
+            else:
+                yield Delay(drain)
 
     def _fill_chunk(
         self, bitstream: Bitstream, idx: int, nbytes: int, owner: str

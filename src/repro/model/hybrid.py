@@ -278,25 +278,12 @@ def replay_icap_configure(
 ) -> float:
     """End time of one chunked double-buffered ICAP configuration.
 
-    Mirrors :meth:`repro.hardware.icap_controller.IcapController.configure`
-    addition for addition: fill the first BRAM bank over the link, then
-    per chunk take ``max(drain end, next-chunk prefetch end)`` — both the
-    drain and the prefetch start from the same barrier time, exactly as
-    the spawned prefetch branch does in the DES.
+    Fills the first BRAM bank over the link, then runs the controller's
+    own fold (:meth:`repro.hardware.icap_controller.IcapController
+    .fold_stream`) — the code the DES fast path itself executes.
     """
-    timings = icap.timings
     sizes = icap._chunk_sizes(nbytes)
-    last = len(sizes) - 1
-    t = t0 + icap.in_link.transfer_time(sizes[0])
-    for i, size in enumerate(sizes):
-        drain = timings.chunk_handshake + size / timings.icap_bandwidth
-        if i < last:
-            t_prefetch = t + icap.in_link.transfer_time(sizes[i + 1])
-            t_drain = t + drain
-            t = t_drain if t_drain >= t_prefetch else t_prefetch
-        else:
-            t = t + drain
-    return t
+    return icap.fold_stream(sizes, t0 + icap.in_link.transfer_time(sizes[0]))
 
 
 def _replay_partial_config(

@@ -59,8 +59,14 @@ TRAJECTORY_FILE = "BENCH_trajectory.json"
 #: throughput metrics the regression gate watches (higher is better),
 #: mapped to the per-suite summary that produces them
 GATE_METRICS: dict[str, tuple[str, str]] = {
-    "events_per_sec": ("service", "events_per_sec"),
+    # Work answered per second, not events or ratios: folding a
+    # fault-free ICAP stream into one wake-up cut the events per request
+    # (events_per_sec fell while requests_per_sec doubled) and sped up
+    # the DES denominator of hybrid_speedup.  Both retired metrics would
+    # have read a speedup as a regression.
+    "requests_per_sec": ("service", "requests_per_sec"),
     "grid_points_per_sec_serial": ("hybrid", "grid_points_per_sec_serial"),
+    "des_points_per_sec_serial": ("hybrid", "des_points_per_sec_serial"),
     # DES-basis parallel throughput: serial and workers-4 walls measured
     # on the *same* DES-forced grid.  The retired
     # grid_points_per_sec_workers4 metric compared unlike bases — an
@@ -71,7 +77,6 @@ GATE_METRICS: dict[str, tuple[str, str]] = {
     "des_points_per_sec_workers4": (
         "hybrid", "des_points_per_sec_workers4"
     ),
-    "hybrid_speedup": ("hybrid", "hybrid_speedup"),
     "power_points_per_sec": ("power", "power_points_per_sec"),
     # warm-cache reprolint throughput (benchmarks/test_bench_lint.py):
     # guards the whole-program analyzer against superlinear growth as

@@ -7,8 +7,9 @@ kernel.  It follows the classic event-list design:
 * a :class:`Simulator` owns a monotonically advancing clock and a priority
   queue of :class:`Event` records;
 * *processes* are plain Python generators that ``yield`` scheduling
-  primitives (:class:`Delay`, :class:`WaitEvent`, :class:`AllOf`) and are
-  resumed by the kernel when the corresponding condition is satisfied.
+  primitives (:class:`Delay`, :class:`WaitUntil`, :class:`WaitEvent`,
+  :class:`AllOf`) and are resumed by the kernel when the corresponding
+  condition is satisfied.
 
 The engine is intentionally synchronous and single-threaded: determinism is
 a hard requirement because the analytical model of the paper is exact, and
@@ -36,6 +37,7 @@ from typing import Any, Callable, Generator, Iterable, Optional
 
 __all__ = [
     "Delay",
+    "WaitUntil",
     "WaitEvent",
     "AllOf",
     "EventSignal",
@@ -58,6 +60,18 @@ class Delay:
     def __post_init__(self) -> None:
         if self.duration < 0:
             raise SimulationError(f"negative delay: {self.duration!r}")
+
+
+@dataclass(frozen=True)
+class WaitUntil:
+    """Yield from a process to suspend it until absolute time ``time``.
+
+    Exact where ``Delay(time - sim.now)`` is not: ``now + (time - now)``
+    can round one ulp away from ``time``.  A time in the past raises
+    :class:`SimulationError` when yielded.
+    """
+
+    time: float
 
 
 class EventSignal:
@@ -167,6 +181,8 @@ class Process:
         sim = self.sim
         if isinstance(target, Delay):
             sim._schedule(sim.now + target.duration, self, None)
+        elif isinstance(target, WaitUntil):
+            sim._schedule(target.time, self, None)
         elif isinstance(target, WaitEvent):
             target.signal._add_waiter(self)
         elif isinstance(target, Process):
@@ -344,7 +360,7 @@ class Simulator:
             raise SimulationError(f"schedule_at past time {time} < {self.now}")
 
         def timer() -> Generator[Any, Any, None]:
-            yield Delay(time - self.now)
+            yield WaitUntil(time)
             fn()
 
         return self.spawn(timer(), name=name)

@@ -139,12 +139,40 @@ class BandwidthChannel:
         self.bytes_moved: float = 0.0
         self.transfer_count: int = 0
         self.corrupted_count: int = 0
+        #: owner and end time of the current folded stream (:meth:`reserve`)
+        self._fold_owner = ""
+        self._fold_until = 0.0
+
+    @property
+    def busy(self) -> bool:
+        return self._mutex.busy
 
     def transfer_time(self, nbytes: float) -> float:
         """Pure time model for a transfer of ``nbytes`` (no queueing)."""
         if nbytes < 0:
             raise ValueError(f"negative transfer size: {nbytes}")
         return self.overhead + nbytes / self.rate
+
+    def reserve(self, owner: str, until: float) -> None:
+        """Hold the free channel for ``owner``'s folded stream until ``until``.
+
+        A folded stream computes its transfers' timing without events
+        and accounts them afterwards with :meth:`record`; that is exact
+        only if nobody else uses the channel in between.  Any
+        :meth:`transfer` requested before ``until`` therefore raises
+        :class:`SimulationError` naming both owners instead of silently
+        diverging from the per-transfer timeline.
+        """
+        self._fold_owner = owner
+        self._fold_until = until
+
+    def record(
+        self, start: float, end: float, nbytes: float, owner: str
+    ) -> None:
+        """Account one transfer a folded stream made: interval and counters."""
+        self._mutex.intervals.append(Interval(start, end, owner))
+        self.bytes_moved += nbytes
+        self.transfer_count += 1
 
     def transfer(
         self, nbytes: float, owner: str
@@ -154,6 +182,12 @@ class BandwidthChannel:
         Ignores fault injection — use :meth:`transfer_ok` for payloads
         whose integrity matters (bitstreams).
         """
+        if self.sim.now < self._fold_until:
+            raise SimulationError(
+                f"{owner!r} requested {self.name!r} inside the folded "
+                f"stream of {self._fold_owner!r} (reserved until "
+                f"t={self._fold_until!r})"
+            )
         yield from self._mutex.acquire(owner)
         try:
             yield Delay(self.transfer_time(nbytes))

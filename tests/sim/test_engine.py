@@ -11,6 +11,7 @@ from repro.sim import (
     Simulator,
     WaitEvent,
 )
+from repro.sim.engine import WaitUntil
 
 
 class TestDelay:
@@ -292,6 +293,52 @@ class TestScheduling:
         sim.run()
         with pytest.raises(SimulationError):
             sim.schedule_at(0.5, lambda: None)
+
+    def test_schedule_at_fires_at_exactly_its_time(self):
+        # now + (time - now) rounds to one ulp below this time, so a
+        # relative Delay would fire early.
+        start, time = 0.006807275057689415, 0.014862510939764586
+        assert start + (time - start) != time
+        sim = Simulator()
+        seen = []
+
+        def proc():
+            yield Delay(start)
+            sim.schedule_at(time, lambda: seen.append(sim.now))
+
+        sim.spawn(proc())
+        sim.run()
+        assert seen == [time]
+
+    def test_wait_until_in_past_raises(self):
+        sim = Simulator()
+
+        def proc():
+            yield Delay(1.0)
+            yield WaitUntil(0.5)
+
+        sim.spawn(proc())
+        with pytest.raises(SimulationError, match="past"):
+            sim.run()
+
+    def test_wait_until_ties_order_by_schedule_seq(self):
+        sim = Simulator()
+        fired = []
+
+        def absolute(tag):
+            yield WaitUntil(2.0)
+            fired.append(tag)
+
+        def relative(tag):
+            yield Delay(2.0)
+            fired.append(tag)
+
+        sim.spawn(relative("a"))
+        sim.spawn(absolute("b"))
+        sim.spawn(relative("c"))
+        sim.run()
+        assert fired == ["a", "b", "c"]
+        assert sim.now == 2.0
 
     def test_run_until_stops_early(self):
         sim = Simulator()

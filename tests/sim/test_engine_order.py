@@ -5,8 +5,9 @@ The engine replaced tuple-ordered heap entries with pooled
 (docs/PERFORMANCE.md section 2). The ordering contract did not change:
 events fire in strict ``(time, seq)`` order, where ``seq`` is
 assignment order at schedule time. This suite replays seeded random
-schedules — mixed zero and nonzero delays, scheduling from inside
-running processes — against a naive sorted-list reference kernel and
+schedules — mixed zero and nonzero delays, relative ``Delay`` and
+absolute ``WaitUntil`` wake-ups, scheduling from inside running
+processes — against a naive sorted-list reference kernel and
 asserts the exact firing order, so the heap specialization can never
 silently reorder ties.
 """
@@ -16,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.sim.engine import Delay, Simulator
+from repro.sim.engine import Delay, Simulator, WaitUntil
 
 
 class ReferenceKernel:
@@ -75,7 +76,12 @@ def _run_engine(roots, plan):
 
     def proc(label):
         delay, children = plan[label]
-        yield Delay(delay)
+        # every third node wakes at an absolute time instead: same
+        # instant, same (time, seq) ordering contract
+        if int(label[1:]) % 3 == 0:
+            yield WaitUntil(sim.now + delay)
+        else:
+            yield Delay(delay)
         fired.append((sim.now, label))
         for child in children:
             sim.spawn(proc(child))
