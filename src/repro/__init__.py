@@ -47,7 +47,7 @@ from .model import (
     peak_speedup,
     speedup,
 )
-from .rtr import compare, run_frtr, run_prtr
+from .rtr import compare
 
 __all__ = [
     "ModelParameters",
@@ -56,7 +56,5 @@ __all__ = [
     "asymptotic_speedup",
     "compare",
     "peak_speedup",
-    "run_frtr",
-    "run_prtr",
     "speedup",
 ]

@@ -10,19 +10,11 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from typing import Mapping, Sequence
 
 import numpy as np
 
 __all__ = ["ascii_plot", "series_to_csv", "write_csv"]
-
-
-def _ticks(lo: float, hi: float, log: bool, n: int = 5) -> list[float]:
-    if log:
-        lo_e, hi_e = math.floor(math.log10(lo)), math.ceil(math.log10(hi))
-        return [10.0**e for e in range(lo_e, hi_e + 1)]
-    return list(np.linspace(lo, hi, n))
 
 
 def ascii_plot(

@@ -43,7 +43,12 @@ def lru_hit_ratios(trace: CallTrace, max_slots: int) -> np.ndarray:
     return hits / n
 
 
-def lru_hit_ratio(trace: CallTrace, slots: int) -> float:
+# Kept as the analytic oracle for the PRTR executor's LRU hit ratio in
+# tests/integration/test_cross_consistency.py
+# (test_stackdist_predicts_executor_hit_ratio).
+def lru_hit_ratio(  # reprolint: disable=RL010
+    trace: CallTrace, slots: int
+) -> float:
     """The LRU hit ratio at one capacity (no cache simulation)."""
     if slots <= 0:
         raise ValueError("slots must be >= 1")

@@ -160,18 +160,10 @@ def _cmd_table2(args: argparse.Namespace) -> int:
 
 def _cmd_fig5(args: argparse.Namespace) -> int:
     from .experiments import fig5
-    from .model.hybrid import HybridMode, parse_hybrid_mode
 
-    mode = parse_hybrid_mode(args.hybrid)
-    # Eq. (7) is already closed form, so the hybrid fast path here is
-    # evaluation sharing: compute the panel grid once and reuse it for
-    # the plot and the CSV instead of recomputing per artifact.  The
-    # rendered bytes are identical either way.
-    result = (
-        fig5.run((args.x_prtr,), fig5.DEFAULT_HIT_RATIOS)
-        if mode != HybridMode.OFF
-        else None
-    )
+    # Eq. (7) is closed form: evaluate the panel grid once and share it
+    # between the plot and the CSV.
+    result = fig5.run((args.x_prtr,), fig5.DEFAULT_HIT_RATIOS)
     print(fig5.render(x_prtr=args.x_prtr, result=result))
     claims = fig5.shape_claims(x_prtr=args.x_prtr)
     print()
@@ -926,7 +918,6 @@ def build_parser() -> argparse.ArgumentParser:
     p5 = sub.add_parser("fig5", help="Figure 5: asymptotic bounds")
     p5.add_argument("--x-prtr", type=float, default=0.17)
     p5.add_argument("--csv", type=str, default="")
-    _add_hybrid(p5)
 
     p9 = sub.add_parser("fig9", help="Figure 9: the XD1 experiment")
     p9.add_argument(

@@ -20,30 +20,12 @@ bit-identical to the fault-free baseline (a test pins this).
 """
 
 from .detection import CrcChecker, ScrubCycle, Scrubber
-from .errors import (
-    BladeDegraded,
-    ConfigMemoryUpset,
-    DomainOutage,
-    ReconfigurationFault,
-    TransferCorruption,
-    WriteAbort,
-)
+from .errors import ReconfigurationFault, TransferCorruption, WriteAbort
 from .injector import FaultConfig, FaultInjector, FaultStats
-from .recovery import (
-    DegradePolicy,
-    FallbackPolicy,
-    RecoveryAction,
-    RecoveryPolicy,
-    RefetchPolicy,
-    RetryPolicy,
-)
+from .recovery import FallbackPolicy, RecoveryAction, RecoveryPolicy
 
 __all__ = [
-    "BladeDegraded",
-    "ConfigMemoryUpset",
     "CrcChecker",
-    "DegradePolicy",
-    "DomainOutage",
     "FallbackPolicy",
     "FaultConfig",
     "FaultInjector",
@@ -51,8 +33,6 @@ __all__ = [
     "ReconfigurationFault",
     "RecoveryAction",
     "RecoveryPolicy",
-    "RefetchPolicy",
-    "RetryPolicy",
     "ScrubCycle",
     "Scrubber",
     "TransferCorruption",

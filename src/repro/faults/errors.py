@@ -16,9 +16,6 @@ __all__ = [
     "ReconfigurationFault",
     "TransferCorruption",
     "WriteAbort",
-    "ConfigMemoryUpset",
-    "BladeDegraded",
-    "DomainOutage",
 ]
 
 
@@ -32,41 +29,3 @@ class TransferCorruption(ReconfigurationFault):
 
 class WriteAbort(ReconfigurationFault):
     """A configuration write aborted mid-chunk (ICAP or vendor port)."""
-
-
-class ConfigMemoryUpset(ReconfigurationFault):
-    """A single-event upset flipped frames of a configured region."""
-
-
-class DomainOutage(ReconfigurationFault):
-    """A failure domain is down and cannot service the request.
-
-    Raised by the chaos runtime when a configuration is attempted while
-    the domain's circuit breaker is open, so callers fail fast instead of
-    queueing work against hardware that is known to be dead.
-    """
-
-    def __init__(self, domain: str, reason: str = "") -> None:
-        self.domain = domain
-        self.reason = reason
-        super().__init__(
-            f"failure domain {domain!r} unavailable"
-            + (f": {reason}" if reason else "")
-        )
-
-
-class BladeDegraded(ReconfigurationFault):
-    """A blade exhausted its recovery budget and left the cluster.
-
-    Carries enough context for the cluster runner to redistribute the
-    blade's unfinished calls across the surviving blades.
-    """
-
-    def __init__(self, lane: str, call_index: int, reason: str = "") -> None:
-        self.lane = lane
-        self.call_index = call_index
-        self.reason = reason
-        super().__init__(
-            f"blade {lane!r} degraded at call {call_index}"
-            + (f": {reason}" if reason else "")
-        )

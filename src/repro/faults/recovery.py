@@ -35,10 +35,7 @@ from .errors import ReconfigurationFault, TransferCorruption
 __all__ = [
     "RecoveryAction",
     "RecoveryPolicy",
-    "RetryPolicy",
-    "RefetchPolicy",
     "FallbackPolicy",
-    "DegradePolicy",
 ]
 
 _KINDS = ("retry", "refetch", "fallback_full", "degrade", "giveup")
@@ -127,40 +124,6 @@ class RecoveryPolicy:
         return self.refetch or isinstance(fault, TransferCorruption)
 
 
-class RetryPolicy(RecoveryPolicy):
-    """Retry in place with capped exponential backoff, then give up."""
-
-    def __init__(
-        self,
-        max_attempts: int = 3,
-        *,
-        backoff: float = 1e-3,
-        factor: float = 2.0,
-        cap: float = 0.1,
-    ) -> None:
-        super().__init__(
-            max_attempts, backoff=backoff, factor=factor, cap=cap,
-            exhausted="giveup",
-        )
-
-
-class RefetchPolicy(RecoveryPolicy):
-    """Every retry re-pulls the bitstream from the server first."""
-
-    def __init__(
-        self,
-        max_attempts: int = 3,
-        *,
-        backoff: float = 1e-3,
-        factor: float = 2.0,
-        cap: float = 0.1,
-    ) -> None:
-        super().__init__(
-            max_attempts, backoff=backoff, factor=factor, cap=cap,
-            exhausted="giveup", refetch=True,
-        )
-
-
 class FallbackPolicy(RecoveryPolicy):
     """After ``max_attempts`` failed partial attempts, do a full (FRTR)
     reconfiguration — the graceful-degradation path."""
@@ -176,22 +139,4 @@ class FallbackPolicy(RecoveryPolicy):
         super().__init__(
             max_attempts, backoff=backoff, factor=factor, cap=cap,
             exhausted="fallback_full",
-        )
-
-
-class DegradePolicy(RecoveryPolicy):
-    """After ``max_attempts`` failures, mark the blade degraded so the
-    cluster redistributes its remaining trace."""
-
-    def __init__(
-        self,
-        max_attempts: int = 3,
-        *,
-        backoff: float = 1e-3,
-        factor: float = 2.0,
-        cap: float = 0.1,
-    ) -> None:
-        super().__init__(
-            max_attempts, backoff=backoff, factor=factor, cap=cap,
-            exhausted="degrade",
         )

@@ -63,7 +63,6 @@ from .prr import (
     Floorplan,
     dual_prr_floorplan,
     single_prr_floorplan,
-    static_only_floorplan,
     uniform_prr_floorplan,
 )
 
@@ -117,6 +116,5 @@ __all__ = [
     "parse_bitfile",
     "selectmap_port",
     "single_prr_floorplan",
-    "static_only_floorplan",
     "uniform_prr_floorplan",
 ]

@@ -29,7 +29,6 @@ from .fpga import Fpga, PlacementError, Region
 __all__ = [
     "BusMacro",
     "Floorplan",
-    "static_only_floorplan",
     "single_prr_floorplan",
     "dual_prr_floorplan",
     "uniform_prr_floorplan",
@@ -132,16 +131,6 @@ class Floorplan:
                     BusMacro(f"{prr}_out{b}", prr, "static", width_bits=8)
                 )
         return macros
-
-
-def static_only_floorplan(device: FpgaDevice = XC2VP50) -> Floorplan:
-    """The FRTR baseline layout: no PRRs, whole device reconfigured."""
-    return Floorplan(
-        name="static_only",
-        device=device,
-        static_columns=device.clb_columns,
-        prr_columns=[],
-    )
 
 
 def single_prr_floorplan(device: FpgaDevice = XC2VP50) -> Floorplan:

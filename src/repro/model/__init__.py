@@ -29,7 +29,6 @@ from .bounds import (
     min_calls_for_speedup,
     peak_speedup,
     peak_x_task,
-    supremum_speedup,
 )
 from .frtr import (
     frtr_per_call_normalized,
@@ -131,5 +130,4 @@ __all__ = [
     "uniform_heterogeneous_speedup",
     "sweep_asymptotic",
     "sweep_finite",
-    "supremum_speedup",
 ]

@@ -522,17 +522,3 @@ def replay_fault_point(
         x_prtr=t_part / t_full,
         x_task=task_time / t_full,
     )
-
-
-def shadow_check(
-    samples: Sequence[HybridSample],
-) -> None:
-    """Assert every shadow sample agrees; raises ``InvariantError``.
-
-    Thin wrapper over :func:`repro.runtime.invariants.audit_hybrid` —
-    verification failures are *always* fatal (a wrong analytic answer is
-    never acceptable output), independent of the strict-invariants flag.
-    """
-    from ..runtime.invariants import audit_hybrid
-
-    audit_hybrid(samples).raise_if_strict(strict=True)

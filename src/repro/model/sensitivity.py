@@ -104,7 +104,9 @@ def gradient(params: ModelParameters) -> dict[str, np.ndarray]:
     }
 
 
-def finite_difference(
+# Kept as the numeric oracle for dS_dx_prtr in
+# tests/model/test_sensitivity.py (TestFiniteDifferenceAgreement).
+def finite_difference(  # reprolint: disable=RL010
     params: ModelParameters, field: str, eps: float = 1e-7
 ) -> np.ndarray:
     """Central finite-difference check of one partial (used in tests)."""

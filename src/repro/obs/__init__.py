@@ -10,15 +10,14 @@ first-class observables of every simulated run:
     catalog.  Disabled by default; the disabled path is a no-op and
     runs are bit-identical to an uninstrumented build.
 :mod:`repro.obs.tracing`
-    Hierarchical spans over :class:`~repro.sim.trace.Timeline` and
-    Chrome trace-event JSON export (``chrome://tracing`` / Perfetto),
-    one lane per FPGA/ICAP/channel/blade.
+    Chrome trace-event JSON export of :class:`~repro.sim.trace.Timeline`
+    spans (``chrome://tracing`` / Perfetto), one lane per
+    FPGA/ICAP/channel/blade.
 :mod:`repro.obs.profile`
-    DES hot-path profiling through the simulator's watchdog hook point
-    and wall-clock phase accounting for sweep drivers.
+    DES hot-path profiling through the simulator's watchdog hook point.
 :mod:`repro.obs.report`
-    Utilization rollups: ICAP occupancy, hit-ratio timelines, blade
-    Gantt summaries, configuration-bandwidth histograms vs Table 2.
+    Utilization rollups: ICAP occupancy, hit-ratio timelines,
+    configuration-bandwidth histograms vs Table 2.
 
 CLI: ``repro trace --out trace.json`` and ``repro metrics``.  The
 architecture and metric catalog are documented in
@@ -38,10 +37,9 @@ from __future__ import annotations
 
 from . import metrics, profile, report, tracing
 from .metrics import MetricsRegistry, observed
-from .profile import EventProfiler, PhaseTimer, profiled
+from .profile import EventProfiler, profiled
 from .report import icap_occupancy, render_utilization
 from .tracing import (
-    SpanRecorder,
     chrome_trace_events,
     trace_document,
     validate_chrome_trace,
@@ -51,8 +49,6 @@ from .tracing import (
 __all__ = [
     "EventProfiler",
     "MetricsRegistry",
-    "PhaseTimer",
-    "SpanRecorder",
     "chrome_trace_events",
     "icap_occupancy",
     "metrics",

@@ -49,8 +49,6 @@ __all__ = [
     "MetricSpec",
     "MetricsRegistry",
     "counter",
-    "disable",
-    "enable",
     "enabled",
     "gauge",
     "get_registry",
@@ -573,7 +571,10 @@ def get_registry() -> MetricsRegistry:
     return _registry
 
 
-def enabled() -> bool:
+# Kept as the oracle for observed() restoring the flag in
+# tests/obs/test_metrics.py (test_observed_resets_and_restores) and
+# for runs leaving observability off in tests/obs/test_identity.py.
+def enabled() -> bool:  # reprolint: disable=RL010
     """Whether observability is currently on."""
     return _enabled
 
@@ -584,16 +585,6 @@ def set_enabled(flag: bool) -> bool:
     previous = _enabled
     _enabled = bool(flag)
     return previous
-
-
-def enable() -> None:
-    """Turn observability on."""
-    set_enabled(True)
-
-
-def disable() -> None:
-    """Turn observability off (recorded values are kept)."""
-    set_enabled(False)
 
 
 def reset() -> None:

@@ -1,23 +1,19 @@
-"""DES hot-path profiling and wall-clock phase accounting.
+"""DES hot-path profiling.
 
-Two complementary instruments for finding where *host* time goes (the
-simulated clock is already fully observable through timelines):
+:class:`EventProfiler` finds where *host* time goes (the simulated
+clock is already fully observable through timelines).  It rides the
+simulator's existing watchdog hook point
+(:attr:`repro.sim.engine.Simulator.watchdog`): the kernel calls
+``after_event(sim)`` after every dispatched event, and the profiler
+attributes the wall-clock gap since the previous hook call to the event
+just processed, keyed by its process's *event type* (the process name
+with indices stripped, so ``task17`` and ``cfg3`` fold into ``task`` and
+``cfg``).  An existing watchdog can be chained, so profiling composes
+with deadline cancellation.
 
-* :class:`EventProfiler` — rides the simulator's existing watchdog hook
-  point (:attr:`repro.sim.engine.Simulator.watchdog`): the kernel calls
-  ``after_event(sim)`` after every dispatched event, and the profiler
-  attributes the wall-clock gap since the previous hook call to the
-  event just processed, keyed by its process's *event type* (the
-  process name with indices stripped, so ``task17`` and ``cfg3`` fold
-  into ``task`` and ``cfg``).  An existing watchdog can be chained, so
-  profiling composes with deadline cancellation.
-* :class:`PhaseTimer` — coarse wall-clock accounting for multi-phase
-  drivers (sweeps: setup / simulate / audit / write), a context-manager
-  per phase with an injectable clock.
-
-Profiling is measurement only — neither class influences scheduling, so
-a profiled run produces the same :class:`~repro.rtr.events.RunResult`
-as an unprofiled one (a test pins this).
+Profiling is measurement only — it never influences scheduling, so a
+profiled run produces the same :class:`~repro.rtr.events.RunResult` as
+an unprofiled one (a test pins this).
 """
 
 from __future__ import annotations
@@ -27,7 +23,7 @@ import time
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator
 
-__all__ = ["EventProfiler", "PhaseTimer", "event_type", "profiled"]
+__all__ = ["EventProfiler", "event_type", "profiled"]
 
 _INDEX_RE = re.compile(r"\d+")
 
@@ -153,68 +149,3 @@ def profiled(sim: Any, **kwargs: Any) -> Iterator[EventProfiler]:
         yield profiler
     finally:
         sim.watchdog = previous
-
-
-class PhaseTimer:
-    """Wall-clock accounting across the named phases of a driver loop."""
-
-    def __init__(
-        self, *, clock: Callable[[], float] = time.perf_counter
-    ) -> None:
-        self._clock = clock
-        #: phase -> [entries, total wall seconds]
-        self.phases: dict[str, list[float]] = {}
-        self._order: list[str] = []
-
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        """Time a ``with`` block under ``name`` (re-entrant accumulates)."""
-        start = self._clock()
-        try:
-            yield
-        finally:
-            elapsed = self._clock() - start
-            entry = self.phases.get(name)
-            if entry is None:
-                self.phases[name] = [1, elapsed]
-                self._order.append(name)
-            else:
-                entry[0] += 1
-                entry[1] += elapsed
-
-    @property
-    def total_seconds(self) -> float:
-        """Wall time across all phases."""
-        return sum(total for _n, total in self.phases.values())
-
-    def report(self) -> list[dict[str, Any]]:
-        """Rows in first-entered order with share-of-total percentages."""
-        total = self.total_seconds
-        return [
-            {
-                "phase": name,
-                "entries": int(self.phases[name][0]),
-                "total_s": self.phases[name][1],
-                "share_pct": (
-                    100.0 * self.phases[name][1] / total if total else 0.0
-                ),
-            }
-            for name in self._order
-        ]
-
-    def render(self) -> str:
-        """Phase table as text."""
-        rows = self.report()
-        if not rows:
-            return "(no phases timed)"
-        width = max([len(r["phase"]) for r in rows] + [len("phase")])
-        lines = [
-            f"{'phase':<{width}}  {'entries':>7}  "
-            f"{'total ms':>10}  {'share':>6}"
-        ]
-        for r in rows:
-            lines.append(
-                f"{r['phase']:<{width}}  {r['entries']:>7}  "
-                f"{r['total_s'] * 1e3:>10.3f}  {r['share_pct']:>5.1f}%"
-            )
-        return "\n".join(lines)

@@ -1,9 +1,8 @@
 """Utilization rollups: where the simulated time actually went.
 
-Post-processing over :class:`~repro.rtr.events.RunResult` /
-``ClusterResult`` objects (duck-typed — this module never imports the
-executors) that turns timelines into the operational summaries the
-paper's argument needs:
+Post-processing over :class:`~repro.rtr.events.RunResult` objects
+(duck-typed — this module never imports the executors) that turns
+timelines into the operational summaries the paper's argument needs:
 
 * **ICAP occupancy** — what fraction of the run the configuration port
   was busy (the denominator of every "can prefetching hide this?"
@@ -12,8 +11,7 @@ paper's argument needs:
   run, not just the final scalar;
 * **configuration-bandwidth rows** — effective bytes/second of every
   configuration span, comparable against the paper's published Table 2
-  rows (e.g. dual-PRR: 404,168 bytes in 19.77 ms measured);
-* **blade Gantt summary** — per-blade utilization of a cluster run.
+  rows (e.g. dual-PRR: 404,168 bytes in 19.77 ms measured).
 
 Everything returns plain rows/floats; ``render_utilization`` composes
 them into the text report the ``repro metrics`` CLI prints.
@@ -27,7 +25,6 @@ from ..hardware.catalog import PUBLISHED_TABLE2
 from ..sim.trace import Phase
 
 __all__ = [
-    "blade_summary",
     "config_bandwidth_rows",
     "hit_ratio_timeline",
     "icap_occupancy",
@@ -129,31 +126,6 @@ def published_bandwidth_rows() -> list[dict[str, Any]]:
                 ),
             }
         )
-    return rows
-
-
-def blade_summary(cluster: Any) -> list[dict[str, Any]]:
-    """One utilization row per blade (plus redistribution waves)."""
-    makespan = cluster.makespan
-    rows: list[dict[str, Any]] = []
-
-    def add(run: Any, label: str) -> None:
-        busy = run.timeline.busy_time()
-        rows.append(
-            {
-                "blade": label,
-                "calls": run.n_calls,
-                "hit_ratio": run.hit_ratio,
-                "busy_s": busy,
-                "busy_pct": 100.0 * busy / makespan if makespan else 0.0,
-                "degraded": run.degraded,
-            }
-        )
-
-    for i, blade in enumerate(cluster.blades):
-        add(blade, f"blade{i}")
-    for wave in cluster.redistributed:
-        add(wave, wave.trace_name)
     return rows
 
 

@@ -1,18 +1,12 @@
-"""Hierarchical span recording and Chrome trace-event export.
+"""Chrome trace-event export of simulated runs.
 
-:class:`~repro.sim.trace.Timeline` already records *flat* spans (the
-paper's Fig. 2-4 execution profiles).  This module layers two things on
-top:
-
-* :class:`SpanRecorder` — a context-manager API for **nested** spans
-  (``with rec.span("stage"): ...``); children carry their parent path so
-  hierarchy survives in the flat span list;
-* exporters that turn timelines and run results into **Chrome
-  trace-event JSON** — the format ``chrome://tracing`` and Perfetto
-  (https://ui.perfetto.dev) load directly.  Lanes become named threads,
-  runs become named processes, and one simulated second maps to one
-  trace second (timestamps are emitted in microseconds, the format's
-  native unit).
+:class:`~repro.sim.trace.Timeline` records the spans of a run (the
+paper's Fig. 2-4 execution profiles).  This module turns timelines and
+run results into **Chrome trace-event JSON** — the format
+``chrome://tracing`` and Perfetto (https://ui.perfetto.dev) load
+directly.  Lanes become named threads, runs become named processes, and
+one simulated second maps to one trace second (timestamps are emitted
+in microseconds, the format's native unit).
 
 The export is pure read-only post-processing: it never mutates the
 timeline and works on completed, interrupted, and merged runs alike.
@@ -30,13 +24,11 @@ True
 from __future__ import annotations
 
 import json
-from typing import Any, Iterator, Sequence
-from contextlib import contextmanager
+from typing import Any, Sequence
 
 from ..sim.trace import Timeline
 
 __all__ = [
-    "SpanRecorder",
     "chrome_trace_events",
     "cluster_to_chrome",
     "comparison_to_chrome",
@@ -48,59 +40,6 @@ __all__ = [
 
 #: one simulated second in trace-event timestamp units (microseconds)
 US_PER_S = 1e6
-
-#: parent-path separator used in hierarchical span notes
-PATH_SEP = "/"
-
-
-class SpanRecorder:
-    """Record nested spans into a :class:`Timeline`.
-
-    The clock is injectable: pass ``clock=lambda: sim.now`` to record in
-    simulated time (the default records nothing until a clock is given —
-    there is deliberately no hidden wall-clock fallback, so traces stay
-    deterministic).  Nesting is tracked per recorder; a child span's
-    ``note`` holds the ``/``-joined path of its ancestors.
-    """
-
-    def __init__(
-        self,
-        clock: Any,
-        timeline: Timeline | None = None,
-        *,
-        lane: str = "main",
-    ) -> None:
-        self.clock = clock
-        self.timeline = timeline if timeline is not None else Timeline()
-        self.lane = lane
-        self._stack: list[str] = []
-
-    @property
-    def depth(self) -> int:
-        """Current nesting depth of open spans."""
-        return len(self._stack)
-
-    @contextmanager
-    def span(
-        self, phase: str, *, lane: str | None = None, task: str = ""
-    ) -> Iterator[None]:
-        """Time a block as one span; nests under any open spans."""
-        parent = PATH_SEP.join(self._stack)
-        self._stack.append(phase)
-        start = float(self.clock())
-        try:
-            yield
-        finally:
-            end = float(self.clock())
-            self._stack.pop()
-            self.timeline.add(
-                phase,
-                start,
-                end,
-                lane=self.lane if lane is None else lane,
-                task=task,
-                note=parent,
-            )
 
 
 def _lane_tids(timeline: Timeline) -> dict[str, int]:

@@ -43,7 +43,6 @@ __all__ = [
     "PowerModel",
     "annotate_energy",
     "current_model",
-    "enabled",
     "powered",
     "set_enabled",
 ]
@@ -52,11 +51,6 @@ __all__ = [
 
 _enabled = False
 _model: PowerModel = DEFAULT_POWER_MODEL
-
-
-def enabled() -> bool:
-    """Whether power accounting is currently on."""
-    return _enabled
 
 
 def current_model() -> PowerModel:
@@ -89,7 +83,10 @@ def powered(model: PowerModel | None = None) -> Iterator[PowerModel]:
         set_enabled(*previous)
 
 
-def annotate_energy(
+# annotate_energy() is a step inside the executors, not an entry point:
+# both callers audit the annotated result right after it returns, so
+# the audit-coverage rule would double-count it here.
+def annotate_energy(  # reprolint: disable=RL007
     result: "RunResult", trace: "CallTrace", node: Any
 ) -> "RunResult":
     """Stamp a run's energy ledger into its notes (no-op while off).

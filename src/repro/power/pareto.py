@@ -18,14 +18,16 @@ The sweep composes with the whole existing machinery:
   :func:`repro.model.hybrid.replay_energy_components`) under the same
   exactness predicates the fault sweep uses; single-PRR cells fail
   ``overlap-applicable`` and always run the DES.
+
+The frontier comes from :func:`pareto_front`, a generic non-dominated
+filter over any objective vector (:func:`dominates`).
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
 
-from ..analysis.pareto import pareto_front
 from ..analysis.reliability import trace_with_hit_ratio
 from ..hardware.prr import uniform_prr_floorplan
 from ..model.hybrid import (
@@ -47,9 +49,13 @@ __all__ = [
     "DEFAULT_POWER_HIT_RATIOS",
     "PowerSweepPoint",
     "crash_safe_power_sweep",
+    "dominates",
     "measure_power_point",
+    "pareto_front",
     "power_pareto_front",
 ]
+
+T = TypeVar("T")
 
 #: default swept floorplan sizes (1 PRR = the serial-fallback floor,
 #: 4 PRRs = the largest uniform carve the XC2VP50 column budget admits)
@@ -267,6 +273,46 @@ def _build_point(
         prtr_mean_w=prtr_ledger.mean_w,
         n_configs=n_partial,
     )
+
+
+def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
+    """True iff objective vector ``a`` dominates ``b`` (minimization).
+
+    ``a`` dominates ``b`` when it is no worse in every objective and
+    strictly better in at least one.  Vectors must be equal length.
+    Only strict orderings (``<`` / ``<=``) are used, so ties survive as
+    co-frontier points instead of being collapsed arbitrarily.
+    """
+    if len(a) != len(b):
+        raise ValueError(
+            f"objective vectors differ in length: {len(a)} vs {len(b)}"
+        )
+    no_worse = all(x <= y for x, y in zip(a, b))
+    better = any(x < y for x, y in zip(a, b))
+    return no_worse and better
+
+
+def pareto_front(
+    points: Sequence[T],
+    objectives: Callable[[T], Sequence[float]],
+) -> list[T]:
+    """The non-dominated subset of ``points`` (minimizing objectives).
+
+    Preserves input order, so the frontier of a deterministic sweep is
+    itself deterministic.  Duplicate objective vectors all survive —
+    dominance requires strict improvement in at least one coordinate.
+    """
+    vectors = [tuple(objectives(p)) for p in points]
+    front: list[T] = []
+    for i, point in enumerate(points):
+        if any(
+            dominates(vectors[j], vectors[i])
+            for j in range(len(points))
+            if j != i
+        ):
+            continue
+        front.append(point)
+    return front
 
 
 def power_pareto_front(

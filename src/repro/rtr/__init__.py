@@ -8,7 +8,7 @@ measures the speedup between them.
 
 from .cluster import ClusterResult, compare_cluster, run_cluster
 from .events import CallRecord, RunResult
-from .frtr import FrtrExecutor, run_frtr
+from .frtr import FrtrExecutor
 from .multitask import (
     AppResult,
     AppSpec,
@@ -17,7 +17,7 @@ from .multitask import (
     MultitaskResult,
     compare_multitask,
 )
-from .prtr import PrtrExecutor, run_prtr
+from .prtr import PrtrExecutor
 from .resilience import ConfigOutcome, resilient
 from .runner import ComparisonResult, compare, make_node
 
@@ -40,6 +40,4 @@ __all__ = [
     "make_node",
     "resilient",
     "run_cluster",
-    "run_frtr",
-    "run_prtr",
 ]

@@ -20,7 +20,7 @@ from ..workloads.task import CallTrace
 from .events import CallRecord, RunResult
 from .resilience import resilient
 
-__all__ = ["FrtrExecutor", "PendingRun", "run_frtr"]
+__all__ = ["FrtrExecutor", "PendingRun"]
 
 
 class PendingRun:
@@ -257,18 +257,3 @@ class FrtrExecutor:
         annotate_energy(result, trace, self.node)
         audit_and_record(result)
         return result
-
-
-def run_frtr(
-    trace: CallTrace,
-    node: XD1Node | None = None,
-    *,
-    estimated: bool = False,
-    control_time: float | None = None,
-) -> RunResult:
-    """One-shot convenience wrapper (builds a default node if needed)."""
-    if node is None:
-        node = XD1Node(Simulator())
-    return FrtrExecutor(
-        node, estimated=estimated, control_time=control_time
-    ).run(trace)

@@ -425,6 +425,19 @@ class PrrFabric:
         owner = f"retire:{slot}"
         yield from self.prr_mutexes[slot].acquire(owner)
         # The mutex is held forever: nothing can execute here again.
+        yield from self.drain_slot(slot, f"retire-wait:{slot}")
+        self.cache.place(sentinel, slot)
+        self.pin(sentinel)
+
+    def drain_slot(
+        self, slot: int, wait_name: str
+    ) -> Generator[Any, Any, None]:
+        """Evict ``slot``'s resident, if any, once it is safe to.
+
+        A DES process step: waits out an in-flight configuration of the
+        resident, then waits (on a signal named ``wait_name``) for every
+        pin on it to drop, then evicts it.
+        """
         while True:
             victim = next(
                 (
@@ -435,19 +448,17 @@ class PrrFabric:
                 None,
             )
             if victim is None:
-                break
+                return
             if victim in self.configuring:
                 yield self.configuring[victim]
                 continue
             if victim in self.busy_modules:
-                sig = self.sim.signal(name=f"retire-wait:{slot}")
+                sig = self.sim.signal(name=wait_name)
                 self._unpin_waiters.append(sig)
                 yield sig
                 continue
             self.cache.evict(victim)
-            break
-        self.cache.place(sentinel, slot)
-        self.pin(sentinel)
+            return
 
     def assert_no_overlap(self) -> None:
         """Post-run sanity: PRR and ICAP mutexes were truly exclusive."""

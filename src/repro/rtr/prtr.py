@@ -45,7 +45,7 @@ from .events import CallRecord, RunResult
 from .frtr import PendingRun
 from .resilience import ConfigOutcome, resilient
 
-__all__ = ["PrtrExecutor", "run_prtr"]
+__all__ = ["PrtrExecutor"]
 
 
 class PrtrExecutor:
@@ -573,14 +573,3 @@ class PrtrExecutor:
         annotate_energy(result, trace, self.node)
         audit_and_record(result)
         return result
-
-
-def run_prtr(
-    trace: CallTrace,
-    node: XD1Node | None = None,
-    **kwargs: Any,
-) -> RunResult:
-    """One-shot convenience wrapper (builds a default dual-PRR node)."""
-    if node is None:
-        node = XD1Node(Simulator())
-    return PrtrExecutor(node, **kwargs).run(trace)

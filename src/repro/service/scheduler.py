@@ -308,36 +308,13 @@ class _ChaosRuntime:
     ) -> Generator[Any, Any, None]:
         """Drain the darkened slot's resident (its state died with it).
 
-        Mirrors :meth:`~repro.rtr.multitask.PrrFabric.retire_slot`'s
-        victim loop: waits out an in-flight configuration, then waits
-        for every pin to drop (granted requests migrate off the slot at
-        their next quantum boundary), then evicts.  Fires the outage
-        state's signal so migrated requests waiting to re-queue know the
-        residency is gone.
+        Uses :meth:`~repro.rtr.multitask.PrrFabric.drain_slot`, the
+        victim loop of slot retirement: granted requests migrate off the
+        slot at their next quantum boundary, so the pins drop.  Fires
+        the outage state's signal so migrated requests waiting to
+        re-queue know the residency is gone.
         """
-        fabric = self.ex.fabric
-        cache = fabric.cache
-        while True:
-            victim = next(
-                (
-                    m
-                    for m, s in list(cache._residents.items())
-                    if s == slot
-                ),
-                None,
-            )
-            if victim is None:
-                break
-            if victim in fabric.configuring:
-                yield fabric.configuring[victim]
-                continue
-            if victim in fabric.busy_modules:
-                sig = self.sim.signal(name=f"chaos-unpin:prr{slot}")
-                fabric._unpin_waiters.append(sig)
-                yield sig
-                continue
-            cache.evict(victim)
-            break
+        yield from self.ex.fabric.drain_slot(slot, f"chaos-unpin:prr{slot}")
         st["evicted"] = True
         st["signal"].succeed()
         self._maybe_unblock(slot, st)

@@ -33,6 +33,7 @@ class Interval:
     owner: str
 
     def overlaps(self, other: "Interval") -> bool:
+        """Whether the two half-open intervals share any instant."""
         return self.start < other.end and other.start < self.end
 
 
@@ -49,10 +50,12 @@ class MutexResource:
 
     @property
     def busy(self) -> bool:
+        """Whether some owner holds the resource now."""
         return self._holder is not None
 
     @property
     def holder(self) -> Optional[str]:
+        """The current owner, or ``None`` when free."""
         return self._holder
 
     def acquire(self, owner: str) -> Generator[Any, Any, None]:
@@ -65,6 +68,7 @@ class MutexResource:
         yield sig
 
     def release(self, owner: str) -> None:
+        """Release as ``owner`` and grant the next FIFO waiter, if any."""
         if self._holder != owner:
             raise SimulationError(
                 f"{owner!r} released {self.name!r} held by {self._holder!r}"

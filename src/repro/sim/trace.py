@@ -45,9 +45,11 @@ class Span:
 
     @property
     def duration(self) -> float:
+        """``end - start`` in simulated seconds."""
         return self.end - self.start
 
     def overlaps(self, other: "Span") -> bool:
+        """Whether the two half-open spans share any instant."""
         return self.start < other.end and other.start < self.end
 
 
@@ -76,6 +78,7 @@ class Timeline:
         task: str = "",
         note: str = "",
     ) -> Span:
+        """Append one span; raises ``TypeError`` once frozen."""
         if self._frozen:
             raise TypeError("cannot add spans to a frozen timeline")
         span = Span(phase, start, end, lane=lane, task=task, note=note)
@@ -86,6 +89,7 @@ class Timeline:
 
     @property
     def frozen(self) -> bool:
+        """Whether :meth:`freeze` has been called."""
         return self._frozen
 
     def freeze(self) -> "Timeline":
@@ -113,15 +117,19 @@ class Timeline:
         return iter(self.spans)
 
     def by_phase(self, phase: str) -> list[Span]:
+        """The spans of one phase, in insertion order."""
         return [s for s in self.spans if s.phase == phase]
 
     def by_lane(self, lane: str) -> list[Span]:
+        """The spans on one lane, in insertion order."""
         return [s for s in self.spans if s.lane == lane]
 
     def by_task(self, task: str) -> list[Span]:
+        """The spans of one task, in insertion order."""
         return [s for s in self.spans if s.task == task]
 
     def lanes(self) -> list[str]:
+        """Distinct lane names in first-appearance order."""
         seen: dict[str, None] = {}
         for s in self.spans:
             seen.setdefault(s.lane, None)

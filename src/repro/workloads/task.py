@@ -54,6 +54,7 @@ class HardwareTask:
                 raise ValueError(f"{f} must be >= 0")
 
     def with_time(self, time: float) -> "HardwareTask":
+        """This task with ``T_task`` replaced (I/O and compute kept)."""
         return HardwareTask(
             self.name,
             time,
@@ -73,6 +74,7 @@ class FunctionCall:
 
     @property
     def name(self) -> str:
+        """The called task's name."""
         return self.task.name
 
 
@@ -102,6 +104,7 @@ class CallTrace:
 
     @property
     def n_calls(self) -> int:
+        """``n``: the number of calls in the trace."""
         return len(self.calls)
 
     def task_names(self) -> list[str]:
@@ -113,6 +116,7 @@ class CallTrace:
 
     @property
     def n_distinct(self) -> int:
+        """The number of distinct tasks the trace calls."""
         return len(self.task_names())
 
     def mean_task_time(self) -> float:
@@ -120,9 +124,11 @@ class CallTrace:
         return float(np.mean([c.task.time for c in self.calls]))
 
     def total_task_time(self) -> float:
+        """Sum of ``T_task`` over every call."""
         return float(sum(c.task.time for c in self.calls))
 
     def call_counts(self) -> dict[str, int]:
+        """Calls per task name."""
         counts: dict[str, int] = {}
         for c in self.calls:
             counts[c.name] = counts.get(c.name, 0) + 1
@@ -147,6 +153,7 @@ class CallTrace:
         return hist
 
     def cold_misses(self) -> int:
+        """Compulsory misses: the first call to each distinct task."""
         return self.n_distinct
 
     # -- construction helpers -------------------------------------------------
@@ -157,6 +164,11 @@ class CallTrace:
         library: dict[str, HardwareTask],
         name: str = "trace",
     ) -> "CallTrace":
+        """The trace calling ``library[n]`` for each name in ``names``.
+
+        Raises ``KeyError`` naming the first task missing from the
+        library.
+        """
         try:
             tasks = [library[n] for n in names]
         except KeyError as exc:
@@ -164,6 +176,7 @@ class CallTrace:
         return CallTrace(tasks, name=name)
 
     def repeat(self, times: int) -> "CallTrace":
+        """This trace's calls repeated ``times`` times back to back."""
         if times <= 0:
             raise ValueError("times must be >= 1")
         return CallTrace(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.faults import DegradePolicy, FaultConfig, RetryPolicy
+from repro.faults import FaultConfig, RecoveryPolicy
 from repro.rtr.cluster import run_cluster
 from repro.workloads import CallTrace, HardwareTask
 
@@ -24,7 +24,8 @@ class TestZeroRateCluster:
         base = run_cluster(blade_traces(), mode=mode)
         inert = run_cluster(
             blade_traces(), mode=mode,
-            fault_config=FaultConfig(seed=5), recovery=RetryPolicy(),
+            fault_config=FaultConfig(seed=5),
+            recovery=RecoveryPolicy(backoff=1e-3, cap=0.1),
         )
         assert inert.makespan == base.makespan
         assert inert.server_bytes == base.server_bytes
@@ -39,7 +40,7 @@ class TestClusterUnderFaults:
         result = run_cluster(
             blade_traces(), mode="prtr", force_miss=True,
             fault_config=FaultConfig(chunk_abort_rate=0.005, seed=0),
-            recovery=RetryPolicy(max_attempts=8),
+            recovery=RecoveryPolicy(max_attempts=8, backoff=1e-3, cap=0.1),
         )
         assert sum(b.n_retries for b in result.blades) > 0
         assert not result.degraded
@@ -51,7 +52,7 @@ class TestClusterUnderFaults:
             return run_cluster(
                 blade_traces(), mode="prtr", force_miss=True,
                 fault_config=FaultConfig(chunk_abort_rate=0.005, seed=0),
-                recovery=RetryPolicy(max_attempts=8),
+                recovery=RecoveryPolicy(max_attempts=8, backoff=1e-3, cap=0.1),
             )
 
         a, b = go(), go()
@@ -67,7 +68,9 @@ class TestGracefulDegradation:
         result = run_cluster(
             blade_traces(), mode="frtr",
             fault_config=self.CONFIG,
-            recovery=DegradePolicy(max_attempts=2),
+            recovery=RecoveryPolicy(
+                2, backoff=1e-3, cap=0.1, exhausted="degrade"
+            ),
         )
         assert result.degraded  # at least one blade went down
         assert result.redistributed  # ...and its tail found a new home
@@ -87,7 +90,9 @@ class TestGracefulDegradation:
         result = run_cluster(
             blade_traces(), mode="frtr",
             fault_config=self.CONFIG,
-            recovery=DegradePolicy(max_attempts=2),
+            recovery=RecoveryPolicy(
+                2, backoff=1e-3, cap=0.1, exhausted="degrade"
+            ),
             redistribute=False,
         )
         assert result.degraded

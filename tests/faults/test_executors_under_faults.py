@@ -6,12 +6,10 @@ import pytest
 
 from repro.faults import (
     CrcChecker,
-    DegradePolicy,
     FallbackPolicy,
     FaultConfig,
     FaultInjector,
-    RefetchPolicy,
-    RetryPolicy,
+    RecoveryPolicy,
     WriteAbort,
 )
 from repro.rtr.frtr import FrtrExecutor
@@ -41,7 +39,9 @@ def run_prtr(config=None, recovery=None, **kwargs):
 class TestZeroRateBitIdentical:
     def test_prtr_records_identical_to_baseline(self):
         baseline, _ = run_prtr()
-        with_inert, node = run_prtr(FaultConfig(), recovery=RetryPolicy())
+        with_inert, node = run_prtr(
+            FaultConfig(), recovery=RecoveryPolicy(backoff=1e-3, cap=0.1)
+        )
         assert with_inert.total_time == baseline.total_time
         assert with_inert.records == baseline.records
         assert with_inert.summary() == baseline.summary()
@@ -53,7 +53,7 @@ class TestZeroRateBitIdentical:
         base = FrtrExecutor(make_node()).run(trace)
         inert = FrtrExecutor(
             make_node(fault_injector=FaultInjector(FaultConfig())),
-            recovery=RetryPolicy(),
+            recovery=RecoveryPolicy(backoff=1e-3, cap=0.1),
         ).run(trace)
         assert inert.total_time == base.total_time
         assert inert.records == base.records
@@ -62,19 +62,20 @@ class TestZeroRateBitIdentical:
 class TestSameSeedSameRun:
     def test_faulty_prtr_run_reproduces_exactly(self):
         config = FaultConfig(chunk_abort_rate=0.01, seed=9)
-        first, _ = run_prtr(config, recovery=RetryPolicy(max_attempts=8))
-        second, _ = run_prtr(config, recovery=RetryPolicy(max_attempts=8))
+        retry = RecoveryPolicy(8, backoff=1e-3, cap=0.1)
+        first, _ = run_prtr(config, recovery=retry)
+        second, _ = run_prtr(config, recovery=retry)
         assert first.total_time == second.total_time
         assert first.records == second.records
 
     def test_different_seed_different_realization(self):
         a, na = run_prtr(
             FaultConfig(chunk_abort_rate=0.02, seed=1),
-            recovery=RetryPolicy(max_attempts=10),
+            recovery=RecoveryPolicy(max_attempts=10, backoff=1e-3, cap=0.1),
         )
         b, nb = run_prtr(
             FaultConfig(chunk_abort_rate=0.02, seed=2),
-            recovery=RetryPolicy(max_attempts=10),
+            recovery=RecoveryPolicy(max_attempts=10, backoff=1e-3, cap=0.1),
         )
         assert (
             na.fault_injector.stats.as_dict()
@@ -87,7 +88,7 @@ class TestRetryPolicy:
     def test_chunk_aborts_recovered_by_retry(self):
         result, node = run_prtr(
             FaultConfig(chunk_abort_rate=0.01, seed=7),
-            recovery=RetryPolicy(max_attempts=8),
+            recovery=RecoveryPolicy(max_attempts=8, backoff=1e-3, cap=0.1),
         )
         assert node.fault_injector.stats.chunk_aborts > 0
         assert node.icap.write_aborts > 0
@@ -112,7 +113,9 @@ class TestRefetchPolicy:
         )
         result = PrtrExecutor(
             node, force_miss=True, bitstream_source=server,
-            recovery=RefetchPolicy(max_attempts=10),
+            recovery=RecoveryPolicy(
+                10, backoff=1e-3, cap=0.1, refetch=True
+            ),
         ).run(make_trace())
         assert server.corrupted_count > 0
         assert result.n_refetches > 0
@@ -150,7 +153,9 @@ class TestDegradePolicy:
     def test_degrade_abandons_remaining_trace(self):
         result, _ = run_prtr(
             FaultConfig(chunk_abort_rate=0.95, seed=7),
-            recovery=DegradePolicy(max_attempts=2),
+            recovery=RecoveryPolicy(
+                2, backoff=1e-3, cap=0.1, exhausted="degrade"
+            ),
         )
         assert result.degraded
         assert result.n_failed == 1
@@ -166,7 +171,10 @@ class TestDegradePolicy:
             )
         )
         result = FrtrExecutor(
-            node, recovery=DegradePolicy(max_attempts=2)
+            node,
+            recovery=RecoveryPolicy(
+                2, backoff=1e-3, cap=0.1, exhausted="degrade"
+            ),
         ).run(trace)
         assert result.degraded
         assert result.records[-1].failed
@@ -181,7 +189,7 @@ class TestFrtrRecovery:
             )
         )
         result = FrtrExecutor(
-            node, recovery=RetryPolicy(max_attempts=10)
+            node, recovery=RecoveryPolicy(10, backoff=1e-3, cap=0.1)
         ).run(trace)
         assert node.selectmap.write_aborts > 0
         assert result.n_retries > 0
@@ -195,7 +203,7 @@ class TestIcapCrcPath:
     def test_corrupted_chunks_are_retransmitted(self):
         result, node = run_prtr(
             FaultConfig(transfer_ber=3e-6, seed=4),
-            recovery=RetryPolicy(max_attempts=6),
+            recovery=RecoveryPolicy(max_attempts=6, backoff=1e-3, cap=0.1),
         )
         assert node.fault_injector.stats.transfers_corrupted > 0
         assert node.icap.chunk_retransmits > 0

@@ -5,12 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.faults import (
-    DegradePolicy,
     FallbackPolicy,
     RecoveryAction,
     RecoveryPolicy,
-    RefetchPolicy,
-    RetryPolicy,
     TransferCorruption,
     WriteAbort,
 )
@@ -61,23 +58,25 @@ class TestBackoff:
 
 class TestDecisions:
     def test_write_abort_retries_locally(self):
-        action = RetryPolicy(3).on_failure(1, ABORT)
+        action = RecoveryPolicy(3).on_failure(1, ABORT)
         assert action.kind == "retry"
 
     def test_transfer_corruption_always_refetches(self):
         # The local copy is suspect; even a plain retry policy re-pulls.
-        action = RetryPolicy(3).on_failure(1, CORRUPT)
+        action = RecoveryPolicy(3).on_failure(1, CORRUPT)
         assert action.kind == "refetch"
 
     def test_refetch_policy_refetches_everything(self):
-        assert RefetchPolicy(3).on_failure(1, ABORT).kind == "refetch"
+        policy = RecoveryPolicy(3, refetch=True)
+        assert policy.on_failure(1, ABORT).kind == "refetch"
 
     def test_exhaustion_actions(self):
-        assert RetryPolicy(2).on_failure(2, ABORT).kind == "giveup"
+        assert RecoveryPolicy(2).on_failure(2, ABORT).kind == "giveup"
         assert (
             FallbackPolicy(2).on_failure(2, ABORT).kind == "fallback_full"
         )
-        assert DegradePolicy(2).on_failure(2, ABORT).kind == "degrade"
+        degrade = RecoveryPolicy(2, exhausted="degrade")
+        assert degrade.on_failure(2, ABORT).kind == "degrade"
 
     def test_before_exhaustion_keeps_trying(self):
         policy = FallbackPolicy(3)
@@ -86,8 +85,9 @@ class TestDecisions:
         assert policy.on_failure(3, ABORT).kind == "fallback_full"
 
     def test_max_attempts_one_escalates_immediately(self):
-        assert DegradePolicy(1).on_failure(1, ABORT).kind == "degrade"
+        degrade = RecoveryPolicy(1, exhausted="degrade")
+        assert degrade.on_failure(1, ABORT).kind == "degrade"
 
     def test_backoff_delay_rides_along(self):
-        policy = RetryPolicy(5, backoff=0.01, factor=2.0, cap=1.0)
+        policy = RecoveryPolicy(5, backoff=0.01, factor=2.0, cap=1.0)
         assert policy.on_failure(2, ABORT).delay == pytest.approx(0.02)

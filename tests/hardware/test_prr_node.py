@@ -15,7 +15,6 @@ from repro.hardware import (
     XD1Node,
     dual_prr_floorplan,
     single_prr_floorplan,
-    static_only_floorplan,
     uniform_prr_floorplan,
 )
 from repro.sim import Simulator
@@ -50,7 +49,12 @@ class TestFloorplans:
             assert abs(size - published) / published < 0.015
 
     def test_static_only_has_no_prrs(self):
-        plan = static_only_floorplan()
+        plan = Floorplan(
+            name="static_only",
+            device=XC2VP50,
+            static_columns=XC2VP50.clb_columns,
+            prr_columns=[],
+        )
         assert plan.n_prrs == 0
         assert plan.static_columns == XC2VP50.clb_columns
 

@@ -70,9 +70,9 @@ class TestSection5Claims:
         ):
             lib = {"m": HardwareTask("m", task_time)}
             trace = CallTrace([lib["m"]] * 10, name="frac")
-            from repro.rtr import run_frtr
+            from repro.rtr import FrtrExecutor, make_node
 
-            result = run_frtr(trace, control_time=0.0)
+            result = FrtrExecutor(make_node(), control_time=0.0).run(trace)
             frac = result.config_overhead() / result.total_time
             assert lo < frac < hi
 

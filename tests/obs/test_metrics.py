@@ -120,7 +120,7 @@ class TestEnableDisable:
         assert metrics.snapshot() == {}
 
     def test_enabled_factories_record(self):
-        metrics.enable()
+        metrics.set_enabled(True)
         metrics.counter("repro_calls_total").inc(mode="frtr", lane="l")
         snap = metrics.snapshot()
         assert snap["repro_calls_total"]["series"] == {
@@ -128,7 +128,7 @@ class TestEnableDisable:
         }
 
     def test_undeclared_name_raises_even_enabled(self):
-        metrics.enable()
+        metrics.set_enabled(True)
         with pytest.raises(MetricError):
             metrics.counter("repro_nope_total")
 
@@ -156,7 +156,7 @@ class TestRender:
         assert metrics.render() == "(no metrics recorded)"
 
     def test_render_lists_series(self):
-        metrics.enable()
+        metrics.set_enabled(True)
         metrics.counter("repro_calls_total").inc(mode="prtr", lane="prr")
         metrics.histogram("repro_config_seconds").observe(
             0.02, kind="partial"

@@ -1,4 +1,4 @@
-"""Tests for DES hot-path profiling and phase timing."""
+"""Tests for DES hot-path profiling."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import itertools
 
 import pytest
 
-from repro.obs.profile import EventProfiler, PhaseTimer, event_type, profiled
+from repro.obs.profile import EventProfiler, event_type, profiled
 from repro.rtr.prtr import PrtrExecutor
 from repro.rtr.runner import make_node
 from repro.runtime.watchdog import Watchdog, WatchdogExpired
@@ -105,28 +105,3 @@ class TestProfiledContext:
         ]
         # the hot path actually shows up, attributed by type
         assert any("cfg" in key for key in profiler.stats)
-
-
-class TestPhaseTimer:
-    def test_accounts_per_phase(self):
-        ticks = itertools.count(start=0.0, step=1.0)
-        timer = PhaseTimer(clock=lambda: next(ticks))
-        with timer.phase("setup"):
-            pass
-        with timer.phase("simulate"):
-            pass
-        with timer.phase("simulate"):
-            pass
-        report = timer.report()
-        assert [r["phase"] for r in report] == ["setup", "simulate"]
-        simulate = report[1]
-        assert simulate["entries"] == 2
-        assert timer.total_seconds == pytest.approx(3.0)
-        assert sum(r["share_pct"] for r in report) == pytest.approx(100.0)
-
-    def test_render(self):
-        timer = PhaseTimer(clock=lambda: 0.0)
-        assert timer.render() == "(no phases timed)"
-        with timer.phase("audit"):
-            pass
-        assert "audit" in timer.render()

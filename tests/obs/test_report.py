@@ -6,7 +6,6 @@ import pytest
 
 from repro.hardware.catalog import PUBLISHED_TABLE2
 from repro.obs.report import (
-    blade_summary,
     config_bandwidth_rows,
     hit_ratio_timeline,
     icap_occupancy,
@@ -14,7 +13,6 @@ from repro.obs.report import (
     published_bandwidth_rows,
     render_utilization,
 )
-from repro.rtr.cluster import run_cluster
 from repro.rtr.frtr import FrtrExecutor
 from repro.rtr.prtr import PrtrExecutor
 from repro.rtr.runner import make_node
@@ -96,17 +94,6 @@ class TestBandwidthRows:
         dual = next(r for r in rows if r["key"] == "dual_prr")
         # 404,168 bytes in 19.77 ms is ~20.4 MB/s
         assert dual["measured_mb_per_s"] == pytest.approx(20.44, abs=0.05)
-
-
-class TestBladeSummary:
-    def test_one_row_per_blade(self):
-        cluster = run_cluster([small_trace(3), small_trace(3)])
-        rows = blade_summary(cluster)
-        assert [r["blade"] for r in rows] == ["blade0", "blade1"]
-        for row in rows:
-            assert row["calls"] == 3
-            assert 0.0 <= row["busy_pct"] <= 100.0
-            assert not row["degraded"]
 
 
 class TestRenderUtilization:

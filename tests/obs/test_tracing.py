@@ -1,4 +1,4 @@
-"""Tests for span recording and Chrome trace-event export."""
+"""Tests for Chrome trace-event export."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import pytest
 
 from repro.obs.tracing import (
     US_PER_S,
-    SpanRecorder,
     chrome_trace_events,
     cluster_to_chrome,
     comparison_to_chrome,
@@ -26,44 +25,6 @@ from repro.workloads.task import CallTrace, HardwareTask
 def small_trace(n: int = 6) -> CallTrace:
     lib = [HardwareTask(name, 0.05) for name in ("a", "b", "c")]
     return CallTrace([lib[i % 3] for i in range(n)], name="small")
-
-
-class TestSpanRecorder:
-    def test_nested_spans_carry_parent_path(self):
-        clock = iter([0.0, 1.0, 2.0, 3.0])
-        ticks = {"now": 0.0}
-
-        def advance():
-            ticks["now"] = next(clock)
-            return ticks["now"]
-
-        rec = SpanRecorder(advance, lane="driver")
-        with rec.span("outer"):
-            with rec.span("inner", task="t"):
-                pass
-        spans = rec.timeline.spans
-        assert [s.phase for s in spans] == ["inner", "outer"]
-        inner, outer = spans
-        assert inner.note == "outer"
-        assert outer.note == ""
-        assert inner.lane == "driver"
-        assert rec.depth == 0
-
-    def test_sim_clock_recording(self):
-        from repro.sim.engine import Delay, Simulator
-
-        sim = Simulator()
-        rec = SpanRecorder(lambda: sim.now)
-
-        def proc():
-            with rec.span("stage"):
-                yield Delay(2.5)
-
-        sim.spawn(proc())
-        sim.run()
-        (span,) = rec.timeline.spans
-        assert span.start == 0.0
-        assert span.end == pytest.approx(2.5)
 
 
 class TestChromeEvents:

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.pareto import dominates, pareto_front
 from repro.power.contracts import (
     max_throughput_under_cap,
     min_energy_under_deadline,
 )
 from repro.power.pareto import (
     PowerSweepPoint,
+    dominates,
+    pareto_front,
     power_pareto_front,
 )
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.rtr import FrtrExecutor, make_node, run_frtr
+from repro.rtr import FrtrExecutor, make_node
 from repro.sim.trace import Phase
 from repro.workloads import CallTrace, HardwareTask
 
@@ -37,7 +37,7 @@ class TestFrtrTotals:
         )
 
     def test_every_call_is_a_miss(self):
-        result = run_frtr(trace_of([0.01] * 5))
+        result = FrtrExecutor(make_node()).run(trace_of([0.01] * 5))
         assert result.n_configs == 5
         assert result.hit_ratio == 0.0
 
@@ -53,42 +53,43 @@ class TestFrtrTotals:
 
 class TestFrtrTimeline:
     def test_phases_per_call(self):
-        result = run_frtr(trace_of([0.01, 0.02]))
+        result = FrtrExecutor(make_node()).run(trace_of([0.01, 0.02]))
         assert len(result.timeline.by_phase(Phase.CONFIG)) == 2
         assert len(result.timeline.by_phase(Phase.CONTROL)) == 2
         assert len(result.timeline.by_phase(Phase.TASK)) == 2
 
     def test_strictly_serial(self):
-        result = run_frtr(trace_of([0.01, 0.02, 0.03]))
+        result = FrtrExecutor(make_node()).run(trace_of([0.01, 0.02, 0.03]))
         result.timeline.assert_lane_exclusive("main")
         spans = sorted(result.timeline.spans, key=lambda s: s.start)
         for a, b in zip(spans, spans[1:]):
             assert b.start >= a.end - 1e-15
 
     def test_config_precedes_task_per_call(self):
-        result = run_frtr(trace_of([0.05], names=["median"]))
+        trace = trace_of([0.05], names=["median"])
+        result = FrtrExecutor(make_node()).run(trace)
         cfg = result.timeline.by_phase(Phase.CONFIG)[0]
         task = result.timeline.by_phase(Phase.TASK)[0]
         assert cfg.end <= task.start
 
     def test_records_cover_span(self):
-        result = run_frtr(trace_of([0.01, 0.02]))
+        result = FrtrExecutor(make_node()).run(trace_of([0.01, 0.02]))
         assert result.records[0].start == 0.0
         assert result.records[-1].end == pytest.approx(result.total_time)
 
     def test_mean_task_time_recorded(self):
-        result = run_frtr(trace_of([0.01, 0.03]))
+        result = FrtrExecutor(make_node()).run(trace_of([0.01, 0.03]))
         assert result.notes["mean_task_time"] == pytest.approx(0.02)
 
 
 class TestRunResultApi:
     def test_summary_keys(self):
-        result = run_frtr(trace_of([0.01]))
+        result = FrtrExecutor(make_node()).run(trace_of([0.01]))
         s = result.summary()
         assert {"total_time", "n_calls", "n_configs", "hit_ratio"} <= set(s)
 
     def test_raw_parameters_bridge(self):
-        result = run_frtr(trace_of([0.01] * 3))
+        result = FrtrExecutor(make_node()).run(trace_of([0.01] * 3))
         raw = result.raw_parameters(
             t_frtr=1.0, t_prtr=0.1, t_control=1e-5
         )
@@ -96,7 +97,7 @@ class TestRunResultApi:
         assert float(raw.t_task) == pytest.approx(0.01)
 
     def test_raw_parameters_requires_task_time(self):
-        result = run_frtr(trace_of([0.01]))
+        result = FrtrExecutor(make_node()).run(trace_of([0.01]))
         del result.notes["mean_task_time"]
         with pytest.raises(ValueError, match="t_task"):
             result.raw_parameters(t_frtr=1.0, t_prtr=0.1)

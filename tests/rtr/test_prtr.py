@@ -7,7 +7,7 @@ import pytest
 from repro.analysis import expected_prtr_pipeline_total, validate_prtr
 from repro.caching import ConfigCache, LruPolicy
 from repro.hardware import PUBLISHED_TABLE2, single_prr_floorplan
-from repro.rtr import PrtrExecutor, make_node, run_prtr
+from repro.rtr import PrtrExecutor, make_node
 from repro.sim.trace import Phase
 from repro.workloads import CallTrace, HardwareTask
 
@@ -133,9 +133,15 @@ class TestSinglePrr:
 
 class TestConfigValidation:
     def test_no_prr_floorplan_rejected(self):
-        from repro.hardware import static_only_floorplan
+        from repro.hardware import XC2VP50, Floorplan
 
-        node = make_node(floorplan=static_only_floorplan())
+        plan = Floorplan(
+            name="static_only",
+            device=XC2VP50,
+            static_columns=XC2VP50.clb_columns,
+            prr_columns=[],
+        )
+        node = make_node(floorplan=plan)
         with pytest.raises(ValueError, match="at least one PRR"):
             PrtrExecutor(node)
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.reliability import FaultSweepPoint
-from repro.rtr import run_frtr
+from repro.rtr import FrtrExecutor, make_node
 from repro.rtr.cluster import run_cluster
 from repro.rtr.events import CallRecord, RunResult
 from repro.rtr.runner import compare
@@ -68,7 +68,7 @@ def result_of(
 
 class TestAuditRun:
     def test_real_run_is_clean(self):
-        result = run_frtr(trace_of(6))
+        result = FrtrExecutor(make_node()).run(trace_of(6))
         assert result.notes["invariant_violations"] == 0.0
         report = audit_run(result)
         assert report.ok
@@ -167,7 +167,7 @@ class TestStrictMode:
         previous = set_strict(True)
         try:
             # A healthy run must not raise even in strict mode.
-            result = run_frtr(trace_of(4))
+            result = FrtrExecutor(make_node()).run(trace_of(4))
         finally:
             set_strict(previous)
         assert result.notes["invariant_violations"] == 0.0

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -306,3 +309,31 @@ class TestObservabilityVerbs:
         out = capsys.readouterr().out
         assert "DES hot-path profile" in out
         assert "event type" in out
+
+
+class TestFig5Golden:
+    """``repro fig5`` stdout and CSV bytes, pinned in ``tests/golden/fig5/``.
+
+    Eq. (7) is closed form, so the grid is evaluated once and shared by
+    the plot and the CSV.  Stdout is stored verbatim; the 1,200-row CSV
+    is pinned by its SHA-256.
+    """
+
+    GOLDEN = Path(__file__).parent / "golden" / "fig5"
+
+    def test_stdout_is_pinned(self, capsys):
+        assert main(["fig5"]) == 0
+        expected = (self.GOLDEN / "stdout.txt").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == expected
+
+    def test_csv_run_is_pinned(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["fig5", "--csv", "fig5.csv"]) == 0
+        expected = (self.GOLDEN / "csv-stdout.txt").read_text(
+            encoding="utf-8"
+        )
+        assert capsys.readouterr().out == expected
+        digest = hashlib.sha256((tmp_path / "fig5.csv").read_bytes())
+        assert digest.hexdigest() == (
+            self.GOLDEN / "fig5.csv.sha256"
+        ).read_text(encoding="utf-8").strip()

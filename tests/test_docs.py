@@ -314,6 +314,20 @@ class TestStaticAnalysisDoc:
                 f"pass-column drift for {rule.id}: expected {expected}"
             )
 
+    def test_rl010_roots_are_documented(self):
+        """The RL010 row names every root the rule reaches from."""
+        from reprolint.rules import UnreachedCodeRule
+
+        text = read(DOCS / "STATIC_ANALYSIS.md")
+        row = next(
+            line for line in text.splitlines()
+            if line.startswith("| `RL010` |")
+        )
+        for path, name in UnreachedCodeRule.ENTRY_POINTS:
+            assert f"`{path[:-3]}.{name}`" in row
+        for reachers in ("`examples/*.py`", "`benchmarks/**/*.py`"):
+            assert reachers in row
+
     def test_sarif_and_cache_surfaces_are_documented(self):
         from reprolint import CACHE_NAME
         from reprolint.sarif import SARIF_VERSION

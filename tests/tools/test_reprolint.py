@@ -3,16 +3,19 @@
 Each rule gets three fixture shapes under ``fixtures/<rule>/``: a
 positive hit, a suppressed hit, and a clean file.  The whole-program
 rules get interprocedural fixtures on top (``rl001x``, ``rl003x``)
-proving findings that no per-file pass can see.  The engine itself is
-exercised (select/ignore, baseline round-trip, JSON output, exit codes,
-SARIF export, the incremental fact cache), the ``repro lint`` CLI verb
-is smoke-tested, and two meta-tests gate the live tree: zero
-unbaselined findings, and no dead inline suppressions.
+proving findings that no per-file pass can see, and ``rl010`` is a
+mini-repo with examples/, benchmarks/ and tests/ reachers.  The engine
+itself is exercised (select/ignore, baseline round-trip, JSON output,
+exit codes, SARIF export, the incremental fact cache), the ``repro
+lint`` CLI verb is smoke-tested, and meta-tests gate the live tree:
+zero unbaselined findings, no dead inline suppressions, and every
+RL010 suppression naming its oracle test.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import shutil
 import sys
 from pathlib import Path
@@ -342,6 +345,86 @@ class TestRL009:
         )
 
 
+# -- RL010 unreached code --------------------------------------------------
+
+
+class TestRL010:
+    """Reach follows every name read, from every kind of root."""
+
+    def test_only_the_test_reached_def_is_flagged(self):
+        result = lint_fixture("rl010", select=["RL010"])
+        assert [f.message.split(" is ")[0] for f in result.findings] == [
+            "function 'test_only'"
+        ]
+        # a package re-export of it does not count as reach
+        assert result.findings[0].path.endswith("lib/shapes.py")
+
+    @pytest.mark.parametrize("name", [
+        "example_only",    # imported by an examples/ file
+        "bench_only",      # spelled in a benchmarks/ dotted-string table
+        "RegistryOnly",    # a value in a module-level registry dict
+        "CaughtOnly",      # named in an except clause
+        "CheckedOnly",     # named in an isinstance check
+        "callback_only",   # passed as a callback argument
+        "_oracle_helper",  # read by a suppressed oracle
+    ])
+    def test_reach_shapes_are_followed(self, name):
+        result = lint_fixture("rl010", select=["RL010"])
+        assert not [f for f in result.findings if f"'{name}'" in f.message]
+
+    def test_suppressed_oracle(self):
+        result = lint_fixture("rl010", select=["RL010"])
+        assert [f.message.split(" is ")[0] for f in result.suppressed] == [
+            "function 'oracle_only'"
+        ]
+
+    def test_rule_is_inert_without_an_entry_point(self):
+        result = lint_fixture("rl001", select=["RL010"])
+        assert not result.findings
+
+    def test_editing_an_example_reruns_the_global_pass(self, tmp_path):
+        """Examples are inputs of the cached global verdict."""
+        root = tmp_path / "rl010"
+        shutil.copytree(FIXTURES / "rl010", root)
+        cache = tmp_path / "cache.json"
+        run_lint(root / "src", root, cache_path=cache)
+        warm = run_lint(root / "src", root, cache_path=cache)
+        assert warm.parsed == 0
+        assert not [f for f in warm.findings if "example_only" in f.message]
+        (root / "examples" / "demo.py").write_text("print('no reach')\n")
+        edited = run_lint(root / "src", root, cache_path=cache)
+        assert edited.parsed == 0  # no source file changed ...
+        assert [  # ... yet the verdict was recomputed, not replayed
+            f for f in edited.findings if "'example_only'" in f.message
+        ]
+
+
+class TestResolution:
+    """Re-export resolution the reach closure depends on."""
+
+    def project(self, tmp_path):
+        pkg = tmp_path / "src" / "pkg"
+        pkg.mkdir(parents=True)
+        (pkg / "__init__.py").write_text(
+            "from .impl import run\n\n\n"
+            "def __getattr__(name):\n"
+            "    from . import lazy\n\n"
+            "    return getattr(lazy, name)\n"
+        )
+        (pkg / "impl.py").write_text("def run():\n    return 1\n")
+        (pkg / "lazy.py").write_text("def late():\n    return 2\n")
+        return engine_mod.Project(tmp_path / "src", tmp_path)
+
+    def test_package_relative_import_anchors_at_the_package(self, tmp_path):
+        symbols = self.project(tmp_path).symbols
+        assert symbols.by_module["pkg"].imports["run"] == "pkg.impl.run"
+        assert symbols.top_level_def("pkg.run") == ("pkg/impl.py", "run")
+
+    def test_pep562_lazy_export_resolves(self, tmp_path):
+        symbols = self.project(tmp_path).symbols
+        assert symbols.top_level_def("pkg.late") == ("pkg/lazy.py", "late")
+
+
 # -- engine mechanics ------------------------------------------------------
 
 
@@ -411,7 +494,7 @@ class TestEngine:
         rules = all_rules()
         ids = [rule.id for rule in rules]
         assert ids == sorted(ids)
-        assert ids == [f"RL00{i}" for i in range(1, 10)]
+        assert ids == [f"RL{i:03d}" for i in range(1, 11)]
         for rule in rules:
             assert rule.title and rule.rationale and rule.example
 
@@ -489,10 +572,10 @@ class TestCommandLine:
         assert repro_main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
         for rule_id in ("RL001", "RL002", "RL003", "RL004", "RL005",
-                        "RL006", "RL007", "RL008", "RL009"):
+                        "RL006", "RL007", "RL008", "RL009", "RL010"):
             assert rule_id in out
         # every rule ships a worked example and declares its pass
-        assert out.count("e.g.") >= 9
+        assert out.count("e.g.") >= 10
         assert "whole-program" in out and "per-file" in out
 
 
@@ -625,10 +708,16 @@ class TestSarif:
 # -- the live tree ---------------------------------------------------------
 
 
+@pytest.fixture(scope="module")
+def live_lint():
+    """One whole-tree lint shared by the live-tree meta-tests."""
+    return run_lint(REPO / "src" / "repro", REPO)
+
+
 class TestLiveTree:
-    def test_tree_is_clean_under_committed_baseline(self):
+    def test_tree_is_clean_under_committed_baseline(self, live_lint):
         """The CI gate: zero unbaselined findings on the real tree."""
-        result = run_lint(REPO / "src" / "repro", REPO)
+        result = live_lint
         assert not result.errors
         baseline = load_baseline(
             TOOLS / "reprolint" / "baseline.json"
@@ -638,10 +727,9 @@ class TestLiveTree:
                          for f in new]
         assert not stale, f"stale baseline entries: {stale}"
 
-    def test_live_tree_suppressions_are_justified(self):
+    def test_live_tree_suppressions_are_justified(self, live_lint):
         """Every inline suppression sits next to a why-comment."""
-        result = run_lint(REPO / "src" / "repro", REPO)
-        for finding in result.suppressed:
+        for finding in live_lint.suppressed:
             text = (REPO / finding.path).read_text(encoding="utf-8")
             lines = text.splitlines()
             above = "\n".join(lines[max(0, finding.line - 6):
@@ -651,13 +739,12 @@ class TestLiveTree:
                 "justifying comment above it"
             )
 
-    def test_no_dead_suppressions_in_the_live_tree(self):
+    def test_no_dead_suppressions_in_the_live_tree(self, live_lint):
         """Every inline ``# reprolint: disable=RLxxx`` in src/repro
         names a rule that actually fires on that exact line.  A
         suppression that no longer suppresses anything is drift: the
         hazard it excused was either fixed or moved."""
-        result = run_lint(REPO / "src" / "repro", REPO)
-        fired = {(f.path, f.line, f.rule) for f in result.suppressed}
+        fired = {(f.path, f.line, f.rule) for f in live_lint.suppressed}
         declared = []
         for path in sorted((REPO / "src" / "repro").rglob("*.py")):
             rel = path.relative_to(REPO).as_posix()
@@ -674,6 +761,25 @@ class TestLiveTree:
         assert declared  # the tree does use the mechanism
         dead = [entry for entry in declared if entry not in fired]
         assert not dead, f"dead suppressions: {dead}"
+
+    def test_rl010_suppressions_name_their_oracle_test(self, live_lint):
+        """A def kept despite RL010 must say which test uses it as an
+        oracle: the comment above it names an existing test file that
+        references the def."""
+        kept = [f for f in live_lint.suppressed if f.rule == "RL010"]
+        assert kept
+        for finding in kept:
+            lines = (REPO / finding.path).read_text(
+                encoding="utf-8"
+            ).splitlines()
+            above = "\n".join(lines[max(0, finding.line - 6):
+                                    finding.line - 1])
+            name = finding.message.split("'")[1]
+            tests = re.findall(r"tests/[\w/]+\.py", above)
+            assert tests, f"{finding.path}:{finding.line} names no test"
+            for test in tests:
+                text = (REPO / test).read_text(encoding="utf-8")
+                assert re.search(rf"\b{name}\b", text), (test, name)
 
     def test_planted_regression_is_caught(self, tmp_path):
         """Copy the tree, plant a wall-clock read in the DES kernel,

@@ -8,8 +8,9 @@ one file's bytes.  This module persists its output:
   :class:`~reprolint.symbols.ModuleFacts`, the findings of every
   *local* (per-file) rule, and any parse error;
 * for the whole tree, keyed by a fingerprint over every source hash
-  *plus* the doc/test files the conformance rules read: the findings
-  of the *global* (whole-program) rules.
+  *plus* the doc/test files the conformance rules read and the
+  example/benchmark files RL010 reaches from: the findings of the
+  *global* (whole-program) rules.
 
 A warm run over an unchanged tree therefore re-parses **zero** files
 and skips the graph rules outright; editing one file re-parses just
@@ -147,9 +148,11 @@ def tree_fingerprint(
     """Fingerprint for the global-pass cache entry.
 
     Combines every source file's content hash with the content hashes
-    of the *external* inputs the conformance rules read (README, docs,
-    test files) so that e.g. deleting a verb's doc mention invalidates
-    the cached RL008 verdict even though no ``src/`` file changed.
+    of the *external* inputs the global rules read (README, docs, test
+    files, examples, benchmarks) so that e.g. deleting a verb's doc
+    mention invalidates the cached RL008 verdict, or an example's last
+    use of a def the cached RL010 verdict, even though no ``src/`` file
+    changed.
     """
     digest = hashlib.sha256()
     for src_rel in sorted(file_digests):

@@ -96,6 +96,15 @@ class SymbolTable:
                     return ("class", FnNode(mod.src_rel, name))
                 if name in mod.imports:
                     return self.resolve_symbol(mod.imports[name], _seen)
+                if "__getattr__" in mod.functions:
+                    # PEP 562 lazy export from a module it imports
+                    for origin in mod.imports.values():
+                        if origin in self.by_module:
+                            found = self.resolve_symbol(
+                                f"{origin}.{name}", _seen
+                            )
+                            if found is not None:
+                                return found
                 return None
             if len(rest) == 2:
                 cls_name, meth = rest
@@ -112,6 +121,21 @@ class SymbolTable:
                         )
                 return None
             return None
+        return None
+
+    def top_level_def(self, full: str) -> FnNode | None:
+        """The module-level def a dotted name lands in, if any.
+
+        The shortest resolving prefix wins, so ``pkg.mod.Cls.meth``
+        lands in ``Cls`` (not in a base class that defines ``meth``);
+        a method or nested function maps to its top-level owner.
+        """
+        parts = full.split(".")
+        for k in range(2, len(parts) + 1):
+            found = self.resolve_symbol(".".join(parts[:k]))
+            if found is not None:
+                node = found[1]
+                return FnNode(node.src_rel, node.qual.split(".")[0])
         return None
 
     def method_on(

@@ -15,9 +15,10 @@ that plain tests cannot see (a stray wall-clock read only corrupts the
 2. **graph rules** (:mod:`reprolint.callgraph`, :mod:`reprolint.taint`,
    :mod:`reprolint.rules`) — the *global* rules see the whole program:
    interprocedural determinism taint, fork-reachability, audit
-   coverage, CLI-surface and frozen-config conformance.  Their
-   findings are cached behind a whole-tree fingerprint that also
-   covers the README/docs/tests the conformance rules read.
+   coverage, CLI-surface and frozen-config conformance, unreached
+   code.  Their findings are cached behind a whole-tree fingerprint
+   that also covers the README/docs/tests the conformance rules read
+   and the examples/benchmarks RL010 reaches from.
 
 Findings have three escape hatches:
 
@@ -201,6 +202,7 @@ class Project:
         self._graph: CallGraph | None = None
         self._doc_files: list[tuple[str, str]] | None = None
         self._test_files: list[tuple[str, str]] | None = None
+        self._reacher_files: list[tuple[str, str]] | None = None
         self._root_pkg = (
             self.src_root.name
             if (self.src_root / "__init__.py").exists()
@@ -377,11 +379,26 @@ class Project:
             self._test_files = out
         return self._test_files
 
+    def reacher_files(self) -> list[tuple[str, str]]:
+        """``(rel, text)`` for examples/*.py and benchmarks/**/*.py."""
+        if self._reacher_files is None:
+            paths = [
+                *sorted((self.repo_root / "examples").glob("*.py")),
+                *sorted((self.repo_root / "benchmarks").rglob("*.py")),
+            ]
+            self._reacher_files = [
+                (self._rel(path), path.read_text(encoding="utf-8"))
+                for path in paths
+            ]
+        return self._reacher_files
+
     def external_digests(self) -> list[tuple[str, str]]:
         """Content hashes of the non-src inputs the global rules read."""
         return [
             (rel, file_digest(text))
-            for rel, text in (*self.doc_files(), *self.test_files())
+            for rel, text in (
+                *self.doc_files(), *self.test_files(), *self.reacher_files()
+            )
         ]
 
 

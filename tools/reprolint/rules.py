@@ -1,4 +1,4 @@
-"""The reprolint rule registry: nine domain rules for the RTR stack.
+"""The reprolint rule registry: ten domain rules for the RTR stack.
 
 Each rule is a class with an ``id`` (``RL001``..), a ``scope`` (path
 prefixes under the scanned source root; empty means the whole tree)
@@ -46,6 +46,9 @@ The rules encode the contracts the reproduction's claims rest on:
 * **RL009 frozen-config mutation** — no attribute writes on frozen
   spec dataclass instances outside their constructors; derive new
   configurations with ``dataclasses.replace``.
+* **RL010 unreached-code** — every module-level function and class is
+  reached from an entry point (``cli.main``, a module body, an example
+  or a benchmark); code only tests reach is dead weight.
 """
 
 from __future__ import annotations
@@ -55,7 +58,13 @@ import re
 from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 from .callgraph import FnNode
-from .symbols import BANNED_CLOCKS, dotted_name, receiver_root
+from .symbols import (
+    BANNED_CLOCKS,
+    ModuleFacts,
+    collect_facts,
+    dotted_name,
+    receiver_root,
+)
 from .taint import (
     closure_chain,
     determinism_taint,
@@ -78,6 +87,7 @@ __all__ = [
     "AuditCoverageRule",
     "CliConformanceRule",
     "FrozenMutationRule",
+    "UnreachedCodeRule",
     "all_rules",
     "dotted_name",
     "receiver_root",
@@ -844,6 +854,155 @@ class FrozenMutationRule(Rule):
                     )
 
 
+# -- RL010 -----------------------------------------------------------------
+
+
+class UnreachedCodeRule(Rule):
+    """Every module-level def is reached from an entry point."""
+
+    id = "RL010"
+    title = "unreached-code: every def is reached from an entry point"
+    rationale = (
+        "the reproduction keeps only what a CLI verb, a module body, an "
+        "example or a benchmark reaches; a def only tests reach is "
+        "surface with no paper artifact behind it — delete it, or "
+        "suppress it naming the test that uses it as an oracle.  Reach "
+        "follows every name read (calls, callbacks, registries, "
+        "isinstance/except), never re-exports or tests"
+    )
+    example = "def legacy_loader(path):   # RL010: only tests call it"
+
+    #: ``(module path, function)`` entry points besides module bodies
+    ENTRY_POINTS = (("cli.py", "main"),)
+    _DOTTED_RE = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+")
+
+    def check_program(self, program: "Project") -> Iterator["Finding"]:
+        symbols = program.symbols
+        if not any(
+            program.module(path) is not None
+            for path in ("cli.py", "__main__.py")
+        ):
+            return  # a library fragment has no entry point to reach from
+        roots = [
+            FnNode(mod.src_rel, "<module>") for mod in symbols.modules
+        ]
+        roots += [
+            FnNode(path, name)
+            for path, name in self.ENTRY_POINTS
+            if program.module(path) is not None
+        ]
+        for rel, text in program.reacher_files():
+            roots += self._reacher_roots(symbols, rel, text)
+        reached = self._closure(symbols, roots)
+
+        defs = [
+            (mod, kind, name, line)
+            for mod in symbols.modules
+            for kind, name, line in [
+                *(("class", c.name, c.line) for c in mod.classes.values()),
+                *(
+                    ("function", fn.name, fn.line)
+                    for fn in mod.functions.values()
+                    if "." not in fn.qual and fn.qual != "<module>"
+                ),
+            ]
+            if not (name.startswith("__") and name.endswith("__"))
+            and FnNode(mod.src_rel, name) not in reached
+        ]
+        # a def kept as a test oracle keeps alive what it reads
+        oracles = {
+            FnNode(mod.src_rel, name)
+            for mod, _kind, name, line in defs
+            if mod.suppressed(self.id, line)
+        }
+        kept = self._closure(symbols, oracles) - oracles
+        for mod, kind, name, line in defs:
+            if FnNode(mod.src_rel, name) in kept:
+                continue
+            yield program.finding(
+                mod, self.id, line,
+                f"{kind} {name!r} is reached from no CLI verb, module "
+                "body, example or benchmark; delete it with its tests, "
+                "or suppress it naming the test that uses it as an oracle",
+            )
+
+    def _closure(
+        self, symbols: Any, roots: Iterable[FnNode]
+    ) -> set[FnNode]:
+        """Every top-level def (and module body) the roots read."""
+        reached: set[FnNode] = set()
+        frontier = list(roots)
+        while frontier:
+            node = frontier.pop()
+            if node in reached:
+                continue
+            reached.add(node)
+            mod = symbols.by_src_rel[node.src_rel]
+            for dotted in mod.refs.get(node.qual, ()):
+                frontier.extend(self._targets(symbols, mod, dotted))
+        return reached
+
+    @staticmethod
+    def _qualified(mod: ModuleFacts, dotted: str) -> str | None:
+        """``dotted`` as read in ``mod``, spelled from its import origin."""
+        root, _, rest = dotted.partition(".")
+        origin = mod.imports.get(root)
+        if origin is None:
+            return None
+        return f"{origin}.{rest}" if rest else origin
+
+    def _targets(
+        self, symbols: Any, mod: ModuleFacts, dotted: str
+    ) -> list[FnNode]:
+        """The top-level defs a name read in ``mod`` may land in."""
+        root = dotted.partition(".")[0]
+        out: list[FnNode] = []
+        if root in mod.classes or root in mod.functions:
+            out.append(FnNode(mod.src_rel, root))
+        qualified = self._qualified(mod, dotted)
+        found = symbols.top_level_def(qualified) if qualified else None
+        if found is not None:
+            out.append(found)
+        return out
+
+    def _reacher_roots(
+        self, symbols: Any, rel: str, text: str
+    ) -> list[FnNode]:
+        """Defs an example/benchmark file imports, reads or spells."""
+        try:
+            tree = ast.parse(text)
+        except SyntaxError:
+            return []
+        facts = collect_facts(
+            tree, src_rel=rel, rel=rel, module="", suppressions={}
+        )
+        names = [*facts.imports.values(), *self._spelled(tree)]
+        for reads in facts.refs.values():
+            names += filter(None, (self._qualified(facts, d) for d in reads))
+        found = (symbols.top_level_def(name) for name in names)
+        return [node for node in found if node is not None]
+
+    def _spelled(self, tree: ast.AST) -> Iterator[str]:
+        """Dotted strings, and ``("pkg.module", "Cls.attr", ...)`` rows."""
+
+        def text(node: ast.AST) -> str | None:
+            if isinstance(node, ast.Constant) and isinstance(
+                node.value, str
+            ):
+                return node.value
+            return None
+
+        for node in ast.walk(tree):
+            spelled = text(node)
+            if isinstance(node, (ast.Tuple, ast.List)) and len(
+                node.elts
+            ) >= 2:
+                head, attr = (text(e) for e in node.elts[:2])
+                spelled = f"{head}.{attr}" if head and attr else None
+            if spelled and self._DOTTED_RE.fullmatch(spelled):
+                yield spelled
+
+
 RULES: tuple[type[Rule], ...] = (
     DeterminismRule,
     FloatEqualityRule,
@@ -854,6 +1013,7 @@ RULES: tuple[type[Rule], ...] = (
     AuditCoverageRule,
     CliConformanceRule,
     FrozenMutationRule,
+    UnreachedCodeRule,
 )
 
 

@@ -97,6 +97,27 @@ def receiver_root(node: ast.AST) -> str | None:
     return node.id if isinstance(node, ast.Name) else None
 
 
+def _loaded_names(node: ast.AST) -> Iterator[str]:
+    """Every name ``node`` reads, each attribute chain once (``a.b.c``).
+
+    A chain is yielded whole and not split into its prefixes; names
+    that are only bound (``x = ...``) are skipped.  These are the reach
+    edges of RL010: a def that is only passed, registered, matched in
+    ``isinstance``/``except`` or annotated is still used.
+    """
+    if isinstance(node, ast.Attribute):
+        dotted = dotted_name(node)
+        if dotted is not None:
+            yield dotted
+            return
+    elif isinstance(node, ast.Name):
+        if isinstance(node.ctx, ast.Load):
+            yield node.id
+        return
+    for child in ast.iter_child_nodes(node):
+        yield from _loaded_names(child)
+
+
 def _binding_names(target: ast.expr) -> Iterator[str]:
     """Names a target expression *binds* (``x[i] = ..`` binds none)."""
     if isinstance(target, ast.Name):
@@ -326,6 +347,9 @@ class ModuleFacts:
     parser_verbs: list[StringFact] = field(default_factory=list)
     #: (raw target name, enclosing function qual, line) per Process spawn
     worker_targets: list[tuple[str, str, int]] = field(default_factory=list)
+    #: top-level def name (``"<module>"`` for the rest of the module
+    #: body) -> the dotted names it reads (RL010)
+    refs: dict[str, list[str]] = field(default_factory=dict)
 
     def suppressed(self, rule_id: str, line: int) -> bool:
         """Whether ``rule_id`` is disabled on physical line ``line``."""
@@ -352,6 +376,7 @@ class ModuleFacts:
             "command_keys": [s.as_dict() for s in self.command_keys],
             "parser_verbs": [s.as_dict() for s in self.parser_verbs],
             "worker_targets": [list(w) for w in self.worker_targets],
+            "refs": {o: list(names) for o, names in self.refs.items()},
         }
 
     @classmethod
@@ -383,6 +408,9 @@ class ModuleFacts:
             worker_targets=[
                 (w[0], w[1], w[2]) for w in row["worker_targets"]
             ],
+            refs={
+                owner: list(names) for owner, names in row["refs"].items()
+            },
         )
 
 
@@ -536,7 +564,9 @@ class _FactsCollector:
     def _collect_imports(self, tree: ast.Module) -> None:
         """Name -> dotted origin, for imports at *any* nesting depth."""
         table = self.facts.imports
-        pkg_parts = self.facts.module.split(".")[:-1]
+        pkg_parts = self.facts.module.split(".")
+        if self.facts.src_rel.split("/")[-1] != "__init__.py":
+            pkg_parts = pkg_parts[:-1]  # a package anchors at itself
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
@@ -593,6 +623,7 @@ class _FactsCollector:
         for stmt in self.tree.body:
             self._visit(stmt, scope)
         self._collect_string_facts()
+        self._collect_refs()
 
     def _visit(self, node: ast.AST, scope: _Scope) -> None:
         """Pruned recursive dispatch over statements and expressions."""
@@ -874,6 +905,26 @@ class _FactsCollector:
         ):
             return True
         return False
+
+    # -- reach facts --------------------------------------------------
+
+    def _collect_refs(self) -> None:
+        """Names read by each top-level def and by the module body.
+
+        Import statements read no names, so a re-export reaches nothing.
+        """
+        found: dict[str, set[str]] = {}
+        for stmt in self.tree.body:
+            owner = (
+                stmt.name
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef))
+                else "<module>"
+            )
+            found.setdefault(owner, set()).update(_loaded_names(stmt))
+        self.facts.refs = {
+            owner: sorted(names) for owner, names in found.items()
+        }
 
     # -- string-literal facts -----------------------------------------
 
