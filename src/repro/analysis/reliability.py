@@ -34,12 +34,10 @@ from ..faults.injector import FaultConfig, FaultInjector
 from ..faults.recovery import FallbackPolicy, RecoveryPolicy
 from ..model.hybrid import (
     HybridMode,
-    HybridSample,
     cell_modes,
-    closed_form_exact,
     fault_point_verdicts,
-    parse_hybrid_mode,
     replay_fault_point,
+    route,
 )
 from ..rtr.events import RunResult
 from ..rtr.frtr import FrtrExecutor
@@ -54,7 +52,6 @@ __all__ = [
     "availability",
     "effective_speedup_under_faults",
     "find_crossover",
-    "hybrid_cell_modes",
     "mean_time_to_repair",
     "sweep_fault_hit_grid",
     "trace_with_hit_ratio",
@@ -178,42 +175,20 @@ def effective_speedup_under_faults(
     until their cost exceeds the task time, and only then does the
     pipeline stage stretch and the effective speedup drop *below* 1.
 
-    ``hybrid="on"`` answers the cell by closed-form replay when the
-    exactness predicates prove the DES result is reproducible without
-    simulation (here: the ``fault_rate == 0`` cells); ``"verify"``
-    additionally shadow-runs the DES on this cell and asserts the two
-    answers are identical (raising
-    :class:`~repro.runtime.invariants.InvariantError` otherwise).
+    ``hybrid`` routes the cell through :func:`repro.model.hybrid.route`;
+    only the ``fault_rate == 0`` cells pass the exactness predicates.
     """
-    mode = parse_hybrid_mode(hybrid)
     if recovery is None:
         recovery = FallbackPolicy(max_attempts=3, backoff=0.05, cap=0.2)
-    if mode != HybridMode.OFF and closed_form_exact(
-        fault_point_verdicts(fault_rate, seed)
-    ):
-        point = replay_fault_point(
-            fault_rate,
-            hit_ratio,
-            n_calls=n_calls,
-            task_time=task_time,
-            seed=seed,
-            recovery=recovery,
-        )
-        if mode == HybridMode.VERIFY:
-            from ..runtime.invariants import audit_hybrid
-
-            simulated = _simulated_fault_point(
-                fault_rate, hit_ratio, n_calls=n_calls,
-                task_time=task_time, seed=seed, recovery=recovery,
-            )
-            label = f"faults:rate={fault_rate!r},H={hit_ratio!r}"
-            audit_hybrid(
-                [HybridSample(label, point, simulated)]
-            ).raise_if_strict(strict=True)
-        return point
-    return _simulated_fault_point(
-        fault_rate, hit_ratio, n_calls=n_calls,
-        task_time=task_time, seed=seed, recovery=recovery,
+    options = dict(
+        n_calls=n_calls, task_time=task_time, seed=seed, recovery=recovery
+    )
+    return route(
+        hybrid,
+        fault_point_verdicts(fault_rate, seed),
+        lambda: replay_fault_point(fault_rate, hit_ratio, **options),
+        lambda: _simulated_fault_point(fault_rate, hit_ratio, **options),
+        f"faults:rate={fault_rate!r},H={hit_ratio!r}",
     )
 
 
@@ -264,19 +239,6 @@ DEFAULT_FAULT_RATES = (0.0, 1e-4, 1e-3, 3e-3, 0.01, 0.03, 0.1, 0.2)
 DEFAULT_HIT_RATIOS = (0.0, 0.5, 0.9)
 
 
-def hybrid_cell_modes(
-    grid: Sequence[tuple[float, float]],
-    hybrid: str,
-    seed: int = 0,
-) -> list[str]:
-    """The per-cell hybrid mode for a ``(hit_ratio, rate)`` grid
-    (:func:`repro.model.hybrid.cell_modes` over the fault-point
-    exactness verdicts)."""
-    return cell_modes(
-        grid, hybrid, seed, lambda cell: fault_point_verdicts(cell[1], seed)
-    )
-
-
 def sweep_fault_hit_grid(
     fault_rates: Sequence[float] = DEFAULT_FAULT_RATES,
     hit_ratios: Sequence[float] = DEFAULT_HIT_RATIOS,
@@ -300,7 +262,9 @@ def sweep_fault_hit_grid(
     from ..runtime.parallel import parallel_map
 
     grid = [(h, rate) for h in hit_ratios for rate in fault_rates]
-    modes = hybrid_cell_modes(grid, hybrid, seed)
+    modes = cell_modes(
+        grid, hybrid, seed, lambda cell: fault_point_verdicts(cell[1], seed)
+    )
     return parallel_map(
         lambda item: effective_speedup_under_faults(
             item[0][1],

@@ -183,19 +183,17 @@ def _cmd_fig9(args: argparse.Namespace) -> int:
     )
     ok = True
     for which in panels:
-        print(fig9.render(
-            which, n_calls=args.calls, workers=args.workers,
+        # Simulate each panel once; the plot and the CSV share the points.
+        points = fig9.simulate_points(
+            fig9.panel(which), n_calls=args.calls, workers=args.workers,
             hybrid=args.hybrid,
-        ))
+        )
+        print(fig9.render(which, n_calls=args.calls, points=points))
         print()
         if args.csv:
             path = args.csv.replace(".csv", f"_{which}.csv")
             write_csv(
-                path,
-                fig9.to_csv(
-                    which, n_calls=args.calls, workers=args.workers,
-                    hybrid=args.hybrid,
-                ),
+                path, fig9.to_csv(which, n_calls=args.calls, points=points)
             )
             print(f"wrote {path}\n")
     claims = fig9.shape_claims()
@@ -713,7 +711,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    import sys as _sys
+    """Run reprolint on this checkout; its own parser reads the flags."""
     from pathlib import Path
 
     repo_root = Path(__file__).resolve().parents[2]
@@ -723,30 +721,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             "repro lint needs a repository checkout "
             f"(no tools/reprolint under {repo_root})"
         )
-    if str(tools) not in _sys.path:
-        _sys.path.insert(0, str(tools))
+    if str(tools) not in sys.path:
+        sys.path.insert(0, str(tools))
     import reprolint
 
-    argv = ["--repo-root", str(repo_root)]
-    if args.json:
-        argv.append("--json")
-    if args.baseline:
-        argv += ["--baseline", args.baseline]
-    if args.no_baseline:
-        argv.append("--no-baseline")
-    if args.write_baseline:
-        argv.append("--write-baseline")
-    if args.select:
-        argv += ["--select", args.select]
-    if args.ignore:
-        argv += ["--ignore", args.ignore]
-    if args.list_rules:
-        argv.append("--list-rules")
-    if args.sarif:
-        argv += ["--sarif", args.sarif]
-    if args.no_cache:
-        argv.append("--no-cache")
-    return reprolint.main(argv)
+    return reprolint.main(["--repo-root", str(repo_root), *args.lint_argv])
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -1055,43 +1034,13 @@ def build_parser() -> argparse.ArgumentParser:
                     help="profile rows to show")
 
     sub.add_parser("validate", help="model-vs-simulation validation")
-    pl = sub.add_parser(
+    # reprolint's own parser defines (and --help lists) the lint flags;
+    # main() forwards everything after "lint" to it unchanged.
+    sub.add_parser(
         "lint",
         help="run reprolint, the AST-based domain linter "
              "(docs/STATIC_ANALYSIS.md)",
-    )
-    _add_json(pl, "machine-readable output")
-    pl.add_argument(
-        "--baseline", type=str, default="",
-        help="baseline file (default: tools/reprolint/baseline.json)",
-    )
-    pl.add_argument(
-        "--no-baseline", action="store_true",
-        help="report baselined findings too",
-    )
-    pl.add_argument(
-        "--write-baseline", action="store_true",
-        help="accept current findings into the baseline (justify them!)",
-    )
-    pl.add_argument(
-        "--select", type=str, default="",
-        help="comma-separated rule ids to run (e.g. RL001,RL003)",
-    )
-    pl.add_argument(
-        "--ignore", type=str, default="",
-        help="comma-separated rule ids to skip",
-    )
-    pl.add_argument(
-        "--list-rules", action="store_true",
-        help="print the rule registry and exit",
-    )
-    pl.add_argument(
-        "--sarif", type=str, default="",
-        help="also write findings as SARIF 2.1.0 to this path",
-    )
-    pl.add_argument(
-        "--no-cache", action="store_true",
-        help="ignore and do not write the incremental fact cache",
+        add_help=False,
     )
     pr = sub.add_parser("report", help="write the full REPORT.md")
     pr.add_argument("--output", type=str, default="REPORT.md")
@@ -1101,7 +1050,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args, lint_argv = parser.parse_known_args(argv)
+    if lint_argv and args.command != "lint":
+        parser.error(f"unrecognized arguments: {' '.join(lint_argv)}")
+    args.lint_argv = lint_argv
     # --strict-invariants arms the audits inside every executor, not just
     # the run-level report; the process-wide flag is restored on return.
     previous = set_strict(getattr(args, "strict_invariants", strict_enabled()))

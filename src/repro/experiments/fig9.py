@@ -29,12 +29,10 @@ from ..analysis.plotting import ascii_plot, series_to_csv
 from ..hardware.catalog import PUBLISHED_TABLE2, US
 from ..model.hybrid import (
     HybridMode,
-    HybridSample,
-    closed_form_exact,
+    cell_modes,
     comparison_verdicts,
-    parse_hybrid_mode,
     replay_comparison_speedup,
-    verification_sample,
+    route,
 )
 from ..model.parameters import ModelParameters
 from ..model.speedup import asymptotic_speedup, speedup
@@ -144,78 +142,60 @@ def simulate_points(
     Every task size is an independent DES run, so ``workers > 1`` fans
     them out across fork workers with bit-identical speedups.
 
-    The Figure 9 configuration (fault-free, dual-PRR, uniform I/O,
-    local bitstreams) satisfies every hybrid exactness predicate, so
-    ``hybrid="on"`` answers all points by closed-form replay —
-    bit-identical speedups, no event loop.  ``"verify"`` additionally
-    re-runs a seeded sample of points on the DES and raises
-    :class:`~repro.runtime.invariants.InvariantError` on any mismatch.
+    ``hybrid`` routes each point through :func:`repro.model.hybrid
+    .route`.  Every Figure 9 point passes the exactness predicates, so
+    ``"on"`` replays them all and ``"verify"`` also re-runs the
+    :func:`~repro.model.hybrid.cell_modes` sample on the DES.
     """
-    mode = parse_hybrid_mode(hybrid)
     if x_task_points is None:
         x_task_points = np.logspace(-2.5, 1.0, 8)
     x_values = np.asarray(x_task_points, dtype=float)
-    bitstream_bytes = PUBLISHED_TABLE2["dual_prr"].bitstream_bytes
-
-    def one_point(x: float) -> float:
-        trace = _cyclic_trace(task_time=x * p.t_frtr, n_calls=n_calls)
-        result = compare(
-            trace,
-            estimated=p.estimated,
-            control_time=p.t_control,
-            force_miss=True,
-            bitstream_bytes=bitstream_bytes,
-        )
-        return result.speedup
-
-    def one_point_fast(x: float) -> float:
-        trace = _cyclic_trace(task_time=x * p.t_frtr, n_calls=n_calls)
-        return replay_comparison_speedup(
-            trace,
-            estimated=p.estimated,
-            control_time=p.t_control,
-            force_miss=True,
-            bitstream_bytes=bitstream_bytes,
-        )
-
-    use_fast = mode != HybridMode.OFF and closed_form_exact(
-        comparison_verdicts()
+    options = dict(
+        estimated=p.estimated,
+        control_time=p.t_control,
+        force_miss=True,
+        bitstream_bytes=PUBLISHED_TABLE2["dual_prr"].bitstream_bytes,
     )
-    fn = one_point_fast if use_fast else one_point
-    speedups = parallel_map(fn, list(x_values), workers=workers)
-    if use_fast and mode == HybridMode.VERIFY:
-        from ..runtime.invariants import audit_hybrid
+    verdicts = comparison_verdicts()
 
-        samples = [
-            HybridSample(
-                label=f"fig9:{p.name}:x_task={float(x_values[i])!r}",
-                analytic=speedups[i],
-                simulated=one_point(float(x_values[i])),
-            )
-            for i in verification_sample(len(x_values))
-        ]
-        audit_hybrid(samples).raise_if_strict(strict=True)
+    def one_point(item: tuple[float, str]) -> float:
+        x, mode = item
+        trace = _cyclic_trace(task_time=x * p.t_frtr, n_calls=n_calls)
+        return route(
+            mode,
+            verdicts,
+            lambda: replay_comparison_speedup(trace, **options),
+            lambda: compare(trace, **options).speedup,
+            f"fig9:{p.name}:x_task={float(x)!r}",
+        )
+
+    xs = list(x_values)
+    modes = cell_modes(xs, hybrid, 0, lambda x: verdicts)
+    speedups = parallel_map(one_point, list(zip(xs, modes)), workers=workers)
     return x_values, np.asarray(speedups)
 
 
 def render(
     which: str = "measured",
     n_calls: int = 120,
-    workers: int = 1,
-    hybrid: str = HybridMode.OFF,
+    points: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> str:
-    """ASCII overlay: model curve (asymptotic + finite-n) vs sim points."""
+    """ASCII overlay: model curve (asymptotic + finite-n) vs sim points.
+
+    ``points`` lets a caller that already ran
+    ``simulate_points(panel(which), n_calls=n_calls, ...)`` — e.g. the
+    CLI, which shares one simulation between the plot and the CSV —
+    pass it in instead of simulating again.
+    """
     p = panel(which)
     x_model, s_model = model_curve(p)
     _, s_finite = model_curve_finite(p, n_calls)
-    x_sim, s_sim = simulate_points(
-        p, n_calls=n_calls, workers=workers, hybrid=hybrid
-    )
+    sim = points or simulate_points(p, n_calls=n_calls)
     return ascii_plot(
         {
             "Eq7 (n->inf)": (x_model, s_model),
             f"Eq6 (n={n_calls})": (x_model, s_finite),
-            "DES sim": (x_sim, s_sim),
+            "DES sim": sim,
         },
         title=f"Figure 9 [{p.name}]  X_PRTR={p.x_prtr:.4g}",
         xlabel="X_task",
@@ -228,20 +208,18 @@ def render(
 def to_csv(
     which: str = "measured",
     n_calls: int = 120,
-    workers: int = 1,
-    hybrid: str = HybridMode.OFF,
+    points: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> str:
+    """The panel's data series as CSV (``points`` as in :func:`render`)."""
     p = panel(which)
     x_model, s_model = model_curve(p)
     _, s_finite = model_curve_finite(p, n_calls)
-    x_sim, s_sim = simulate_points(
-        p, n_calls=n_calls, workers=workers, hybrid=hybrid
-    )
+    sim = points or simulate_points(p, n_calls=n_calls)
     return series_to_csv(
         {
             "model_asymptotic": (x_model, s_model),
             f"model_n{n_calls}": (x_model, s_finite),
-            "simulated": (x_sim, s_sim),
+            "simulated": sim,
         },
         x_name="x_task",
     )

@@ -14,12 +14,13 @@ beyond the equations can fire.  This module makes that claim operational:
 * :func:`replay_comparison_speedup` and :func:`replay_fault_point` answer
   a Figure-9 point or a rate-0 fault-grid cell without spinning up the
   event loop;
-* :func:`verification_sample` picks the seeded subset of analytical
-  points that ``--hybrid=verify`` shadow-runs on the real DES
-  (:func:`cell_modes` assigns it per grid cell); the
-  resulting :class:`HybridSample` records feed
-  :func:`repro.runtime.invariants.audit_hybrid`, the ``hybrid-exactness``
-  invariant row.
+* :func:`route` is the one place a grid cell is routed: it runs the DES
+  when the mode is ``off`` or a predicate fails, the replay otherwise,
+  and under ``verify`` both, auditing the pair as a
+  :class:`HybridSample` with :func:`repro.runtime.invariants
+  .audit_hybrid` (the ``hybrid-exactness`` invariant row);
+* :func:`cell_modes` assigns each cell of a grid its mode, drawing the
+  ``verify`` shadow sample with :func:`verification_sample`.
 
 Why the replay is exact and not merely accurate: every branch of the
 executors accumulates absolute event times as a left fold of float sums
@@ -41,7 +42,7 @@ be used at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence, TypeVar
 
 from .stochastic import resolve_rng
 
@@ -49,7 +50,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from ..analysis.reliability import FaultSweepPoint
     from ..faults.recovery import RecoveryPolicy
     from ..hardware.icap_controller import IcapController
-    from ..hardware.prr import Floorplan
     from ..rtr.frtr import FrtrExecutor
     from ..rtr.prtr import PrtrExecutor
     from ..workloads.task import CallTrace
@@ -70,8 +70,11 @@ __all__ = [
     "replay_frtr",
     "replay_icap_configure",
     "replay_prtr",
+    "route",
     "verification_sample",
 ]
+
+T = TypeVar("T")
 
 
 class HybridMode:
@@ -151,24 +154,28 @@ class HybridSample:
     simulated: Any
 
 
-def verification_sample(
-    n_items: int,
-    seed: int = 0,
-    fraction: float = 0.25,
-    min_samples: int = 2,
-) -> list[int]:
+#: the ``verify`` shadow sample: this fraction of a grid's exact cells,
+#: rounded, but never fewer than :data:`VERIFY_MIN_SAMPLES`
+VERIFY_FRACTION = 0.25
+VERIFY_MIN_SAMPLES = 2
+
+
+def verification_sample(n_items: int, seed: int = 0) -> list[int]:
     """The seeded shadow-validation sample for ``--hybrid=verify``.
 
     Returns sorted indices into the analytical point list: at least
-    ``min_samples`` (capped at ``n_items``), at most
-    ``round(fraction * n_items)`` points, drawn without replacement from
-    ``resolve_rng(seed)`` — the repo-wide seeded-RNG contract, so the
-    sample is a pure function of ``(n_items, seed)`` and identical
-    across workers and resumes.
+    :data:`VERIFY_MIN_SAMPLES` (capped at ``n_items``), at most
+    ``round(VERIFY_FRACTION * n_items)`` points, drawn without
+    replacement from ``resolve_rng(seed)`` — the repo-wide seeded-RNG
+    contract, so the sample is a pure function of ``(n_items, seed)``
+    and identical across workers and resumes.
     """
     if n_items <= 0:
         return []
-    k = min(n_items, max(min_samples, int(round(fraction * n_items))))
+    k = min(
+        n_items,
+        max(VERIFY_MIN_SAMPLES, int(round(VERIFY_FRACTION * n_items))),
+    )
     rng = resolve_rng(seed)
     chosen = rng.choice(n_items, size=k, replace=False)
     return sorted(int(i) for i in chosen)
@@ -205,31 +212,55 @@ def cell_modes(
     ]
 
 
+def route(
+    mode: str,
+    verdicts: dict[str, bool],
+    replay: Callable[[], T],
+    simulate: Callable[[], T],
+    label: str,
+) -> T:
+    """Answer one grid cell by replay or by DES: the hybrid router.
+
+    The only code that acts on a hybrid mode.  ``off``, or any failed
+    predicate in ``verdicts``, runs ``simulate`` alone; ``on`` runs
+    ``replay`` alone; ``verify`` runs both and audits the pair as the
+    ``hybrid-exactness`` invariant, raising
+    :class:`~repro.runtime.invariants.InvariantError` (its message names
+    ``label``) unless they are equal.  Every path returns the same value
+    wherever the predicates are sound.
+    """
+    mode = parse_hybrid_mode(mode)
+    if mode == HybridMode.OFF or not closed_form_exact(verdicts):
+        return simulate()
+    analytic = replay()
+    if mode == HybridMode.VERIFY:
+        from ..runtime.invariants import audit_hybrid
+
+        audit_hybrid(
+            [HybridSample(label, analytic, simulate())]
+        ).raise_if_strict(strict=True)
+    return analytic
+
+
 # -- predicate evaluation ---------------------------------------------------
 
 
-def _injector_fault_free(injector: Any) -> bool:
-    return injector is None or injector.config.fault_free
+def comparison_verdicts() -> dict[str, bool]:
+    """Exactness verdicts for a default :func:`repro.rtr.runner.compare`
+    point (Figure 9's configuration).
 
-
-def comparison_verdicts(
-    *,
-    floorplan: "Floorplan | None" = None,
-    detailed_io: bool = False,
-    node_kwargs: dict[str, Any] | None = None,
-) -> dict[str, bool]:
-    """Exactness verdicts for one :func:`repro.rtr.runner.compare` point."""
+    Reads only the floorplan :func:`repro.rtr.runner.make_node` defaults
+    to (``overlap-applicable``); the rest hold by construction — no
+    injector, uniform I/O, local bitstreams.
+    """
     from ..hardware.prr import dual_prr_floorplan
 
-    kwargs = node_kwargs or {}
-    fault_free = _injector_fault_free(kwargs.get("fault_injector"))
-    plan = floorplan or dual_prr_floorplan()
     return {
-        "fault-free": fault_free,
-        "overlap-applicable": plan.n_prrs > 1,
-        "uniform-io": not detailed_io,
+        "fault-free": True,
+        "overlap-applicable": dual_prr_floorplan().n_prrs > 1,
+        "uniform-io": True,
         "local-bitstreams": True,
-        "recovery-inert": fault_free,
+        "recovery-inert": True,
     }
 
 
@@ -419,40 +450,33 @@ def replay_energy_components(
 def replay_comparison_speedup(
     trace: "CallTrace",
     *,
-    floorplan: "Floorplan | None" = None,
     estimated: bool = False,
     control_time: float | None = None,
-    decision_time: float = 0.0,
     force_miss: bool = False,
     bitstream_bytes: int | None = None,
-    node_kwargs: dict[str, Any] | None = None,
 ) -> float:
     """The :attr:`ComparisonResult.speedup` a DES ``compare()`` would
     report, computed by replay.
 
-    Signature mirrors :func:`repro.rtr.runner.compare` (minus
-    ``detailed_io``, which the ``uniform-io`` predicate excludes).  The
-    caller must have checked :func:`comparison_verdicts`.
+    Signature mirrors the :func:`repro.rtr.runner.compare` options that
+    :func:`comparison_verdicts` clears (default node, no decision time,
+    uniform I/O).
     """
     from ..rtr.frtr import FrtrExecutor
     from ..rtr.prtr import PrtrExecutor
     from ..rtr.runner import make_node
 
-    kwargs = node_kwargs or {}
-    frtr_node = make_node(floorplan, **kwargs)
-    prtr_node = make_node(floorplan, **kwargs)
     frtr_total = replay_frtr(
         FrtrExecutor(
-            frtr_node, estimated=estimated, control_time=control_time
+            make_node(), estimated=estimated, control_time=control_time
         ),
         trace,
     )
     prtr_total, _ = replay_prtr(
         PrtrExecutor(
-            prtr_node,
+            make_node(),
             estimated=estimated,
             control_time=control_time,
-            decision_time=decision_time,
             force_miss=force_miss,
             bitstream_bytes=bitstream_bytes,
         ),

@@ -32,14 +32,12 @@ from ..analysis.reliability import trace_with_hit_ratio
 from ..hardware.prr import uniform_prr_floorplan
 from ..model.hybrid import (
     HybridMode,
-    HybridSample,
     cell_modes,
-    closed_form_exact,
-    parse_hybrid_mode,
     power_point_verdicts,
     replay_energy_components,
     replay_frtr,
     replay_prtr,
+    route,
 )
 from .ledger import EnergyLedger
 from .model import DEFAULT_POWER_MODEL, PowerModel
@@ -115,37 +113,18 @@ def measure_power_point(
 ) -> PowerSweepPoint:
     """Measure one grid cell: same trace, FRTR vs PRTR, shared model.
 
-    ``hybrid="on"`` answers the cell by closed-form replay when
-    :func:`repro.model.hybrid.power_point_verdicts` prove exactness
-    (every multi-PRR cell — the sweep is fault-free by construction);
-    ``"verify"`` additionally shadow-runs the DES and asserts the two
-    points — times *and* joules — are identical.  ``seed`` only feeds
-    the verify-mode shadow sampling; the cells themselves are
-    deterministic.
+    ``hybrid`` routes the cell through :func:`repro.model.hybrid.route`;
+    every multi-PRR cell passes the exactness predicates, and ``verify``
+    compares times *and* joules.  ``seed`` only feeds the verify-mode
+    shadow sampling; the cells themselves are deterministic.
     """
-    mode = parse_hybrid_mode(hybrid)
-    if mode != HybridMode.OFF and closed_form_exact(
-        power_point_verdicts(n_prrs)
-    ):
-        point = _replayed_power_point(
-            n_prrs, hit_ratio,
-            n_calls=n_calls, task_time=task_time, model=model,
-        )
-        if mode == HybridMode.VERIFY:
-            from ..runtime.invariants import audit_hybrid
-
-            simulated = _simulated_power_point(
-                n_prrs, hit_ratio,
-                n_calls=n_calls, task_time=task_time, model=model,
-            )
-            label = f"power:prrs={n_prrs!r},H={hit_ratio!r}"
-            audit_hybrid(
-                [HybridSample(label, point, simulated)]
-            ).raise_if_strict(strict=True)
-        return point
-    return _simulated_power_point(
-        n_prrs, hit_ratio,
-        n_calls=n_calls, task_time=task_time, model=model,
+    options = dict(n_calls=n_calls, task_time=task_time, model=model)
+    return route(
+        hybrid,
+        power_point_verdicts(n_prrs),
+        lambda: _replayed_power_point(n_prrs, hit_ratio, **options),
+        lambda: _simulated_power_point(n_prrs, hit_ratio, **options),
+        f"power:prrs={n_prrs!r},H={hit_ratio!r}",
     )
 
 

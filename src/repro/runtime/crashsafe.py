@@ -295,7 +295,7 @@ def crash_safe_fault_sweep(
     mode, so a run journaled under one mode resumes cleanly under
     another (``hybrid`` is deliberately left out of the resume meta).
     """
-    from ..analysis.reliability import hybrid_cell_modes
+    from ..model.hybrid import cell_modes, fault_point_verdicts
 
     meta = {
         "kind": "fault_sweep",
@@ -306,7 +306,9 @@ def crash_safe_fault_sweep(
         "seed": int(seed),
     }
     grid = [(h, rate) for h in hit_ratios for rate in fault_rates]
-    modes = dict(zip(grid, hybrid_cell_modes(grid, hybrid, seed)))
+    modes = dict(zip(grid, cell_modes(
+        grid, hybrid, seed, lambda cell: fault_point_verdicts(cell[1], seed)
+    )))
     return run_journaled(
         run_dir,
         grid,

@@ -27,7 +27,10 @@ closures (the sweep functions) need no pickling; on platforms without
 ``fork`` the callers fall back to the serial path.  Workers never touch
 the main journal and never share state: results travel back only
 through segment journals (durable) and a status queue (advisory —
-per-worker interrupt reasons and observability snapshots).
+per-worker interrupt reasons and observability snapshots).  A worker's
+:class:`~repro.runtime.invariants.InvariantError` is re-raised in the
+parent with its violations; any other worker failure raises
+``RuntimeError``.
 """
 
 from __future__ import annotations
@@ -101,6 +104,61 @@ def _drain(
     return messages
 
 
+def _fork_shards(
+    work: Callable[[int], dict[str, Any]],
+    n_workers: int,
+    *,
+    failure: Callable[[str], str],
+) -> list[dict[str, Any]]:
+    """Run ``work(shard)`` in one fork worker per shard; its statuses.
+
+    Each worker's dict comes back over one status queue, tagged with its
+    shard; the list is in shard order.  An :class:`InvariantError` in a
+    worker is re-raised here with its violations, so ``--hybrid=verify``
+    and strict audits fail as they do serially; any other worker failure
+    (or a worker that died without a status) raises
+    ``RuntimeError(failure(detail))``, ``detail`` naming each failed
+    shard and its error.
+    """
+    ctx = multiprocessing.get_context("fork")
+    status_queue: Any = ctx.Queue()
+
+    def child(shard: int) -> None:
+        try:
+            # A private registry per worker: a shard's sealed snapshot
+            # must describe its own work, not inherited state.  The reset
+            # intentionally targets the forked child's own copy-on-write
+            # registry; nothing is shared back — snapshots travel via the
+            # status queue.
+            obsm.get_registry().reset()  # reprolint: disable=RL003
+            status_queue.put({"shard": shard, **work(shard)})
+        except InvariantError as exc:
+            status_queue.put({"shard": shard, "violations": exc.violations})
+        except BaseException as exc:  # report, don't kill siblings
+            status_queue.put(
+                {"shard": shard, "error": f"{type(exc).__name__}: {exc}"}
+            )
+        finally:
+            status_queue.close()
+            status_queue.join_thread()
+
+    procs = [ctx.Process(target=child, args=(s,)) for s in range(n_workers)]
+    for proc in procs:
+        proc.start()
+    messages = _drain(status_queue, procs, n_workers)
+    for proc in procs:
+        proc.join()
+    messages.sort(key=lambda m: m["shard"])
+    errors = [m for m in messages if "error" in m]
+    if errors:
+        detail = "; ".join(f"shard {m['shard']}: {m['error']}" for m in errors)
+        raise RuntimeError(failure(detail))
+    violations = [v for m in messages for v in m.get("violations", ())]
+    if violations:
+        raise InvariantError(violations)
+    return messages
+
+
 def parallel_map(
     fn: Callable[[Any], Any],
     items: Sequence[Any],
@@ -119,36 +177,15 @@ def parallel_map(
     if workers <= 1 or len(items) <= 1 or not fork_available():
         return [fn(item) for item in items]
     workers = min(workers, len(items))
-    ctx = multiprocessing.get_context("fork")
-    status_queue: Any = ctx.Queue()
-
-    def child(shard: int) -> None:
-        try:
-            pairs = [
-                (i, fn(items[i]))
-                for i in range(shard, len(items), workers)
+    messages = _fork_shards(
+        lambda shard: {
+            "pairs": [
+                (i, fn(items[i])) for i in range(shard, len(items), workers)
             ]
-            status_queue.put({"shard": shard, "pairs": pairs})
-        except BaseException as exc:  # report, don't kill siblings
-            status_queue.put(
-                {"shard": shard, "error": f"{type(exc).__name__}: {exc}"}
-            )
-        finally:
-            status_queue.close()
-            status_queue.join_thread()
-
-    procs = [ctx.Process(target=child, args=(s,)) for s in range(workers)]
-    for proc in procs:
-        proc.start()
-    messages = _drain(status_queue, procs, workers)
-    for proc in procs:
-        proc.join()
-    errors = sorted(
-        (m["shard"], m["error"]) for m in messages if "error" in m
+        },
+        workers,
+        failure=lambda detail: f"parallel map failed in {detail}",
     )
-    if errors:
-        detail = "; ".join(f"shard {s}: {e}" for s, e in errors)
-        raise RuntimeError(f"parallel map failed in {detail}")
     results: list[Any] = [None] * len(items)
     for msg in messages:
         for index, value in msg["pairs"]:
@@ -284,84 +321,58 @@ def run_sharded(
     interrupted: str | None = None
     computed = 0
     worker_snapshots: list[Mapping[str, Any]] = []
-    errors: list[tuple[int, str]] = []
 
     if pending:
         n_workers = min(workers, len(pending))
         # Shard the *pending* indices round-robin so live workers stay
         # balanced no matter where a previous run stopped.
         shards = shard_indices(len(pending), n_workers)
-        ctx = multiprocessing.get_context("fork")
-        status_queue: Any = ctx.Queue()
 
-        def worker(shard: int) -> None:
-            try:
-                # A private registry per worker: the sealed snapshot
-                # must describe this shard's work, not inherited state.
-                # The reset intentionally targets the forked child's own
-                # copy-on-write registry; nothing is shared back — the
-                # snapshot travels via the status queue.
-                obsm.get_registry().reset()  # reprolint: disable=RL003
+        def worker(shard: int) -> dict[str, Any]:
+            if watchdog is not None:
+                watchdog.start()
+            name = segment_name(shard)
+            if os.path.exists(os.path.join(run_dir, name)):
+                segment = RunJournal.load(run_dir, name=name)
+            else:
+                segment = RunJournal.create(run_dir, meta, name=name)
+            interrupted: str | None = None
+            computed = 0
+            for pending_pos in shards[shard]:
+                index = pending[pending_pos]
+                key = keys[index]
+                if segment.has(key):
+                    continue
                 if watchdog is not None:
-                    watchdog.start()
-                name = segment_name(shard)
-                if os.path.exists(os.path.join(run_dir, name)):
-                    segment = RunJournal.load(run_dir, name=name)
-                else:
-                    segment = RunJournal.create(run_dir, meta, name=name)
-                interrupted: str | None = None
-                computed = 0
-                for pending_pos in shards[shard]:
-                    index = pending[pending_pos]
-                    key = keys[index]
-                    if segment.has(key):
-                        continue
-                    if watchdog is not None:
-                        try:
-                            watchdog.check_wall()
-                        except WatchdogExpired as exc:
-                            interrupted = str(exc)
-                            break
-                    result = fn(items[index])
-                    segment.record(key, encode(result))
-                    computed += 1
-                    if progress is not None:
-                        progress(
-                            f"{key} done (shard {shard}, "
-                            f"{segment.n_points} journaled)"
-                        )
-                segment.close()
-                status_queue.put(
-                    {
-                        "shard": shard,
-                        "interrupted": interrupted,
-                        "computed": computed,
-                        "metrics": obsm.snapshot() or None,
-                    }
-                )
-            except BaseException as exc:
-                status_queue.put(
-                    {
-                        "shard": shard,
-                        "error": f"{type(exc).__name__}: {exc}",
-                    }
-                )
-            finally:
-                status_queue.close()
-                status_queue.join_thread()
+                    try:
+                        watchdog.check_wall()
+                    except WatchdogExpired as exc:
+                        interrupted = str(exc)
+                        break
+                result = fn(items[index])
+                segment.record(key, encode(result))
+                computed += 1
+                if progress is not None:
+                    progress(
+                        f"{key} done (shard {shard}, "
+                        f"{segment.n_points} journaled)"
+                    )
+            segment.close()
+            return {
+                "interrupted": interrupted,
+                "computed": computed,
+                "metrics": obsm.snapshot() or None,
+            }
 
-        procs = [
-            ctx.Process(target=worker, args=(s,)) for s in range(n_workers)
-        ]
-        for proc in procs:
-            proc.start()
-        messages = _drain(status_queue, procs, n_workers)
-        for proc in procs:
-            proc.join()
-        for msg in sorted(messages, key=lambda m: m["shard"]):
-            if "error" in msg:
-                errors.append((msg["shard"], msg["error"]))
-                continue
+        messages = _fork_shards(
+            worker,
+            n_workers,
+            failure=lambda detail: (
+                f"parallel sweep failed in {detail} (completed points are "
+                f"journaled in {run_dir!r}; rerun with resume to continue)"
+            ),
+        )
+        for msg in messages:
             # The first interrupted shard (in shard order) names the run.
             if interrupted is None:
                 interrupted = msg["interrupted"]
@@ -374,13 +385,6 @@ def run_sharded(
     known = dict(done_before)
     for key, payload in segment_payloads.items():
         known.setdefault(key, payload)
-
-    if errors:
-        detail = "; ".join(f"shard {s}: {e}" for s, e in errors)
-        raise RuntimeError(
-            f"parallel sweep failed in {detail} (completed points are "
-            f"journaled in {run_dir!r}; rerun with resume to continue)"
-        )
 
     resumed = sum(1 for key in keys if key in done_before)
 

@@ -31,7 +31,6 @@ from .library import (
     library_tasks,
     task_for_data_size,
 )
-from .serialize import load_trace, save_trace, trace_from_json, trace_to_json
 from .task import CallTrace, FunctionCall, HardwareTask
 
 __all__ = [
@@ -45,19 +44,15 @@ __all__ = [
     "apply_core",
     "core_resources",
     "library_tasks",
-    "load_trace",
     "markov_trace",
     "median_filter",
     "phased_trace",
     "pipeline_trace",
     "rng_from",
-    "save_trace",
     "smoothing_filter",
     "sobel_filter",
     "synthetic_image",
     "task_for_data_size",
-    "trace_from_json",
-    "trace_to_json",
     "uniform_trace",
     "zipf_trace",
 ]

@@ -10,12 +10,14 @@ mismatch.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.analysis import reliability
 from repro.analysis.reliability import (
     effective_speedup_under_faults,
-    hybrid_cell_modes,
     sweep_fault_hit_grid,
 )
 from repro.experiments import fig5, fig9
@@ -23,13 +25,16 @@ from repro.model.hybrid import (
     EXACTNESS_PREDICATES,
     HybridMode,
     HybridSample,
+    cell_modes,
     closed_form_exact,
     comparison_verdicts,
     fault_point_verdicts,
     parse_hybrid_mode,
     replay_fault_point,
+    route,
     verification_sample,
 )
+from repro.power import pareto
 from repro.runtime.invariants import InvariantError, audit_hybrid
 
 
@@ -144,13 +149,16 @@ class TestGridIdentity:
 
     def test_cell_modes_partition(self):
         grid = [(h, r) for h in self.HS for r in (0.0, 0.3)]
-        modes = hybrid_cell_modes(grid, "verify")
+        def verdicts(cell):
+            return fault_point_verdicts(cell[1])
+
+        modes = cell_modes(grid, "verify", 0, verdicts)
         assert len(modes) == len(grid)
         # faulty cells can never be verify-sampled (they are not exact)
         for (h, rate), mode in zip(grid, modes):
             if rate > 0.0:
                 assert mode != HybridMode.VERIFY
-        assert hybrid_cell_modes(grid, "off") == ["off"] * len(grid)
+        assert cell_modes(grid, "off", 0, verdicts) == ["off"] * len(grid)
 
     def test_fig5_result_reuse_identical(self):
         shared = fig5.run((0.17,), fig5.DEFAULT_HIT_RATIOS)
@@ -190,3 +198,127 @@ class TestShadowVerification:
         verify = effective_speedup_under_faults(0.0, 0.5, hybrid="verify")
         off = effective_speedup_under_faults(0.0, 0.5, hybrid="off")
         assert verify == off
+
+
+class TestRouter:
+    """:func:`route` with counting stubs: which side runs, what returns."""
+
+    EXACT = dict.fromkeys(EXACTNESS_PREDICATES, True)
+
+    @staticmethod
+    def stubs(analytic, simulated):
+        calls = {"replay": 0, "simulate": 0}
+
+        def replay():
+            calls["replay"] += 1
+            return analytic
+
+        def simulate():
+            calls["simulate"] += 1
+            return simulated
+
+        return calls, replay, simulate
+
+    def test_off_runs_only_the_des(self):
+        calls, replay, simulate = self.stubs(1.0, 2.0)
+        assert route("off", self.EXACT, replay, simulate, "cell") == 2.0
+        assert calls == {"replay": 0, "simulate": 1}
+
+    @pytest.mark.parametrize("mode", ["on", "verify"])
+    @pytest.mark.parametrize("failed", sorted(EXACTNESS_PREDICATES))
+    def test_any_failed_predicate_runs_only_the_des(self, mode, failed):
+        verdicts = {**self.EXACT, failed: False}
+        calls, replay, simulate = self.stubs(1.0, 2.0)
+        assert route(mode, verdicts, replay, simulate, "cell") == 2.0
+        assert calls == {"replay": 0, "simulate": 1}
+
+    def test_on_runs_only_the_replay(self):
+        calls, replay, simulate = self.stubs(1.0, 2.0)
+        assert route("on", self.EXACT, replay, simulate, "cell") == 1.0
+        assert calls == {"replay": 1, "simulate": 0}
+
+    def test_verify_runs_both_and_returns_the_replay(self):
+        analytic, simulated = [1.5], [1.5]  # equal, but distinguishable
+        calls, replay, simulate = self.stubs(analytic, simulated)
+        assert route("verify", self.EXACT, replay, simulate, "cell") is (
+            analytic
+        )
+        assert calls == {"replay": 1, "simulate": 1}
+
+    def test_verify_mismatch_raises_naming_the_label(self):
+        _, replay, simulate = self.stubs(1.25, 1.2500000001)
+        with pytest.raises(InvariantError, match="hybrid-exactness.*cell-7"):
+            route("verify", self.EXACT, replay, simulate, "cell-7")
+
+    def test_rejects_unknown_mode(self):
+        _, replay, simulate = self.stubs(1.0, 1.0)
+        with pytest.raises(ValueError, match="hybrid"):
+            route("fast", self.EXACT, replay, simulate, "cell")
+
+
+def nudged(value: float) -> float:
+    """``value`` off by one part in 10**12: equal to no float DES answer."""
+    return value * (1.0 + 1e-12)
+
+
+class TestCellsCatchMismatches:
+    """A perturbed replay under ``verify`` is caught through every cell."""
+
+    def test_fault_cell(self, monkeypatch):
+        real = reliability.replay_fault_point
+
+        def perturbed(*args, **kwargs):
+            point = real(*args, **kwargs)
+            return replace(point, prtr_time=nudged(point.prtr_time))
+
+        monkeypatch.setattr(reliability, "replay_fault_point", perturbed)
+        with pytest.raises(InvariantError, match="hybrid-exactness"):
+            effective_speedup_under_faults(
+                0.0, 0.5, n_calls=8, hybrid="verify"
+            )
+
+    def test_power_cell(self, monkeypatch):
+        real = pareto._replayed_power_point
+
+        def perturbed(*args, **kwargs):
+            point = real(*args, **kwargs)
+            return replace(point, prtr_energy_j=nudged(point.prtr_energy_j))
+
+        monkeypatch.setattr(pareto, "_replayed_power_point", perturbed)
+        with pytest.raises(InvariantError, match="power:prrs=2"):
+            pareto.measure_power_point(2, 0.5, n_calls=8, hybrid="verify")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_fig9_points(self, monkeypatch, workers):
+        real = fig9.replay_comparison_speedup
+        monkeypatch.setattr(
+            fig9, "replay_comparison_speedup",
+            lambda *args, **kwargs: nudged(real(*args, **kwargs)),
+        )
+        with pytest.raises(InvariantError, match="fig9:Fig 9"):
+            fig9.simulate_points(
+                fig9.panel("measured"), n_calls=24, hybrid="verify",
+                workers=workers,
+            )
+
+    def test_fig9_verify_sample_is_verification_sample_8(self, monkeypatch):
+        simulated = []
+        real = fig9.compare
+
+        def counting_compare(trace, **kw):
+            simulated.append(trace[0].task.time)
+            return real(trace, **kw)
+
+        monkeypatch.setattr(fig9, "compare", counting_compare)
+        p = fig9.panel("measured")
+        x, _ = fig9.simulate_points(p, n_calls=24, hybrid="verify")
+        assert len(x) == 8
+        assert simulated == [
+            x[i] * p.t_frtr for i in verification_sample(8)
+        ]
+        modes = cell_modes(
+            list(x), "verify", 0, lambda _: comparison_verdicts()
+        )
+        assert [i for i, m in enumerate(modes) if m == "verify"] == (
+            verification_sample(8)
+        )

@@ -15,10 +15,14 @@ from __future__ import annotations
 import json
 import os
 import shutil
+from dataclasses import replace
 
 import pytest
 
+from repro.analysis import reliability
+from repro.cli import main
 from repro.runtime.crashsafe import crash_safe_fault_sweep, run_checkpointed
+from repro.runtime.invariants import InvariantError, Violation
 from repro.runtime.journal import (
     JOURNAL_NAME,
     RunJournal,
@@ -108,6 +112,83 @@ class TestParallelMap:
 
         with pytest.raises(RuntimeError, match="bad cell"):
             parallel_map(boom, list(range(6)), workers=3)
+
+
+def strict_square(x):
+    """``square``, but cell 3 fails a (strict) invariant audit."""
+    if x == 3:
+        raise InvariantError([Violation("hybrid-exactness", f"cell {x}")])
+    return square(x)
+
+
+class TestWorkerInvariantErrors:
+    """A worker's InvariantError reaches the parent as InvariantError
+    (exit 1 and one ``repro: invariant violation:`` line in the CLI), in
+    both engines, exactly as a serial walk raises it."""
+
+    @pytest.fixture
+    def nudged_replay(self, monkeypatch):
+        real = reliability.replay_fault_point
+
+        def nudged(*args, **kwargs):
+            point = real(*args, **kwargs)
+            return replace(point, prtr_time=point.prtr_time * (1 + 1e-12))
+
+        monkeypatch.setattr(reliability, "replay_fault_point", nudged)
+
+    def test_parallel_map_reraises_the_violations(self):
+        with pytest.raises(InvariantError, match="cell 3") as excinfo:
+            parallel_map(strict_square, list(range(6)), workers=2)
+        assert excinfo.value.violations == [
+            Violation("hybrid-exactness", "cell 3")
+        ]
+
+    def test_run_sharded_reraises_the_violations(self, tmp_path):
+        with pytest.raises(InvariantError, match="cell 3"):
+            run_checkpointed(
+                str(tmp_path), GRID, strict_square, key_of=str, meta=META,
+                workers=2,
+            )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_verify_mismatch_in_fault_grid(self, nudged_replay, workers):
+        with pytest.raises(InvariantError, match="hybrid-exactness"):
+            reliability.sweep_fault_hit_grid(
+                RATES, HITS, hybrid="verify", workers=workers, **SWEEP_KW
+            )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_verify_mismatch_in_crash_safe_sweep(
+        self, nudged_replay, workers, tmp_path
+    ):
+        with pytest.raises(InvariantError, match="hybrid-exactness"):
+            crash_safe_fault_sweep(
+                str(tmp_path), RATES, HITS, hybrid="verify",
+                workers=workers, **SWEEP_KW
+            )
+
+    def test_cli_reports_one_line(self, nudged_replay, tmp_path, capsys):
+        rc = main([
+            "sweep", "--run-dir", str(tmp_path / "r"), "--rates", "0,0.01",
+            "--hit-ratios", "0,0.9", "--calls", "8", "--quiet",
+            "--hybrid", "verify", "--workers", "2",
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("repro: invariant violation: ")
+        assert err.count("\n") == 1
+
+    def test_other_worker_errors_stay_runtime_errors(self, tmp_path):
+        def boom(x):
+            if x == 3:
+                raise ValueError("bad cell")
+            return square(x)
+
+        with pytest.raises(RuntimeError, match="bad cell") as excinfo:
+            run_checkpointed(
+                str(tmp_path), GRID, boom, key_of=str, meta=META, workers=2
+            )
+        assert not isinstance(excinfo.value, InvariantError)
 
 
 class TestShardIndices:

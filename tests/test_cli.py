@@ -337,3 +337,68 @@ class TestFig5Golden:
         assert digest.hexdigest() == (
             self.GOLDEN / "fig5.csv.sha256"
         ).read_text(encoding="utf-8").strip()
+
+
+class TestFig9Golden:
+    """``repro fig9 --calls 24`` stdout and both panels' CSVs, pinned in
+    ``tests/golden/fig9/`` (recorded before the CLI shared one
+    simulation per panel between the plot and the CSV)."""
+
+    GOLDEN = Path(__file__).parent / "golden" / "fig9"
+
+    def test_stdout_is_pinned(self, capsys):
+        assert main(["fig9", "--calls", "24"]) == 0
+        expected = (self.GOLDEN / "stdout.txt").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == expected
+
+    def test_csv_run_is_pinned(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["fig9", "--calls", "24", "--csv", "fig9.csv"]) == 0
+        expected = (self.GOLDEN / "csv-stdout.txt").read_text(
+            encoding="utf-8"
+        )
+        assert capsys.readouterr().out == expected
+        for which in ("estimated", "measured"):
+            name = f"fig9_{which}.csv"
+            assert (tmp_path / name).read_bytes() == (
+                self.GOLDEN / name
+            ).read_bytes()
+
+    def test_csv_run_simulates_each_panel_once(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        from repro.experiments import fig9
+
+        panels = []
+        real = fig9.simulate_points
+
+        def counting(p, *args, **kwargs):
+            panels.append(p.name)
+            return real(p, *args, **kwargs)
+
+        monkeypatch.setattr(fig9, "simulate_points", counting)
+        monkeypatch.chdir(tmp_path)
+        assert main(["fig9", "--calls", "12", "--csv", "fig9.csv"]) == 0
+        assert panels == ["Fig 9(a) estimated", "Fig 9(b) measured"]
+
+
+class TestLintForwarding:
+    """``repro lint`` hands its arguments to reprolint's own parser."""
+
+    def test_help_lists_every_reprolint_flag(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["lint", "--help"])
+        assert excinfo.value.code == 0
+        out = capsys.readouterr().out
+        for flag in (
+            "--json", "--baseline", "--no-baseline", "--write-baseline",
+            "--select", "--ignore", "--list-rules", "--sarif", "--no-cache",
+        ):
+            assert flag in out
+
+    def test_unknown_flag_on_another_verb_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["table1", "--no-such-flag"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "repro: error: unrecognized arguments: --no-such-flag" in err
