@@ -27,9 +27,7 @@ SEED = 0
 
 def _grid(hybrid: str) -> list:
     return [
-        measure_power_point(
-            n, h, n_calls=N_CALLS, seed=SEED, hybrid=hybrid
-        )
+        measure_power_point(n, h, n_calls=N_CALLS, hybrid=hybrid)
         for n in DEFAULT_PRR_COUNTS
         for h in DEFAULT_POWER_HIT_RATIOS
     ]

@@ -30,19 +30,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..faults.injector import FaultConfig, FaultInjector
+from ..faults.injector import FaultConfig
 from ..faults.recovery import FallbackPolicy, RecoveryPolicy
 from ..model.hybrid import (
     HybridMode,
     cell_modes,
-    fault_point_verdicts,
-    replay_fault_point,
+    config_times,
+    replay_cell,
     route,
+    verdicts,
 )
 from ..rtr.events import RunResult
-from ..rtr.frtr import FrtrExecutor
-from ..rtr.prtr import PrtrExecutor
-from ..rtr.runner import make_node
+from ..rtr.runner import CellSpec, simulate
 from ..workloads.task import CallTrace, HardwareTask
 
 __all__ = [
@@ -51,6 +50,7 @@ __all__ = [
     "FaultSweepPoint",
     "availability",
     "effective_speedup_under_faults",
+    "fault_cell_spec",
     "find_crossover",
     "mean_time_to_repair",
     "sweep_fault_hit_grid",
@@ -154,6 +154,28 @@ class FaultSweepPoint:
         }
 
 
+def fault_cell_spec(
+    fault_rate: float, seed: int = 0, recovery: RecoveryPolicy | None = None
+) -> CellSpec:
+    """The :class:`~repro.rtr.runner.CellSpec` of one fault-grid cell.
+
+    The swept ``fault_rate`` is the per-chunk ICAP abort probability.
+    ``recovery`` defaults to :class:`~repro.faults.recovery
+    .FallbackPolicy` with a 50 ms initial backoff (three partial
+    attempts, then a full reconfiguration) — the graceful-degradation
+    setting the crossover analysis assumes.  The non-trivial backoff
+    matters: failed partial attempts hide behind the overlapped task
+    until their cost exceeds the task time, and only then does the
+    pipeline stage stretch and the effective speedup drop *below* 1.
+    """
+    if recovery is None:
+        recovery = FallbackPolicy(max_attempts=3, backoff=0.05, cap=0.2)
+    return CellSpec(
+        faults=FaultConfig(chunk_abort_rate=fault_rate, seed=seed),
+        recovery=recovery,
+    )
+
+
 def effective_speedup_under_faults(
     fault_rate: float,
     hit_ratio: float = 0.0,
@@ -166,54 +188,28 @@ def effective_speedup_under_faults(
 ) -> FaultSweepPoint:
     """Measure one grid cell: same trace, FRTR vs PRTR, shared fault law.
 
-    The swept ``fault_rate`` is the per-chunk ICAP abort probability.
-    ``recovery`` defaults to :class:`~repro.faults.recovery
-    .FallbackPolicy` with a 50 ms initial backoff (three partial
-    attempts, then a full reconfiguration) — the graceful-degradation
-    setting the crossover analysis assumes.  The non-trivial backoff
-    matters: failed partial attempts hide behind the overlapped task
-    until their cost exceeds the task time, and only then does the
-    pipeline stage stretch and the effective speedup drop *below* 1.
-
-    ``hybrid`` routes the cell through :func:`repro.model.hybrid.route`;
-    only the ``fault_rate == 0`` cells pass the exactness predicates.
+    The cell is :func:`fault_cell_spec`'s.  ``hybrid`` routes it through
+    :func:`repro.model.hybrid.route`; only the ``fault_rate == 0`` cells
+    pass the exactness predicates.
     """
-    if recovery is None:
-        recovery = FallbackPolicy(max_attempts=3, backoff=0.05, cap=0.2)
-    options = dict(
-        n_calls=n_calls, task_time=task_time, seed=seed, recovery=recovery
-    )
+    spec = fault_cell_spec(fault_rate, seed, recovery)
+    trace = trace_with_hit_ratio(hit_ratio, n_calls, task_time)
+    cell = (spec, trace, fault_rate, hit_ratio, task_time)
     return route(
         hybrid,
-        fault_point_verdicts(fault_rate, seed),
-        lambda: replay_fault_point(fault_rate, hit_ratio, **options),
-        lambda: _simulated_fault_point(fault_rate, hit_ratio, **options),
+        verdicts(spec),
+        lambda: _replayed_fault_point(*cell),
+        lambda: _simulated_fault_point(*cell),
         f"faults:rate={fault_rate!r},H={hit_ratio!r}",
     )
 
 
 def _simulated_fault_point(
-    fault_rate: float,
-    hit_ratio: float,
-    *,
-    n_calls: int,
-    task_time: float,
-    seed: int,
-    recovery: RecoveryPolicy | None,
+    spec: CellSpec, trace: CallTrace,
+    fault_rate: float, hit_ratio: float, task_time: float,
 ) -> FaultSweepPoint:
     """The pure-DES cell measurement (the ``hybrid=off`` path)."""
-    trace = trace_with_hit_ratio(hit_ratio, n_calls, task_time)
-    config = FaultConfig(chunk_abort_rate=fault_rate, seed=seed)
-
-    frtr_node = make_node(fault_injector=FaultInjector(config))
-    frtr = FrtrExecutor(frtr_node, recovery=recovery).run(trace)
-
-    prtr_node = make_node(fault_injector=FaultInjector(config))
-    prtr = PrtrExecutor(prtr_node, recovery=recovery).run(trace)
-
-    speedup = (
-        frtr.total_time / prtr.total_time if prtr.total_time > 0 else 0.0
-    )
+    frtr, prtr = simulate(spec, trace)
     t_full = prtr.notes["t_config_full"]
     t_part = prtr.notes.get("t_config_partial", float("nan"))
     return FaultSweepPoint(
@@ -222,12 +218,42 @@ def _simulated_fault_point(
         hit_ratio=prtr.hit_ratio,
         frtr_time=frtr.total_time,
         prtr_time=prtr.total_time,
-        speedup=speedup,
+        speedup=(
+            frtr.total_time / prtr.total_time if prtr.total_time > 0 else 0.0
+        ),
         prtr_retries=prtr.n_retries,
         prtr_fallbacks=prtr.n_fallbacks,
         prtr_degraded=prtr.degraded,
         mttr=mean_time_to_repair(prtr),
         availability=availability(prtr),
+        x_prtr=t_part / t_full,
+        x_task=task_time / t_full,
+    )
+
+
+def _replayed_fault_point(
+    spec: CellSpec, trace: CallTrace,
+    fault_rate: float, hit_ratio: float, task_time: float,
+) -> FaultSweepPoint:
+    """One fault-free cell by exact replay, field for field the DES one.
+
+    Retries, fallbacks and recovery time are zero by construction, so
+    MTTR and availability are their fault-free constants.
+    """
+    frtr_time, prtr_time, n_configs = replay_cell(spec, trace)
+    t_full, t_part = config_times(spec)
+    return FaultSweepPoint(
+        fault_rate=fault_rate,
+        target_hit_ratio=hit_ratio,
+        hit_ratio=1.0 - n_configs / len(trace),
+        frtr_time=frtr_time,
+        prtr_time=prtr_time,
+        speedup=frtr_time / prtr_time if prtr_time > 0 else 0.0,
+        prtr_retries=0,
+        prtr_fallbacks=0,
+        prtr_degraded=False,
+        mttr=0.0,
+        availability=1.0,
         x_prtr=t_part / t_full,
         x_task=task_time / t_full,
     )
@@ -263,7 +289,8 @@ def sweep_fault_hit_grid(
 
     grid = [(h, rate) for h in hit_ratios for rate in fault_rates]
     modes = cell_modes(
-        grid, hybrid, seed, lambda cell: fault_point_verdicts(cell[1], seed)
+        grid, hybrid, seed,
+        lambda cell: fault_cell_spec(cell[1], seed, recovery),
     )
     return parallel_map(
         lambda item: effective_speedup_under_faults(

@@ -27,17 +27,11 @@ import numpy as np
 
 from ..analysis.plotting import ascii_plot, series_to_csv
 from ..hardware.catalog import PUBLISHED_TABLE2, US
-from ..model.hybrid import (
-    HybridMode,
-    cell_modes,
-    comparison_verdicts,
-    replay_comparison_speedup,
-    route,
-)
+from ..model.hybrid import HybridMode, cell_modes, replay_cell, route, verdicts
 from ..model.parameters import ModelParameters
 from ..model.speedup import asymptotic_speedup, speedup
 from ..model.sweep import log_task_axis
-from ..rtr.runner import compare
+from ..rtr.runner import CellSpec, compare
 from ..runtime.parallel import parallel_map
 from ..workloads.task import CallTrace, HardwareTask
 
@@ -156,21 +150,26 @@ def simulate_points(
         force_miss=True,
         bitstream_bytes=PUBLISHED_TABLE2["dual_prr"].bitstream_bytes,
     )
-    verdicts = comparison_verdicts()
+    spec = CellSpec(**options)
+    exact = verdicts(spec)
+
+    def replayed_speedup(trace: CallTrace) -> float:
+        frtr_total, prtr_total, _ = replay_cell(spec, trace)
+        return frtr_total / prtr_total
 
     def one_point(item: tuple[float, str]) -> float:
         x, mode = item
         trace = _cyclic_trace(task_time=x * p.t_frtr, n_calls=n_calls)
         return route(
             mode,
-            verdicts,
-            lambda: replay_comparison_speedup(trace, **options),
+            exact,
+            lambda: replayed_speedup(trace),
             lambda: compare(trace, **options).speedup,
             f"fig9:{p.name}:x_task={float(x)!r}",
         )
 
     xs = list(x_values)
-    modes = cell_modes(xs, hybrid, 0, lambda x: verdicts)
+    modes = cell_modes(xs, hybrid, 0, lambda x: spec)
     speedups = parallel_map(one_point, list(zip(xs, modes)), workers=workers)
     return x_values, np.asarray(speedups)
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Generator
+from typing import Any, Callable, Generator
 
 from ..faults.detection import CrcChecker
 from ..faults.errors import TransferCorruption, WriteAbort
@@ -76,6 +76,52 @@ class IcapTimings:
     def effective_bandwidth(self, nbytes: int) -> float:
         """End-to-end controller throughput for an ``nbytes`` image."""
         return nbytes / self.drain_time(nbytes)
+
+    def chunk_sizes(self, nbytes: int) -> list[int]:
+        """The BRAM chunks an ``nbytes`` bitstream streams in, in order."""
+        full, rem = divmod(nbytes, self.chunk_bytes)
+        sizes = [self.chunk_bytes] * full
+        if rem:
+            sizes.append(rem)
+        return sizes or [nbytes]
+
+    def configure_time(
+        self, nbytes: int, transfer_time: Callable[[int], float]
+    ) -> float:
+        """Unloaded time over a link: first chunk fill + pipelined drain."""
+        first = min(self.chunk_bytes, nbytes)
+        return transfer_time(first) + self.drain_time(nbytes)
+
+    def fold_stream(
+        self,
+        sizes: list[int],
+        t: float,
+        transfer_time: Callable[[int], float],
+        prefetches: list[tuple[float, float, int]] | None = None,
+    ) -> float:
+        """End time of the double-buffered drain once bank 0 is full at ``t``.
+
+        The one fold of the per-chunk pipeline, shared by the DES fast
+        path and :func:`repro.model.hybrid.replay_cell`: per chunk, the
+        drain and the next chunk's prefetch over the link
+        (``transfer_time``) both start at the barrier ``t`` and the next
+        barrier is the later of their ends — the same float additions
+        and ``max`` the per-chunk processes of
+        :meth:`IcapController._chunk_stream` perform.  ``prefetches``
+        collects each prefetch's ``(start, end, chunk index)``.
+        """
+        last = len(sizes) - 1
+        for i, size in enumerate(sizes):
+            drain = self.chunk_handshake + size / self.icap_bandwidth
+            if i < last:
+                t_prefetch = t + transfer_time(sizes[i + 1])
+                if prefetches is not None:
+                    prefetches.append((t, t_prefetch, i + 1))
+                t_drain = t + drain
+                t = t_drain if t_drain >= t_prefetch else t_prefetch
+            else:
+                t = t + drain
+        return t
 
 
 def _calibrated_handshake() -> float:
@@ -144,9 +190,9 @@ class IcapController:
 
     def configure_time(self, bitstream: Bitstream) -> float:
         """Unloaded end-to-end time: first chunk fill + pipelined drain."""
-        t = self.timings
-        first = min(t.chunk_bytes, bitstream.nbytes)
-        return self.in_link.transfer_time(first) + t.drain_time(bitstream.nbytes)
+        return self.timings.configure_time(
+            bitstream.nbytes, self.in_link.transfer_time
+        )
 
     # -- DES process -------------------------------------------------------
 
@@ -178,7 +224,7 @@ class IcapController:
                 "the ICAP controller path is for partial bitstreams; "
                 "full configuration goes through the vendor SelectMap API"
             )
-        sizes = self._chunk_sizes(bitstream.nbytes)
+        sizes = self.timings.chunk_sizes(bitstream.nbytes)
 
         yield from self.icap_mutex.acquire(owner)
         held_at = self.sim.now
@@ -202,37 +248,6 @@ class IcapController:
             self.icap_mutex.release(owner)
         return self.sim.now
 
-    def fold_stream(
-        self,
-        sizes: list[int],
-        t: float,
-        prefetches: list[tuple[float, float, int]] | None = None,
-    ) -> float:
-        """End time of the double-buffered drain once bank 0 is full at ``t``.
-
-        The one fold of the per-chunk pipeline, shared by the DES fast
-        path and :func:`repro.model.hybrid.replay_icap_configure`: per
-        chunk, the drain and the next chunk's prefetch both start at the
-        barrier ``t`` and the next barrier is the later of their ends —
-        the same float additions and ``max`` the per-chunk processes of
-        :meth:`_chunk_stream` perform.  ``prefetches`` collects each
-        prefetch's ``(start, end, chunk index)`` when given.
-        """
-        timings = self.timings
-        link = self.in_link
-        last = len(sizes) - 1
-        for i, size in enumerate(sizes):
-            drain = timings.chunk_handshake + size / timings.icap_bandwidth
-            if i < last:
-                t_prefetch = t + link.transfer_time(sizes[i + 1])
-                if prefetches is not None:
-                    prefetches.append((t, t_prefetch, i + 1))
-                t_drain = t + drain
-                t = t_drain if t_drain >= t_prefetch else t_prefetch
-            else:
-                t = t + drain
-        return t
-
     def _can_fold(self) -> bool:
         """May the rest of the stream skip its per-chunk events?
 
@@ -252,13 +267,17 @@ class IcapController:
     ) -> Generator[Any, Any, None]:
         """The fault-free stream in one wake-up at its exact end time.
 
-        The link is reserved for the window (a competing transfer raises)
-        and the prefetches' intervals and byte counts are recorded
-        afterwards, as the per-chunk path would have left them.
+        The end time is :meth:`IcapTimings.fold_stream` over this
+        controller's link.  The link is reserved for the window (a
+        competing transfer raises) and the prefetches' intervals and byte
+        counts are recorded afterwards, as the per-chunk path would have
+        left them.
         """
         prefetches: list[tuple[float, float, int]] = []
-        end = self.fold_stream(sizes, self.sim.now, prefetches)
         link = self.in_link
+        end = self.timings.fold_stream(
+            sizes, self.sim.now, link.transfer_time, prefetches
+        )
         link.reserve(owner, end)
         yield WaitUntil(end)
         for start, stop, idx in prefetches:
@@ -345,13 +364,3 @@ class IcapController:
             f"chunk {idx} of {bitstream.name!r} failed CRC after "
             f"{self.max_chunk_retries} retransmits"
         )
-
-    def _chunk_sizes(self, nbytes: int) -> list[int]:
-        chunk = self.timings.chunk_bytes
-        full, rem = divmod(nbytes, chunk)
-        sizes = [chunk] * full
-        if rem:
-            sizes.append(rem)
-        if not sizes:
-            sizes = [nbytes]
-        return sizes

@@ -20,10 +20,6 @@ from .application import (
     breakeven_kernel_time,
 )
 from .bounds import (
-    Regime,
-    classify_regime,
-    hit_ratio_required,
-    is_beneficial,
     large_task_bound,
     left_branch_increasing,
     min_calls_for_speedup,
@@ -88,10 +84,8 @@ __all__ = [
     "breakeven_kernel_time",
     "ModelParameters",
     "RawParameters",
-    "Regime",
     "SweepResult",
     "asymptotic_speedup",
-    "classify_regime",
     "convergence_n",
     "dS_dH",
     "dS_dx_control",
@@ -105,9 +99,7 @@ __all__ = [
     "frtr_total_normalized",
     "frtr_total_time",
     "gradient",
-    "hit_ratio_required",
     "hit_stage_normalized",
-    "is_beneficial",
     "large_task_bound",
     "left_branch_increasing",
     "log_task_axis",

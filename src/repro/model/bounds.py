@@ -1,4 +1,4 @@
-"""Closed-form performance bounds and regimes of the PRTR model.
+"""Closed-form performance bounds of the PRTR model.
 
 This module turns Section 3.1's prose observations about Eq. (7) into
 checkable mathematics:
@@ -11,10 +11,7 @@ checkable mathematics:
   time (``X_task + X_decision = X_PRTR``), with peak value
   ``(1 + X_control + X_PRTR - X_decision) / (X_control + X_PRTR)`` at
   ``H = 0``;
-* the three **regimes** of Figure 5 (``X_task > 1``,
-  ``X_PRTR < X_task < 1``, ``X_task < X_PRTR``);
-* *when is PRTR beneficial at all* and *how many calls amortize the
-  startup configuration*.
+* *how many calls amortize the startup configuration*.
 
 Derivations (all with ``M = 1 - H``, ``F = 1 + X_control + X_task`` the
 FRTR per-call cost and ``D`` the PRTR per-call cost):
@@ -37,39 +34,14 @@ import numpy as np
 
 from .parameters import ModelParameters, as_array
 from .prtr import prtr_per_call_normalized
-from .speedup import asymptotic_speedup
 
 __all__ = [
-    "Regime",
-    "classify_regime",
     "large_task_bound",
     "peak_x_task",
     "peak_speedup",
     "left_branch_increasing",
-    "is_beneficial",
     "min_calls_for_speedup",
-    "hit_ratio_required",
 ]
-
-
-class Regime:
-    """The three Figure 5 regions of task time requirement."""
-
-    LARGE = "x_task > 1"
-    MID = "x_prtr < x_task <= 1"
-    SMALL = "x_task <= x_prtr"
-
-
-def classify_regime(params: ModelParameters) -> np.ndarray:
-    """Elementwise regime labels (numpy array of str)."""
-    x = as_array(params.x_task)
-    p = as_array(params.x_prtr)
-    out = np.where(
-        x > 1.0,
-        Regime.LARGE,
-        np.where(x > p, Regime.MID, Regime.SMALL),
-    )
-    return out
 
 
 def large_task_bound(params: ModelParameters) -> np.ndarray:
@@ -145,17 +117,6 @@ def peak_speedup(params: ModelParameters) -> np.ndarray:
     return np.where(use_kink, at_kink, at_zero)
 
 
-def is_beneficial(params: ModelParameters) -> np.ndarray:
-    """Elementwise ``S_inf >= 1``: does PRTR (asymptotically) ever lose?
-
-    On the right branch PRTR wins iff ``X_decision <= 1`` (the decision
-    latency must not exceed a full reconfiguration).  On the left branch
-    the condition is ``1 + X_task*(1-H) >= M*X_PRTR + H*X_decision``.
-    Evaluated numerically via Eq. (7) for robustness.
-    """
-    return asymptotic_speedup(params) >= 1.0
-
-
 def min_calls_for_speedup(
     params: ModelParameters, target: Any
 ) -> np.ndarray:
@@ -177,49 +138,3 @@ def min_calls_for_speedup(
     with np.errstate(divide="ignore", invalid="ignore"):
         n = np.where(margin > 0, s * a / margin, np.inf)
     return np.where(np.isfinite(n), np.ceil(np.maximum(n, 1.0)), np.inf)
-
-
-def hit_ratio_required(params: ModelParameters, target: Any) -> np.ndarray:
-    """Hit ratio needed to reach an asymptotic ``target`` speedup.
-
-    Solving Eq. (7) for ``H`` with ``mx = max(X_task + X_decision,
-    X_PRTR)`` and ``ht = X_task + X_decision``::
-
-        H = (X_control + mx - F/target) / (mx - ht)
-
-    Only meaningful on the left branch (``mx > ht``) — elsewhere ``H``
-    does not enter Eq. (7) and the result is 0 when the target is already
-    met, ``inf`` when it never can be.  Values are clipped to ``[0, 1]``
-    when achievable; unachievable targets return ``inf``.
-    """
-    s = as_array(target)
-    if np.any(s <= 0):
-        raise ValueError("target speedup must be > 0")
-    x = as_array(params.x_task)
-    xd = as_array(params.x_decision)
-    xc = as_array(params.x_control)
-    p = as_array(params.x_prtr)
-    ht = x + xd
-    mx = np.maximum(ht, p)
-    f = 1.0 + xc + x
-    denom_at_h = lambda h: xc + mx - h * (mx - ht)  # noqa: E731
-    # Right branch: H is irrelevant.
-    right = mx <= ht
-    meets_now = f / denom_at_h(0.0) >= s
-    meets_best = f / np.where(denom_at_h(1.0) > 0, denom_at_h(1.0), np.nan) >= s
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h_needed = (xc + mx - f / s) / (mx - ht)
-    out = np.where(
-        right,
-        np.where(meets_now, 0.0, np.inf),
-        np.where(
-            meets_now,
-            0.0,
-            np.where(
-                np.nan_to_num(meets_best, nan=False),
-                np.clip(h_needed, 0.0, 1.0),
-                np.inf,
-            ),
-        ),
-    )
-    return out

@@ -2,18 +2,18 @@
 
 The closed-form model (Eqs. 1-7, :mod:`repro.model.bounds`) is *exact* —
 not approximate — wherever nothing the discrete-event simulator models
-beyond the equations can fire.  This module makes that claim operational:
+beyond the equations can fire.  This module makes that claim operational
+for one grid cell, described by a :class:`repro.rtr.runner.CellSpec`:
 
-* :data:`EXACTNESS_PREDICATES` names the conditions under which a grid
-  point's DES makespan is provably equal (bit-for-bit, not just close) to
-  a straight-line float replay of the executor's event arithmetic;
-* :func:`replay_frtr` / :func:`replay_prtr` / :func:`replay_icap_configure`
-  perform that replay, folding the exact same float additions the DES
-  would perform, in the exact same order — so the result is the *same
-  Python float*, not an approximation of it;
-* :func:`replay_comparison_speedup` and :func:`replay_fault_point` answer
-  a Figure-9 point or a rate-0 fault-grid cell without spinning up the
-  event loop;
+* :data:`EXACTNESS_PREDICATES` names the conditions under which a cell's
+  DES makespan is provably equal (bit-for-bit, not just close) to a
+  straight-line float replay of the executor's event arithmetic, and
+  :func:`verdicts` reads each of them from the cell's spec;
+* :func:`replay_cell` performs that replay for the two runs
+  :func:`repro.rtr.runner.simulate` would make, folding the exact same
+  float additions the DES would perform, in the exact same order — so
+  the result is the *same Python float*, not an approximation of it —
+  without building a simulator, node, ICAP controller or channel;
 * :func:`route` is the one place a grid cell is routed: it runs the DES
   when the mode is ``off`` or a predicate fails, the replay otherwise,
   and under ``verify`` both, auditing the pair as a
@@ -27,16 +27,14 @@ executors accumulates absolute event times as a left fold of float sums
 (``sim.now + duration`` at each dispatch), ``AllOf`` barriers resolve to
 the max of their branch end times, the fault-free recovery wrapper adds
 zero events, a zero-rate injector consumes no RNG draws, and uncontended
-mutexes grant in zero time.  Replaying the same additions in the same
-order therefore reproduces the DES clock bitwise.  The predicates below
-delimit precisely the configurations where "uncontended / fault-free /
-single formula per stage" holds; everywhere else the caller must fall
-back to the DES.
-
-Regime classification (:func:`repro.model.bounds.classify_regime`)
-explains *which* closed-form branch governs each exact point — see
-MODEL.md §13 — while the predicates here decide *whether* the replay may
-be used at all.
+mutexes grant in zero time.  The replay takes every duration from the
+code the node runs (the ports' time models, the ICAP chunking and fold
+on :class:`~repro.hardware.icap_controller.IcapTimings`, the link's
+:class:`~repro.sim.resources.ChannelTiming`), so replaying the same
+additions in the same order reproduces the DES clock bitwise.  The
+predicates below delimit precisely the configurations where
+"uncontended / fault-free / single formula per stage" holds; everywhere
+else the caller must fall back to the DES.
 """
 
 from __future__ import annotations
@@ -44,14 +42,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Sequence, TypeVar
 
+from ..caching.base import ConfigCache
+from ..caching.policies import LruPolicy
+from ..hardware.bitstream import full_bitstream
+from ..hardware.catalog import XD1_NODE
+from ..hardware.config_port import icap_raw_port, selectmap_port
+from ..hardware.icap_controller import DEFAULT_ICAP_TIMINGS
+from ..sim.resources import ChannelTiming
 from .stochastic import resolve_rng
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
-    from ..analysis.reliability import FaultSweepPoint
-    from ..faults.recovery import RecoveryPolicy
-    from ..hardware.icap_controller import IcapController
-    from ..rtr.frtr import FrtrExecutor
-    from ..rtr.prtr import PrtrExecutor
+    from ..rtr.runner import CellSpec
     from ..workloads.task import CallTrace
 
 __all__ = [
@@ -60,17 +61,12 @@ __all__ = [
     "HybridSample",
     "cell_modes",
     "closed_form_exact",
-    "comparison_verdicts",
-    "fault_point_verdicts",
+    "config_times",
     "parse_hybrid_mode",
-    "power_point_verdicts",
-    "replay_comparison_speedup",
+    "replay_cell",
     "replay_energy_components",
-    "replay_fault_point",
-    "replay_frtr",
-    "replay_icap_configure",
-    "replay_prtr",
     "route",
+    "verdicts",
     "verification_sample",
 ]
 
@@ -131,12 +127,12 @@ EXACTNESS_PREDICATES: dict[str, str] = {
 }
 
 
-def closed_form_exact(verdicts: dict[str, bool]) -> bool:
+def closed_form_exact(predicates: dict[str, bool]) -> bool:
     """True iff every exactness predicate holds for a grid point."""
-    unknown = set(verdicts) - set(EXACTNESS_PREDICATES)
+    unknown = set(predicates) - set(EXACTNESS_PREDICATES)
     if unknown:
         raise KeyError(f"unknown exactness predicates: {sorted(unknown)}")
-    return all(verdicts.get(name, False) for name in EXACTNESS_PREDICATES)
+    return all(predicates.get(name, False) for name in EXACTNESS_PREDICATES)
 
 
 @dataclass(frozen=True)
@@ -185,22 +181,24 @@ def cell_modes(
     grid: Sequence[Any],
     hybrid: str,
     seed: int,
-    verdicts: Callable[[Any], dict[str, bool]],
+    spec_of: Callable[[Any], "CellSpec"],
 ) -> list[str]:
     """The per-cell hybrid mode of a sweep grid.
 
     ``"verify"`` does not shadow-run *every* analytic cell — that would
     cost more than ``off`` — but a seeded sample
-    (:func:`verification_sample`) of the cells whose ``verdicts`` prove
-    exactness; the rest run ``"on"``.  The result is a pure function of
-    ``(grid, hybrid, seed)``, so sharded and resumed walks pick
-    identical samples.
+    (:func:`verification_sample`) of the cells whose specs
+    (``spec_of(cell)``) :func:`verdicts` clears; the rest run ``"on"``.
+    The result is a pure function of ``(grid, hybrid, seed)``, so
+    sharded and resumed walks pick identical samples.
     """
     mode = parse_hybrid_mode(hybrid)
     if mode != HybridMode.VERIFY:
         return [mode] * len(grid)
     exact_cells = [
-        i for i, cell in enumerate(grid) if closed_form_exact(verdicts(cell))
+        i
+        for i, cell in enumerate(grid)
+        if closed_form_exact(verdicts(spec_of(cell)))
     ]
     sampled = {
         exact_cells[j]
@@ -214,7 +212,7 @@ def cell_modes(
 
 def route(
     mode: str,
-    verdicts: dict[str, bool],
+    predicates: dict[str, bool],
     replay: Callable[[], T],
     simulate: Callable[[], T],
     label: str,
@@ -222,7 +220,8 @@ def route(
     """Answer one grid cell by replay or by DES: the hybrid router.
 
     The only code that acts on a hybrid mode.  ``off``, or any failed
-    predicate in ``verdicts``, runs ``simulate`` alone; ``on`` runs
+    predicate in ``predicates`` (a cell's :func:`verdicts`), runs
+    ``simulate`` alone; ``on`` runs
     ``replay`` alone; ``verify`` runs both and audits the pair as the
     ``hybrid-exactness`` invariant, raising
     :class:`~repro.runtime.invariants.InvariantError` (its message names
@@ -230,7 +229,7 @@ def route(
     wherever the predicates are sound.
     """
     mode = parse_hybrid_mode(mode)
-    if mode == HybridMode.OFF or not closed_form_exact(verdicts):
+    if mode == HybridMode.OFF or not closed_form_exact(predicates):
         return simulate()
     analytic = replay()
     if mode == HybridMode.VERIFY:
@@ -245,171 +244,127 @@ def route(
 # -- predicate evaluation ---------------------------------------------------
 
 
-def comparison_verdicts() -> dict[str, bool]:
-    """Exactness verdicts for a default :func:`repro.rtr.runner.compare`
-    point (Figure 9's configuration).
+def verdicts(spec: "CellSpec") -> dict[str, bool]:
+    """The exactness verdicts of one cell, each read from its spec.
 
-    Reads only the floorplan :func:`repro.rtr.runner.make_node` defaults
-    to (``overlap-applicable``); the rest hold by construction — no
-    injector, uniform I/O, local bitstreams.
+    ``fault-free`` and ``recovery-inert`` read ``faults`` and
+    ``recovery``; ``overlap-applicable`` reads the floorplan's PRR count.
+    ``uniform-io`` and ``local-bitstreams`` hold for every spec, because
+    :func:`repro.rtr.runner.simulate` builds neither staged task I/O nor
+    a bitstream server.  The other fields change the replay's
+    arithmetic, never its exactness.
     """
-    from ..hardware.prr import dual_prr_floorplan
-
-    return {
-        "fault-free": True,
-        "overlap-applicable": dual_prr_floorplan().n_prrs > 1,
-        "uniform-io": True,
-        "local-bitstreams": True,
-        "recovery-inert": True,
-    }
-
-
-def power_point_verdicts(n_prrs: int) -> dict[str, bool]:
-    """Exactness verdicts for one power-sweep cell.
-
-    The power sweep (:mod:`repro.power.pareto`) is fault-free by
-    construction; the only predicate that can fail is
-    ``overlap-applicable`` — single-PRR floorplans take the serial
-    partial-configuration path the replay does not model, so those
-    cells always run the DES.
-    """
-    return {
-        "fault-free": True,
-        "overlap-applicable": n_prrs > 1,
-        "uniform-io": True,
-        "local-bitstreams": True,
-        "recovery-inert": True,
-    }
-
-
-def fault_point_verdicts(fault_rate: float, seed: int = 0) -> dict[str, bool]:
-    """Exactness verdicts for one fault-grid cell.
-
-    Only the zero-rate cells are fault-free (:attr:`repro.faults.injector
-    .FaultConfig.fault_free`); every other cell needs the DES because
-    injected aborts perturb both the clock and the RNG stream.
-    """
-    from ..faults.injector import FaultConfig
-
-    fault_free = FaultConfig(chunk_abort_rate=fault_rate, seed=seed).fault_free
+    fault_free = spec.faults is None or spec.faults.fault_free
     return {
         "fault-free": fault_free,
-        "overlap-applicable": True,  # make_node() defaults to dual-PRR
+        "overlap-applicable": spec.floorplan.n_prrs > 1,
         "uniform-io": True,
         "local-bitstreams": True,
-        "recovery-inert": fault_free,
+        "recovery-inert": fault_free or spec.recovery is None,
     }
 
 
-# -- exact float replays ----------------------------------------------------
+# -- exact float replay -----------------------------------------------------
 
 
-def replay_icap_configure(
-    icap: "IcapController", nbytes: int, t0: float
-) -> float:
-    """End time of one chunked double-buffered ICAP configuration.
+def _spec_timing(
+    spec: "CellSpec",
+) -> tuple[float, float, Callable[[float], float]]:
+    """``(T_FRTR, T_PRTR, partial_end)`` of the nodes a spec builds.
 
-    Fills the first BRAM bank over the link, then runs the controller's
-    own fold (:meth:`repro.hardware.icap_controller.IcapController
-    .fold_stream`) — the code the DES fast path itself executes.
+    From the pure port, ICAP and link models the default node reads,
+    with no node; ``partial_end(t)`` ends a partial configuration
+    started at ``t`` (first-chunk fill, then the shared chunk fold).
     """
-    sizes = icap._chunk_sizes(nbytes)
-    return icap.fold_stream(sizes, t0 + icap.in_link.transfer_time(sizes[0]))
+    params = XD1_NODE
+    image = full_bitstream(spec.floorplan.device)
+    selectmap = selectmap_port(params.selectmap_bandwidth)
+    nbytes = (
+        spec.floorplan.partial_bitstream_bytes(0)
+        if spec.bitstream_bytes is None
+        else spec.bitstream_bytes
+    )
+    if spec.estimated:
+        wire = icap_raw_port(params.icap_bandwidth).wire_time(nbytes)
+        return selectmap.wire_time(image.nbytes), wire, lambda t: t + wire
+    timings = DEFAULT_ICAP_TIMINGS
+    link = ChannelTiming(params.io_bandwidth).transfer_time
+    sizes = timings.chunk_sizes(nbytes)
+    fill = link(sizes[0])
+    return (
+        selectmap.configure_time(image),
+        timings.configure_time(nbytes, link),
+        lambda t: timings.fold_stream(sizes, t + fill, link),
+    )
 
 
-def _replay_partial_config(
-    executor: "PrtrExecutor", module: str, t0: float
-) -> float:
-    """End time of one partial configuration started at ``t0``."""
-    bs = executor.bitstream_for(module)
-    if executor.estimated:
-        return t0 + executor.node.icap_raw.wire_time(bs.nbytes)
-    return replay_icap_configure(executor.node.icap, bs.nbytes, t0)
+def config_times(spec: "CellSpec") -> tuple[float, float]:
+    """Unloaded ``(T_FRTR, T_PRTR)`` of the nodes a spec builds.
 
-
-def replay_frtr(executor: "FrtrExecutor", trace: "CallTrace") -> float:
-    """The FRTR makespan, bit-identical to ``executor.run(trace)``.
-
-    Per call: one full configuration, the control transfer, the task —
-    a pure left fold of the same three additions the DES performs.
+    Equal to the ``t_config_full`` and ``t_config_partial`` notes of the
+    runs :func:`repro.rtr.runner.simulate` makes, without running them.
     """
-    node = executor.node
-    t_config = node.full_config_time(estimated=executor.estimated)
-    control = executor.control_time
-    t = 0.0
-    for call in trace:
-        t = t + t_config
-        if control:
-            t = t + control
-        t = t + call.task.time
-    return t
+    t_full, t_part, _ = _spec_timing(spec)
+    return t_full, t_part
 
 
-def replay_prtr(
-    executor: "PrtrExecutor", trace: "CallTrace"
-) -> tuple[float, int]:
-    """The PRTR makespan and miss count, bit-identical to the DES run.
+def replay_cell(
+    spec: "CellSpec", trace: "CallTrace"
+) -> tuple[float, float, int]:
+    """``(frtr_total, prtr_total, n_configs)`` of a cell, by replay.
 
-    Requires every :data:`EXACTNESS_PREDICATES` entry to hold (the
-    caller checks); drives the executor's *real* cache and policy so hit
-    and eviction decisions — and therefore which stages pay a partial
-    configuration — are the executor's own.  Returns
-    ``(total_time, n_configs)`` where ``n_configs`` counts the calls
-    whose module was not resident (the :attr:`RunResult.n_configs`
-    analogue).
+    Bit-identical to the ``total_time`` of both runs
+    :func:`repro.rtr.runner.simulate` makes and the PRTR run's
+    ``n_configs``, wherever :func:`verdicts` clears ``spec``; any other
+    spec raises :class:`ValueError` naming the failed predicates.
     """
+    failed = sorted(name for name, ok in verdicts(spec).items() if not ok)
+    if failed:
+        raise ValueError(
+            f"cell is not analytically exact (failed predicates: "
+            f"{failed}); run the DES instead"
+        )
     calls = list(trace)
-    n = len(calls)
-    if not n:
-        return 0.0, 0
-    cache = executor.cache
-    control = executor.control_time
-    decision = executor.decision_time
-
-    # Startup: optional prefetch decision, then the initial full
-    # configuration that instantiates call 0's module in PRR 0.
-    t = 0.0
-    if decision:
-        t = t + decision
-    t = t + executor.node.full_config_time(estimated=executor.estimated)
-    cache.fill(calls[0].name)
-    hit0 = not executor.force_miss
-    if hit0:
-        cache.stats.hits += 1
-    else:
-        cache.stats.misses += 1
-    n_configs = 0 if hit0 else 1
-
-    for i, call in enumerate(calls):
+    if not calls:
+        return 0.0, 0.0, 0
+    t_full, _, partial_end = _spec_timing(spec)
+    control = (
+        XD1_NODE.control_time if spec.control_time is None
+        else spec.control_time
+    )
+    # FRTR, per call: the full configuration, the control transfer, the
+    # task.
+    frtr = 0.0
+    for call in calls:
+        frtr = frtr + t_full
         if control:
-            t = t + control
-        # The serial task chain: the task, then the prefetch decision.
-        t_task = t + call.task.time
-        if decision:
-            t_task = t_task + decision
-        t_cfg = None
-        if i + 1 < n:
-            nxt = calls[i + 1]
+            frtr = frtr + control
+        frtr = frtr + call.task.time
+    # PRTR: the initial full configuration instantiates call 0's module
+    # in PRR 0; a cache and policy like the executor's own decide which
+    # stages pay a partial configuration.
+    cache = ConfigCache(slots=spec.floorplan.n_prrs, policy=LruPolicy())
+    cache.fill(calls[0].name)
+    prtr = t_full
+    n_configs = 1 if spec.force_miss else 0
+    for call, nxt in zip(calls, calls[1:] + [None]):
+        if control:
+            prtr = prtr + control
+        stage_end = prtr + call.task.time
+        if nxt is not None:
             resident = cache.contains(nxt.name)
-            is_hit = resident and not executor.force_miss
-            if is_hit:
-                cache.stats.hits += 1
+            if resident and not spec.force_miss:
                 cache.policy.on_access(nxt.name)
             else:
-                cache.stats.misses += 1
                 n_configs += 1
                 # overlap-applicable guarantees slots > 1, so the
                 # configuration overlaps the running task.
                 if not resident:
                     cache.fill(nxt.name, pinned={call.name})
-                t_cfg = _replay_partial_config(executor, nxt.name, t)
-        # The stage barrier: AllOf(task, config) resolves to the later
-        # branch end; a hit (or the last call) waits on the task alone.
-        if t_cfg is not None:
-            t = t_cfg if t_cfg >= t_task else t_task
-        else:
-            t = t_task
-    return t, n_configs
+                # AllOf(task, config) resolves to the later branch end.
+                stage_end = max(stage_end, partial_end(prtr))
+        prtr = stage_end
+    return frtr, prtr, n_configs
 
 
 def replay_energy_components(
@@ -442,107 +397,3 @@ def replay_energy_components(
     for _ in range(n_partial):
         part_s = part_s + t_config_partial
     return task_s, full_s, part_s
-
-
-# -- grid-point fast paths --------------------------------------------------
-
-
-def replay_comparison_speedup(
-    trace: "CallTrace",
-    *,
-    estimated: bool = False,
-    control_time: float | None = None,
-    force_miss: bool = False,
-    bitstream_bytes: int | None = None,
-) -> float:
-    """The :attr:`ComparisonResult.speedup` a DES ``compare()`` would
-    report, computed by replay.
-
-    Signature mirrors the :func:`repro.rtr.runner.compare` options that
-    :func:`comparison_verdicts` clears (default node, no decision time,
-    uniform I/O).
-    """
-    from ..rtr.frtr import FrtrExecutor
-    from ..rtr.prtr import PrtrExecutor
-    from ..rtr.runner import make_node
-
-    frtr_total = replay_frtr(
-        FrtrExecutor(
-            make_node(), estimated=estimated, control_time=control_time
-        ),
-        trace,
-    )
-    prtr_total, _ = replay_prtr(
-        PrtrExecutor(
-            make_node(),
-            estimated=estimated,
-            control_time=control_time,
-            force_miss=force_miss,
-            bitstream_bytes=bitstream_bytes,
-        ),
-        trace,
-    )
-    if prtr_total <= 0:
-        raise ZeroDivisionError("PRTR replay has zero total time")
-    return frtr_total / prtr_total
-
-
-def replay_fault_point(
-    fault_rate: float,
-    hit_ratio: float = 0.0,
-    *,
-    n_calls: int = 30,
-    task_time: float = 0.1,
-    seed: int = 0,
-    recovery: "RecoveryPolicy | None" = None,
-) -> "FaultSweepPoint":
-    """One fault-grid cell by replay — exact only where
-    :func:`fault_point_verdicts` all hold (i.e. ``fault_rate`` is
-    exactly zero, so retries, fallbacks and recovery time are zero by
-    construction and MTTR/availability are their fault-free constants).
-
-    Mirrors :func:`repro.analysis.reliability
-    .effective_speedup_under_faults` field for field.
-    """
-    from ..analysis.reliability import FaultSweepPoint, trace_with_hit_ratio
-    from ..faults.injector import FaultConfig, FaultInjector
-    from ..rtr.frtr import FrtrExecutor
-    from ..rtr.prtr import PrtrExecutor
-    from ..rtr.runner import make_node
-
-    verdicts = fault_point_verdicts(fault_rate, seed)
-    if not closed_form_exact(verdicts):
-        failed = sorted(k for k, ok in verdicts.items() if not ok)
-        raise ValueError(
-            f"fault point rate={fault_rate!r} is not analytically exact "
-            f"(failed predicates: {failed}); run the DES instead"
-        )
-    trace = trace_with_hit_ratio(hit_ratio, n_calls, task_time)
-    config = FaultConfig(chunk_abort_rate=fault_rate, seed=seed)
-
-    frtr_node = make_node(fault_injector=FaultInjector(config))
-    frtr_total = replay_frtr(FrtrExecutor(frtr_node, recovery=recovery), trace)
-
-    prtr_node = make_node(fault_injector=FaultInjector(config))
-    prtr_executor = PrtrExecutor(prtr_node, recovery=recovery)
-    prtr_total, n_configs = replay_prtr(prtr_executor, trace)
-
-    speedup = frtr_total / prtr_total if prtr_total > 0 else 0.0
-    t_full = prtr_node.full_config_time(estimated=False)
-    t_part = prtr_executor.partial_config_time(trace[0].name)
-    achieved = 1.0 - n_configs / n_calls
-    return FaultSweepPoint(
-        fault_rate=fault_rate,
-        target_hit_ratio=hit_ratio,
-        hit_ratio=achieved,
-        frtr_time=frtr_total,
-        prtr_time=prtr_total,
-        speedup=speedup,
-        prtr_retries=0,
-        prtr_fallbacks=0,
-        prtr_degraded=False,
-        mttr=0.0,
-        availability=1.0 - 0.0 / prtr_total if prtr_total > 0 else 1.0,
-        x_prtr=t_part / t_full,
-        x_task=task_time / t_full,
-    )

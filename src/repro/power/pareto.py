@@ -14,9 +14,10 @@ The sweep composes with the whole existing machinery:
 * ``--resume`` replays journaled points after a kill, merging to the
   same bytes as an uninterrupted walk;
 * ``--hybrid on|verify`` answers multi-PRR cells by exact closed-form
-  replay (:func:`repro.model.hybrid.replay_prtr` plus
-  :func:`repro.model.hybrid.replay_energy_components`) under the same
-  exactness predicates the fault sweep uses; single-PRR cells fail
+  replay (:func:`repro.model.hybrid.replay_cell` plus
+  :func:`repro.model.hybrid.replay_energy_components`), building no
+  node, wherever :func:`repro.model.hybrid.verdicts` clears the cell's
+  :class:`~repro.rtr.runner.CellSpec`; single-PRR cells fail
   ``overlap-applicable`` and always run the DES.
 
 The frontier comes from :func:`pareto_front`, a generic non-dominated
@@ -33,12 +34,14 @@ from ..hardware.prr import uniform_prr_floorplan
 from ..model.hybrid import (
     HybridMode,
     cell_modes,
-    power_point_verdicts,
+    config_times,
+    replay_cell,
     replay_energy_components,
-    replay_frtr,
-    replay_prtr,
     route,
+    verdicts,
 )
+from ..rtr.runner import CellSpec, simulate
+from ..workloads.task import CallTrace
 from .ledger import EnergyLedger
 from .model import DEFAULT_POWER_MODEL, PowerModel
 
@@ -101,13 +104,17 @@ class PowerSweepPoint:
         }
 
 
+def _power_cell_spec(n_prrs: int) -> CellSpec:
+    """A power-grid cell: ``n_prrs`` uniform 12-column PRRs, fault-free."""
+    return CellSpec(floorplan=uniform_prr_floorplan(n_prrs, 12))
+
+
 def measure_power_point(
     n_prrs: int,
     hit_ratio: float,
     *,
     n_calls: int = 30,
     task_time: float = 0.1,
-    seed: int = 0,
     model: PowerModel = DEFAULT_POWER_MODEL,
     hybrid: str = HybridMode.OFF,
 ) -> PowerSweepPoint:
@@ -115,44 +122,33 @@ def measure_power_point(
 
     ``hybrid`` routes the cell through :func:`repro.model.hybrid.route`;
     every multi-PRR cell passes the exactness predicates, and ``verify``
-    compares times *and* joules.  ``seed`` only feeds the verify-mode
-    shadow sampling; the cells themselves are deterministic.
+    compares times *and* joules.
     """
-    options = dict(n_calls=n_calls, task_time=task_time, model=model)
+    spec = _power_cell_spec(n_prrs)
+    trace = trace_with_hit_ratio(hit_ratio, n_calls, task_time)
+    cell = (spec, trace, hit_ratio, model)
     return route(
         hybrid,
-        power_point_verdicts(n_prrs),
-        lambda: _replayed_power_point(n_prrs, hit_ratio, **options),
-        lambda: _simulated_power_point(n_prrs, hit_ratio, **options),
+        verdicts(spec),
+        lambda: _replayed_power_point(*cell),
+        lambda: _simulated_power_point(*cell),
         f"power:prrs={n_prrs!r},H={hit_ratio!r}",
     )
 
 
 def _simulated_power_point(
-    n_prrs: int,
-    hit_ratio: float,
-    *,
-    n_calls: int,
-    task_time: float,
-    model: PowerModel,
+    spec: CellSpec, trace: CallTrace, hit_ratio: float, model: PowerModel
 ) -> PowerSweepPoint:
     """The pure-DES cell measurement (the ``hybrid=off`` path)."""
-    from ..rtr.frtr import FrtrExecutor
-    from ..rtr.prtr import PrtrExecutor
-    from ..rtr.runner import make_node
     from . import powered
 
-    trace = trace_with_hit_ratio(hit_ratio, n_calls, task_time)
-    plan = uniform_prr_floorplan(n_prrs, 12)
     with powered(model):
-        frtr = FrtrExecutor(make_node(plan)).run(trace)
-        prtr = PrtrExecutor(make_node(plan)).run(trace)
-    misses = sum(1 for rec in prtr.records if not rec.hit)
+        frtr, prtr = simulate(spec, trace)
     return _build_point(
-        n_prrs,
+        spec,
         hit_ratio,
-        n_calls=n_calls,
-        n_partial=misses,
+        n_calls=len(trace),
+        n_partial=prtr.n_configs,
         frtr_time=frtr.total_time,
         prtr_time=prtr.total_time,
         frtr_ledger=EnergyLedger.from_notes(frtr.notes, frtr.total_time),
@@ -161,12 +157,7 @@ def _simulated_power_point(
 
 
 def _replayed_power_point(
-    n_prrs: int,
-    hit_ratio: float,
-    *,
-    n_calls: int,
-    task_time: float,
-    model: PowerModel,
+    spec: CellSpec, trace: CallTrace, hit_ratio: float, model: PowerModel
 ) -> PowerSweepPoint:
     """One cell by exact closed-form replay (multi-PRR cells only).
 
@@ -175,57 +166,37 @@ def _replayed_power_point(
     returned point — joules included — is bit-identical to the
     simulated one wherever the exactness predicates hold.
     """
-    from ..rtr.frtr import FrtrExecutor
-    from ..rtr.prtr import PrtrExecutor
-    from ..rtr.runner import make_node
+    frtr_time, prtr_time, n_partial = replay_cell(spec, trace)
+    t_full, t_part = config_times(spec)
+    n_prrs = spec.floorplan.n_prrs
 
-    trace = trace_with_hit_ratio(hit_ratio, n_calls, task_time)
-    plan = uniform_prr_floorplan(n_prrs, 12)
-    frtr_executor = FrtrExecutor(make_node(plan))
-    frtr_time = replay_frtr(frtr_executor, trace)
-    prtr_executor = PrtrExecutor(make_node(plan))
-    prtr_time, n_partial = replay_prtr(prtr_executor, trace)
+    def ledger(makespan: float, n_full: int, n_partial: int) -> EnergyLedger:
+        task_s, full_s, part_s = replay_energy_components(
+            trace,
+            t_config_full=t_full,
+            t_config_partial=t_part,
+            n_full=n_full,
+            n_partial=n_partial,
+        )
+        return EnergyLedger.from_components(
+            makespan=makespan, n_prrs=n_prrs, model=model,
+            task_s=task_s, config_full_s=full_s, config_partial_s=part_s,
+        )
 
-    t_full = prtr_executor.node.full_config_time(
-        estimated=prtr_executor.estimated
-    )
-    t_part = prtr_executor.partial_config_time(trace[0].name)
-    task_s, full_s, _ = replay_energy_components(
-        trace,
-        t_config_full=t_full,
-        t_config_partial=t_part,
-        n_full=len(trace),
-        n_partial=0,
-    )
-    frtr_ledger = EnergyLedger.from_components(
-        makespan=frtr_time, n_prrs=n_prrs, model=model,
-        task_s=task_s, config_full_s=full_s, config_partial_s=0.0,
-    )
-    task_s, full_s, part_s = replay_energy_components(
-        trace,
-        t_config_full=t_full,
-        t_config_partial=t_part,
-        n_full=1,
-        n_partial=n_partial,
-    )
-    prtr_ledger = EnergyLedger.from_components(
-        makespan=prtr_time, n_prrs=n_prrs, model=model,
-        task_s=task_s, config_full_s=full_s, config_partial_s=part_s,
-    )
     return _build_point(
-        n_prrs,
+        spec,
         hit_ratio,
-        n_calls=n_calls,
+        n_calls=len(trace),
         n_partial=n_partial,
         frtr_time=frtr_time,
         prtr_time=prtr_time,
-        frtr_ledger=frtr_ledger,
-        prtr_ledger=prtr_ledger,
+        frtr_ledger=ledger(frtr_time, len(trace), 0),
+        prtr_ledger=ledger(prtr_time, 1, n_partial),
     )
 
 
 def _build_point(
-    n_prrs: int,
+    spec: CellSpec,
     hit_ratio: float,
     *,
     n_calls: int,
@@ -237,7 +208,7 @@ def _build_point(
 ) -> PowerSweepPoint:
     """Assemble a point from values both measurement paths share."""
     return PowerSweepPoint(
-        n_prrs=n_prrs,
+        n_prrs=spec.floorplan.n_prrs,
         target_hit_ratio=hit_ratio,
         hit_ratio=1.0 - n_partial / n_calls,
         frtr_time=frtr_time,
@@ -344,14 +315,14 @@ def crash_safe_power_sweep(
     }
     grid = [(p, h) for p in prr_counts for h in hit_ratios]
     modes = dict(zip(grid, cell_modes(
-        grid, hybrid, seed, lambda cell: power_point_verdicts(cell[0])
+        grid, hybrid, seed, lambda cell: _power_cell_spec(cell[0])
     )))
     return run_journaled(
         run_dir,
         grid,
         lambda cell: measure_power_point(
             cell[0], cell[1],
-            n_calls=n_calls, task_time=task_time, seed=seed,
+            n_calls=n_calls, task_time=task_time,
             model=model, hybrid=modes[cell],
         ),
         key_of=lambda cell: f"prrs={cell[0]!r},H={cell[1]!r}",

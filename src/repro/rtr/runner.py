@@ -2,14 +2,18 @@
 
 :func:`compare` executes the same trace under both regimes on identically
 parameterized (but independent) nodes and reports the measured speedup —
-the simulated analogue of the paper's Figure 9 measurements.
+the simulated analogue of the paper's Figure 9 measurements.  Each run
+is one :class:`CellSpec`, the configuration the DES (:func:`simulate`),
+the hybrid replay and the exactness verdicts all read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
+from ..faults.injector import FaultConfig, FaultInjector
+from ..faults.recovery import RecoveryPolicy
 from ..hardware.node import XD1Node
 from ..hardware.prr import Floorplan, dual_prr_floorplan
 from ..obs import metrics as obsm
@@ -20,7 +24,7 @@ from .events import RunResult
 from .frtr import FrtrExecutor
 from .prtr import PrtrExecutor
 
-__all__ = ["ComparisonResult", "compare", "make_node"]
+__all__ = ["CellSpec", "ComparisonResult", "compare", "make_node", "simulate"]
 
 
 def make_node(
@@ -32,6 +36,58 @@ def make_node(
         floorplan=floorplan or dual_prr_floorplan(),
         **node_kwargs,
     )
+
+
+@dataclass(frozen=True)
+class CellSpec:
+    """The configuration of one FRTR-vs-PRTR cell.
+
+    Exactly the options some grid cell or :func:`compare` caller varies;
+    everything else is the default node and executors.  A field that
+    could break an exactness predicate must be read by
+    :func:`repro.model.hybrid.verdicts`.
+    """
+
+    floorplan: Floorplan = field(default_factory=dual_prr_floorplan)
+    #: fault rates armed on both nodes (each gets its own injector);
+    #: ``None`` builds no injector
+    faults: FaultConfig | None = None
+    recovery: RecoveryPolicy | None = None
+    #: wire-only configuration times (Table 2 "estimated")
+    estimated: bool = False
+    #: ``T_control`` per call; ``None`` keeps the node's default
+    control_time: float | None = None
+    #: reconfigure on every PRTR call (the paper's ``M = 1`` experiment)
+    force_miss: bool = False
+    #: partial bitstream size override; ``None`` keeps the PRR geometry's
+    bitstream_bytes: int | None = None
+
+
+def simulate(spec: CellSpec, trace: CallTrace) -> tuple[RunResult, RunResult]:
+    """Run ``trace`` under FRTR, then PRTR, each on a fresh node.
+
+    The only code that builds a cell's nodes; each regime gets its own
+    node, simulator and fault injector, so clocks, resource histories
+    and random streams stay independent.
+    """
+
+    def node() -> XD1Node:
+        injector = None if spec.faults is None else FaultInjector(spec.faults)
+        return make_node(spec.floorplan, fault_injector=injector)
+
+    options = dict(
+        estimated=spec.estimated,
+        control_time=spec.control_time,
+        recovery=spec.recovery,
+    )
+    frtr = FrtrExecutor(node(), **options).run(trace)
+    prtr = PrtrExecutor(
+        node(),
+        force_miss=spec.force_miss,
+        bitstream_bytes=spec.bitstream_bytes,
+        **options,
+    ).run(trace)
+    return frtr, prtr
 
 
 @dataclass(frozen=True)
@@ -64,32 +120,24 @@ def compare(
     floorplan: Floorplan | None = None,
     estimated: bool = False,
     control_time: float | None = None,
-    decision_time: float = 0.0,
     force_miss: bool = False,
     bitstream_bytes: int | None = None,
-    detailed_io: bool = False,
-    node_kwargs: dict[str, Any] | None = None,
 ) -> ComparisonResult:
     """Run ``trace`` under FRTR and PRTR and return both results.
 
-    Each regime gets its own node and simulator so clocks and resource
-    histories stay independent.
+    :func:`simulate` on the fault-free :class:`CellSpec` of these
+    options (``floorplan`` defaults to dual-PRR), plus the paired audit.
     """
-    node_kwargs = node_kwargs or {}
-    frtr_node = make_node(floorplan, **node_kwargs)
-    prtr_node = make_node(floorplan, **node_kwargs)
-    frtr = FrtrExecutor(
-        frtr_node, estimated=estimated, control_time=control_time
-    ).run(trace)
-    prtr = PrtrExecutor(
-        prtr_node,
-        estimated=estimated,
-        control_time=control_time,
-        decision_time=decision_time,
-        force_miss=force_miss,
-        bitstream_bytes=bitstream_bytes,
-        detailed_io=detailed_io,
-    ).run(trace)
+    frtr, prtr = simulate(
+        CellSpec(
+            floorplan=floorplan or dual_prr_floorplan(),
+            estimated=estimated,
+            control_time=control_time,
+            force_miss=force_miss,
+            bitstream_bytes=bitstream_bytes,
+        ),
+        trace,
+    )
     # Paired audit: the measured speedup must respect the model's
     # (1+X_PRTR)/X_PRTR supremum and large-task 2x bounds.
     report = audit_comparison(frtr, prtr)

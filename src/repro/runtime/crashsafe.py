@@ -35,6 +35,7 @@ from ..analysis.reliability import (
     DEFAULT_HIT_RATIOS,
     FaultSweepPoint,
     effective_speedup_under_faults,
+    fault_cell_spec,
 )
 from ..obs import metrics as obsm
 from .invariants import AuditReport, audit_sweep_points
@@ -295,7 +296,7 @@ def crash_safe_fault_sweep(
     mode, so a run journaled under one mode resumes cleanly under
     another (``hybrid`` is deliberately left out of the resume meta).
     """
-    from ..model.hybrid import cell_modes, fault_point_verdicts
+    from ..model.hybrid import cell_modes
 
     meta = {
         "kind": "fault_sweep",
@@ -307,7 +308,7 @@ def crash_safe_fault_sweep(
     }
     grid = [(h, rate) for h in hit_ratios for rate in fault_rates]
     modes = dict(zip(grid, cell_modes(
-        grid, hybrid, seed, lambda cell: fault_point_verdicts(cell[1], seed)
+        grid, hybrid, seed, lambda cell: fault_cell_spec(cell[1], seed)
     )))
     return run_journaled(
         run_dir,

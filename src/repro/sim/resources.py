@@ -21,7 +21,7 @@ from typing import Any, Generator, Optional
 
 from .engine import Delay, EventSignal, SimulationError, Simulator
 
-__all__ = ["MutexResource", "BandwidthChannel", "Interval"]
+__all__ = ["MutexResource", "BandwidthChannel", "ChannelTiming", "Interval"]
 
 
 @dataclass(frozen=True)
@@ -106,15 +106,38 @@ class MutexResource:
                 )
 
 
-class BandwidthChannel:
-    """Serializing byte channel: ``time = overhead + nbytes / rate``.
+class ChannelTiming:
+    """A channel's pure time model, ``time = overhead + nbytes / rate``.
+
+    ``rate`` is the sustained throughput in bytes per unit time;
+    ``overhead`` a fixed latency added to every transfer (API call cost,
+    DMA setup...).  Usable without a simulator, so the hybrid replay
+    times link transfers with the code every :class:`BandwidthChannel`
+    inherits.
+    """
+
+    def __init__(self, rate: float, overhead: float = 0.0) -> None:
+        if rate <= 0:
+            raise ValueError(f"channel rate must be positive: {rate}")
+        if overhead < 0:
+            raise ValueError(f"channel overhead must be >= 0: {overhead}")
+        self.rate = rate
+        self.overhead = overhead
+
+    def transfer_time(self, nbytes: float) -> float:
+        """Pure time model for a transfer of ``nbytes`` (no queueing)."""
+        if nbytes < 0:
+            raise ValueError(f"negative transfer size: {nbytes}")
+        return self.overhead + nbytes / self.rate
+
+
+class BandwidthChannel(ChannelTiming):
+    """Serializing byte channel with the :class:`ChannelTiming` time model.
 
     Parameters
     ----------
-    rate:
-        Sustained throughput in bytes per unit time.
-    overhead:
-        Fixed latency added to every transfer (API call cost, DMA setup...).
+    rate, overhead:
+        The :class:`ChannelTiming` parameters.
     injector:
         Optional fault oracle (:class:`repro.faults.FaultInjector`-shaped:
         anything with ``transfer_corrupted(nbytes) -> bool``).  Consulted
@@ -130,14 +153,9 @@ class BandwidthChannel:
         overhead: float = 0.0,
         injector: Any | None = None,
     ) -> None:
-        if rate <= 0:
-            raise ValueError(f"channel rate must be positive: {rate}")
-        if overhead < 0:
-            raise ValueError(f"channel overhead must be >= 0: {overhead}")
+        super().__init__(rate, overhead)
         self.sim = sim
         self.name = name
-        self.rate = rate
-        self.overhead = overhead
         self.injector = injector
         self._mutex = MutexResource(sim, name=f"{name}.mutex")
         self.bytes_moved: float = 0.0
@@ -150,12 +168,6 @@ class BandwidthChannel:
     @property
     def busy(self) -> bool:
         return self._mutex.busy
-
-    def transfer_time(self, nbytes: float) -> float:
-        """Pure time model for a transfer of ``nbytes`` (no queueing)."""
-        if nbytes < 0:
-            raise ValueError(f"negative transfer size: {nbytes}")
-        return self.overhead + nbytes / self.rate
 
     def reserve(self, owner: str, until: float) -> None:
         """Hold the free channel for ``owner``'s folded stream until ``until``.

@@ -153,7 +153,7 @@ class TestDesConfigure:
     def test_chunk_sizes_cover_exact_bytes(self):
         ctrl, _ = make_controller()
         for nbytes in (1, 100, 16 * 1024, 16 * 1024 + 1, 404_168):
-            sizes = ctrl._chunk_sizes(nbytes)
+            sizes = ctrl.timings.chunk_sizes(nbytes)
             assert sum(sizes) == nbytes
             assert all(0 < s <= ctrl.timings.chunk_bytes for s in sizes)
 

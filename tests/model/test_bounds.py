@@ -7,11 +7,7 @@ import pytest
 
 from repro.model import (
     ModelParameters,
-    Regime,
     asymptotic_speedup,
-    classify_regime,
-    hit_ratio_required,
-    is_beneficial,
     large_task_bound,
     left_branch_increasing,
     min_calls_for_speedup,
@@ -26,19 +22,6 @@ def params(**kw) -> ModelParameters:
                     x_control=0.0, x_decision=0.0)
     defaults.update(kw)
     return ModelParameters(**defaults)
-
-
-class TestRegimes:
-    def test_classification(self):
-        p = params(x_task=np.array([2.0, 0.5, 0.05]), x_prtr=0.1)
-        labels = classify_regime(p)
-        assert list(labels) == [Regime.LARGE, Regime.MID, Regime.SMALL]
-
-    def test_boundaries(self):
-        # exactly X_task = 1 is MID; exactly X_task = X_PRTR is SMALL.
-        p = params(x_task=np.array([1.0, 0.1]), x_prtr=0.1)
-        labels = classify_regime(p)
-        assert list(labels) == [Regime.MID, Regime.SMALL]
 
 
 class TestLargeTaskBound:
@@ -109,17 +92,6 @@ class TestPeak:
         assert float(peak_speedup(p)) == np.inf
 
 
-class TestBeneficial:
-    def test_always_beneficial_with_zero_overheads(self):
-        x = np.logspace(-3, 2, 50)
-        p = params(x_task=x)
-        assert bool(np.all(is_beneficial(p)))
-
-    def test_huge_decision_latency_can_lose(self):
-        p = params(x_task=0.1, x_prtr=0.5, x_decision=5.0, hit_ratio=1.0)
-        assert not bool(is_beneficial(p))
-
-
 class TestMinCalls:
     def test_definition(self):
         p = params(x_task=0.1, x_prtr=0.1)
@@ -138,31 +110,3 @@ class TestMinCalls:
     def test_invalid_target(self):
         with pytest.raises(ValueError):
             min_calls_for_speedup(params(), 0.0)
-
-
-class TestHitRatioRequired:
-    def test_left_branch_solution_verifies(self):
-        p = params(x_task=0.02, x_prtr=0.2, hit_ratio=0.0)
-        s0 = float(asymptotic_speedup(p))
-        target = s0 * 1.5
-        h = float(hit_ratio_required(p, target))
-        assert 0.0 < h <= 1.0
-        achieved = float(asymptotic_speedup(p.with_(hit_ratio=h)))
-        assert achieved == pytest.approx(target, rel=1e-9)
-
-    def test_already_met_returns_zero(self):
-        p = params(x_task=0.02, x_prtr=0.2)
-        assert float(hit_ratio_required(p, 1.0)) == 0.0
-
-    def test_right_branch_impossible_target(self):
-        p = params(x_task=2.0, x_prtr=0.1)
-        assert float(hit_ratio_required(p, 3.0)) == np.inf
-
-    def test_beyond_h1_returns_inf(self):
-        p = params(x_task=0.02, x_prtr=0.2)
-        s_best = float(asymptotic_speedup(p.with_(hit_ratio=1.0)))
-        assert float(hit_ratio_required(p, s_best * 2)) == np.inf
-
-    def test_invalid_target(self):
-        with pytest.raises(ValueError):
-            hit_ratio_required(params(), -1.0)

@@ -10,7 +10,8 @@ mismatch.
 
 from __future__ import annotations
 
-from dataclasses import replace
+import itertools
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -18,24 +19,33 @@ import pytest
 from repro.analysis import reliability
 from repro.analysis.reliability import (
     effective_speedup_under_faults,
+    fault_cell_spec,
     sweep_fault_hit_grid,
+    trace_with_hit_ratio,
 )
 from repro.experiments import fig5, fig9
+from repro.faults.injector import FaultConfig
+from repro.faults.recovery import FallbackPolicy
+from repro.hardware.icap_controller import IcapController
+from repro.hardware.node import XD1Node
+from repro.hardware.prr import single_prr_floorplan, uniform_prr_floorplan
 from repro.model.hybrid import (
     EXACTNESS_PREDICATES,
     HybridMode,
     HybridSample,
     cell_modes,
     closed_form_exact,
-    comparison_verdicts,
-    fault_point_verdicts,
     parse_hybrid_mode,
-    replay_fault_point,
+    replay_cell,
     route,
+    verdicts,
     verification_sample,
 )
 from repro.power import pareto
+from repro.rtr.runner import CellSpec, simulate
 from repro.runtime.invariants import InvariantError, audit_hybrid
+from repro.sim.engine import Simulator
+from repro.sim.resources import BandwidthChannel
 
 
 class TestModeParsing:
@@ -63,13 +73,13 @@ class TestExactnessPredicates:
         }
 
     def test_default_comparison_is_exact(self):
-        verdicts = comparison_verdicts()
-        assert all(verdicts.values())
-        assert closed_form_exact(verdicts)
+        default = verdicts(CellSpec())
+        assert all(default.values())
+        assert closed_form_exact(default)
 
     def test_faulty_rate_is_not_exact(self):
-        assert not closed_form_exact(fault_point_verdicts(0.25))
-        assert closed_form_exact(fault_point_verdicts(0.0))
+        assert not closed_form_exact(verdicts(fault_cell_spec(0.25)))
+        assert closed_form_exact(verdicts(fault_cell_spec(0.0)))
 
     def test_unknown_verdict_key_rejected(self):
         verdicts = dict.fromkeys(EXACTNESS_PREDICATES, True)
@@ -81,6 +91,104 @@ class TestExactnessPredicates:
         verdicts = dict.fromkeys(EXACTNESS_PREDICATES, True)
         del verdicts["fault-free"]
         assert not closed_form_exact(verdicts)
+
+
+#: every CellSpec field, set alone on the default spec: each value and
+#: the exactness predicates it must flip
+FIELD_FLIPS = {
+    "floorplan": [(single_prr_floorplan(), {"overlap-applicable"})],
+    "faults": [
+        (FaultConfig(chunk_abort_rate=0.05), {"fault-free"}),
+        (FaultConfig(seed=3), set()),
+    ],
+    "recovery": [(FallbackPolicy(), set())],
+    "estimated": [(True, set())],
+    "control_time": [(1e-5, set())],
+    "force_miss": [(True, set())],
+    "bitstream_bytes": [(404_168, set())],
+}
+
+
+def failed_predicates(spec: CellSpec) -> set[str]:
+    return {name for name, ok in verdicts(spec).items() if not ok}
+
+
+class TestVerdictsReadTheSpec:
+    def test_every_field_is_listed(self):
+        assert set(FIELD_FLIPS) == {f.name for f in fields(CellSpec)}
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(CellSpec)])
+    def test_one_field_flips_exactly_its_predicates(self, name):
+        for value, flipped in FIELD_FLIPS[name]:
+            spec = replace(CellSpec(), **{name: value})
+            assert failed_predicates(spec) == flipped, (name, value)
+
+    def test_recovery_under_faults_is_not_inert(self):
+        spec = CellSpec(
+            faults=FaultConfig(chunk_abort_rate=0.05),
+            recovery=FallbackPolicy(),
+        )
+        assert failed_predicates(spec) == {"fault-free", "recovery-inert"}
+
+    def test_verdicts_name_every_predicate(self):
+        assert set(verdicts(CellSpec())) == set(EXACTNESS_PREDICATES)
+
+
+class TestReplayCellIsTheDes:
+    """Every cleared spec of a grid replays bitwise, not a 25% sample."""
+
+    def test_every_cleared_spec_replays_bitwise(self):
+        specs = [
+            CellSpec(
+                floorplan=uniform_prr_floorplan(n_prrs, 12),
+                faults=faults,
+                estimated=estimated,
+                control_time=control_time,
+                force_miss=force_miss,
+                bitstream_bytes=bitstream_bytes,
+            )
+            for n_prrs, estimated, force_miss, bitstream_bytes,
+            control_time, faults in itertools.product(
+                (2, 3, 5), (False, True), (False, True), (None, 404_168),
+                (None, 0.0, 1e-5), (None, FaultConfig(seed=3)),
+            )
+        ]
+        traces = [trace_with_hit_ratio(h, 12, 0.1) for h in (0.0, 0.5, 0.9)]
+        # config-bound and near-balanced Figure 9 stages
+        traces += [fig9._cyclic_trace(t, 9) for t in (1e-3, 0.02)]
+        mismatches = []
+        for spec, trace in itertools.product(specs, traces):
+            assert closed_form_exact(verdicts(spec))
+            frtr, prtr = simulate(spec, trace)
+            des = (frtr.total_time, prtr.total_time, prtr.n_configs)
+            if replay_cell(spec, trace) != des:
+                mismatches.append((spec, trace.name))
+        assert len(specs) * len(traces) == 720
+        assert mismatches == []
+
+
+class TestReplayBuildsNoNode:
+    @pytest.fixture
+    def no_des_objects(self, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError(f"built a {type(self).__name__}")
+
+        for cls in (Simulator, XD1Node, IcapController, BandwidthChannel):
+            monkeypatch.setattr(cls, "__init__", refuse)
+
+    def test_analytic_cells_build_no_des_object(self, no_des_objects):
+        point = effective_speedup_under_faults(0.0, 0.5, hybrid="on")
+        power = pareto.measure_power_point(3, 0.5, hybrid="on")
+        _, speedups = fig9.simulate_points(
+            fig9.panel("measured"), n_calls=24, hybrid="on"
+        )
+        assert point.speedup > 1.0
+        assert power.n_prrs == 3
+        assert len(speedups) == 8
+
+    def test_the_des_builds_them(self, no_des_objects):
+        with pytest.raises(AssertionError, match="built a"):
+            effective_speedup_under_faults(0.0, 0.5, hybrid="off")
 
 
 class TestVerificationSample:
@@ -117,7 +225,9 @@ class TestReplayBitIdentity:
 
     def test_replay_refuses_inexact_point(self):
         with pytest.raises(ValueError, match="fault-free"):
-            replay_fault_point(0.3, 0.5)
+            replay_cell(
+                fault_cell_spec(0.3), trace_with_hit_ratio(0.5, 30, 0.1)
+            )
 
 
 class TestGridIdentity:
@@ -149,16 +259,16 @@ class TestGridIdentity:
 
     def test_cell_modes_partition(self):
         grid = [(h, r) for h in self.HS for r in (0.0, 0.3)]
-        def verdicts(cell):
-            return fault_point_verdicts(cell[1])
+        def spec_of(cell):
+            return fault_cell_spec(cell[1])
 
-        modes = cell_modes(grid, "verify", 0, verdicts)
+        modes = cell_modes(grid, "verify", 0, spec_of)
         assert len(modes) == len(grid)
         # faulty cells can never be verify-sampled (they are not exact)
         for (h, rate), mode in zip(grid, modes):
             if rate > 0.0:
                 assert mode != HybridMode.VERIFY
-        assert cell_modes(grid, "off", 0, verdicts) == ["off"] * len(grid)
+        assert cell_modes(grid, "off", 0, spec_of) == ["off"] * len(grid)
 
     def test_fig5_result_reuse_identical(self):
         shared = fig5.run((0.17,), fig5.DEFAULT_HIT_RATIOS)
@@ -265,13 +375,13 @@ class TestCellsCatchMismatches:
     """A perturbed replay under ``verify`` is caught through every cell."""
 
     def test_fault_cell(self, monkeypatch):
-        real = reliability.replay_fault_point
+        real = reliability._replayed_fault_point
 
         def perturbed(*args, **kwargs):
             point = real(*args, **kwargs)
             return replace(point, prtr_time=nudged(point.prtr_time))
 
-        monkeypatch.setattr(reliability, "replay_fault_point", perturbed)
+        monkeypatch.setattr(reliability, "_replayed_fault_point", perturbed)
         with pytest.raises(InvariantError, match="hybrid-exactness"):
             effective_speedup_under_faults(
                 0.0, 0.5, n_calls=8, hybrid="verify"
@@ -290,11 +400,13 @@ class TestCellsCatchMismatches:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_fig9_points(self, monkeypatch, workers):
-        real = fig9.replay_comparison_speedup
-        monkeypatch.setattr(
-            fig9, "replay_comparison_speedup",
-            lambda *args, **kwargs: nudged(real(*args, **kwargs)),
-        )
+        real = fig9.replay_cell
+
+        def perturbed(*args, **kwargs):
+            frtr_total, prtr_total, n_configs = real(*args, **kwargs)
+            return frtr_total, nudged(prtr_total), n_configs
+
+        monkeypatch.setattr(fig9, "replay_cell", perturbed)
         with pytest.raises(InvariantError, match="fig9:Fig 9"):
             fig9.simulate_points(
                 fig9.panel("measured"), n_calls=24, hybrid="verify",
@@ -316,9 +428,7 @@ class TestCellsCatchMismatches:
         assert simulated == [
             x[i] * p.t_frtr for i in verification_sample(8)
         ]
-        modes = cell_modes(
-            list(x), "verify", 0, lambda _: comparison_verdicts()
-        )
+        modes = cell_modes(list(x), "verify", 0, lambda _: CellSpec())
         assert [i for i, m in enumerate(modes) if m == "verify"] == (
             verification_sample(8)
         )

@@ -5,14 +5,14 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.reliability import trace_with_hit_ratio
-from repro.model.hybrid import replay_energy_components, replay_prtr
+from repro.model.hybrid import replay_cell, replay_energy_components
 from repro.obs import metrics as obsm
 from repro.power import powered, set_enabled
 from repro.power.ledger import EnergyLedger
 from repro.power.model import DEFAULT_POWER_MODEL, PowerModel
 from repro.rtr.frtr import FrtrExecutor
 from repro.rtr.prtr import PrtrExecutor
-from repro.rtr.runner import make_node
+from repro.rtr.runner import CellSpec, make_node
 from repro.runtime.invariants import audit_energy
 from repro.sim.engine import Simulator
 
@@ -103,7 +103,7 @@ class TestReplayIdentity:
     def test_prtr_ledger_matches_replay_components(self):
         result = _run(PrtrExecutor, TRACE)
         node = make_node()
-        total_time, n_configs = replay_prtr(PrtrExecutor(node), TRACE)
+        _, total_time, n_configs = replay_cell(CellSpec(), TRACE)
         assert total_time == result.total_time
         task_s, full_s, part_s = replay_energy_components(
             TRACE,

@@ -128,13 +128,13 @@ class TestWorkerInvariantErrors:
 
     @pytest.fixture
     def nudged_replay(self, monkeypatch):
-        real = reliability.replay_fault_point
+        real = reliability._replayed_fault_point
 
         def nudged(*args, **kwargs):
             point = real(*args, **kwargs)
             return replace(point, prtr_time=point.prtr_time * (1 + 1e-12))
 
-        monkeypatch.setattr(reliability, "replay_fault_point", nudged)
+        monkeypatch.setattr(reliability, "_replayed_fault_point", nudged)
 
     def test_parallel_map_reraises_the_violations(self):
         with pytest.raises(InvariantError, match="cell 3") as excinfo:
