@@ -22,6 +22,13 @@ deterministic too; same seed + same workload → bit-identical fault
 realizations.  Rates that are exactly zero never consume a draw, so a
 zero-rate injector leaves the stream untouched and any run with it is
 bit-identical to a run with no injector at all.
+
+A folded ICAP stream makes its whole window's ``chunk_aborted`` /
+``abort_fraction`` draws at once, in the per-chunk path's order, and then
+holds the injector until the window ends (:meth:`FaultInjector.reserve`):
+a draw by anyone else inside the window would have interleaved with the
+per-chunk draws, so it raises :class:`~repro.sim.engine.SimulationError`
+instead of silently diverging.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..model.stochastic import resolve_rng
+from ..sim.engine import SimulationError, Simulator
 
 __all__ = ["FaultConfig", "FaultStats", "FaultInjector"]
 
@@ -138,6 +146,32 @@ class FaultInjector:
         self.config = config
         self.rng = resolve_rng(config.seed if rng is None else rng)
         self.stats = FaultStats()
+        #: a folded stream's owner, end time and clock (:meth:`reserve`)
+        self._hold: tuple[str, float, Simulator] | None = None
+
+    def reserve(self, owner: str, until: float, clock: Simulator) -> None:
+        """Hold the stream for ``owner``'s folded window until ``until``.
+
+        The fold has already drawn everything the per-chunk path would
+        draw inside the window; that is exact only if nobody else draws
+        before ``until``.  Any draw while ``clock.now < until`` therefore
+        raises :class:`SimulationError` naming the draw and the holder,
+        the way :meth:`~repro.sim.resources.BandwidthChannel.reserve`
+        refuses transfers.
+        """
+        self._hold = (owner, until, clock)
+
+    def _stream(self, draw: str) -> np.random.Generator:
+        """The random stream for one ``draw``, refused inside a hold."""
+        if self._hold is not None:
+            owner, until, clock = self._hold
+            if clock.now < until:
+                raise SimulationError(
+                    f"{draw}() drew on the fault injector inside the folded "
+                    f"stream of {owner!r} (held until t={until!r})"
+                )
+            self._hold = None
+        return self.rng
 
     # -- per-fault-domain draws ------------------------------------------
 
@@ -146,7 +180,7 @@ class FaultInjector:
         p = self.config.transfer_corruption_probability(nbytes)
         if p <= 0.0:
             return False
-        hit = bool(self.rng.random() < p)
+        hit = bool(self._stream("transfer_corrupted").random() < p)
         if hit:
             self.stats.transfers_corrupted += 1
         return hit
@@ -156,7 +190,7 @@ class FaultInjector:
         p = self.config.chunk_abort_rate
         if p <= 0.0:
             return False
-        hit = bool(self.rng.random() < p)
+        hit = bool(self._stream("chunk_aborted").random() < p)
         if hit:
             self.stats.chunk_aborts += 1
         return hit
@@ -172,7 +206,7 @@ class FaultInjector:
             p = 1.0
         else:
             p = -math.expm1(n_chunks * math.log1p(-p_chunk))
-        hit = bool(self.rng.random() < p)
+        hit = bool(self._stream("span_aborted").random() < p)
         if hit:
             self.stats.chunk_aborts += 1
         return hit
@@ -182,14 +216,14 @@ class FaultInjector:
         p = self.config.port_abort_rate
         if p <= 0.0:
             return False
-        hit = bool(self.rng.random() < p)
+        hit = bool(self._stream("port_aborted").random() < p)
         if hit:
             self.stats.port_aborts += 1
         return hit
 
     def abort_fraction(self) -> float:
         """How far through the write the abort struck (uniform in (0,1))."""
-        return float(self.rng.uniform(0.0, 1.0))
+        return float(self._stream("abort_fraction").uniform(0.0, 1.0))
 
     def seu_count(self, duration: float, n_regions: int = 1) -> int:
         """Poisson configuration-memory upsets over ``duration`` seconds."""
@@ -198,7 +232,7 @@ class FaultInjector:
         lam = self.config.seu_rate * duration * max(0, n_regions)
         if lam <= 0.0:
             return 0
-        count = int(self.rng.poisson(lam))
+        count = int(self._stream("seu_count").poisson(lam))
         self.stats.seus_injected += count
         return count
 

@@ -98,6 +98,7 @@ class IcapTimings:
         t: float,
         transfer_time: Callable[[int], float],
         prefetches: list[tuple[float, float, int]] | None = None,
+        abort: Callable[[int], float | None] | None = None,
     ) -> float:
         """End time of the double-buffered drain once bank 0 is full at ``t``.
 
@@ -109,10 +110,20 @@ class IcapTimings:
         and ``max`` the per-chunk processes of
         :meth:`IcapController._chunk_stream` perform.  ``prefetches``
         collects each prefetch's ``(start, end, chunk index)``.
+
+        ``abort(i)`` is the per-chunk path's write-abort draw, made at
+        chunk ``i``'s barrier before its drain: ``None`` drains on, a
+        fraction ends the stream at ``t + fraction * drain`` (the float
+        that path's ``Delay`` schedules) before chunk ``i+1``'s prefetch
+        starts.
         """
         last = len(sizes) - 1
         for i, size in enumerate(sizes):
             drain = self.chunk_handshake + size / self.icap_bandwidth
+            if abort is not None:
+                fraction = abort(i)
+                if fraction is not None:
+                    return t + fraction * drain
             if i < last:
                 t_prefetch = t + transfer_time(sizes[i + 1])
                 if prefetches is not None:
@@ -214,10 +225,11 @@ class IcapController:
         the ICAP mutex cleanly released, leaving recovery to the caller.
 
         After the first-chunk fill the rest of the stream is *folded*
-        into one wake-up when the link is free and no injector can draw
-        (:meth:`_can_fold`); otherwise it runs the per-chunk processes
-        (:meth:`_chunk_stream`).  Both give bit-identical times, link
-        intervals and counters.
+        into one wake-up when the link is free and cannot corrupt a
+        prefetch (:meth:`_can_fold`); otherwise it runs the per-chunk
+        processes (:meth:`_chunk_stream`).  Both give bit-identical
+        times, link intervals, counters, raised faults and injector
+        draws.
         """
         if not bitstream.is_partial:
             raise ValueError(
@@ -232,7 +244,7 @@ class IcapController:
             # Fill the first BRAM bank.
             yield from self._fill_chunk(bitstream, 0, sizes[0], owner)
             if self._can_fold():
-                yield from self._folded_stream(sizes, owner)
+                yield from self._folded_stream(bitstream, sizes, owner)
             else:
                 yield from self._chunk_stream(bitstream, sizes, owner)
             self.configurations += 1
@@ -248,48 +260,71 @@ class IcapController:
             self.icap_mutex.release(owner)
         return self.sim.now
 
+    def count_write_abort(self) -> None:
+        """Count one ICAP write abort: the attribute and the metric."""
+        self.write_aborts += 1
+        obsm.counter("repro_icap_write_aborts_total").inc()
+
     def _can_fold(self) -> bool:
         """May the rest of the stream skip its per-chunk events?
 
         Only when the link is free (no other owner won it during the
-        fill) and no injector can draw inside the window: a zero rate
-        never consumes a draw, so the fold leaves the RNG stream as the
-        per-chunk path would.
+        fill) and its injector cannot corrupt a prefetch: a zero
+        ``transfer_ber`` never draws, so the only draws left in the
+        window are the chunk aborts, whose order the fold reproduces.
         """
-        return (
-            not self.in_link.busy
-            and _draws_nothing(self.injector, "chunk_abort_rate")
-            and _draws_nothing(self.in_link.injector, "transfer_ber")
+        return not self.in_link.busy and _draws_nothing(
+            self.in_link.injector, "transfer_ber"
         )
 
     def _folded_stream(
-        self, sizes: list[int], owner: str
+        self, bitstream: Bitstream, sizes: list[int], owner: str
     ) -> Generator[Any, Any, None]:
-        """The fault-free stream in one wake-up at its exact end time.
+        """The rest of the stream in one wake-up at its exact end time.
 
         The end time is :meth:`IcapTimings.fold_stream` over this
-        controller's link.  The link is reserved for the window (a
-        competing transfer raises) and the prefetches' intervals and byte
-        counts are recorded afterwards, as the per-chunk path would have
-        left them.
+        controller's link, making the per-chunk path's abort draws in its
+        order.  The link is reserved for the window (a competing transfer
+        raises), and so is the injector once the fold has drawn (a
+        competing draw raises).  The prefetches that ran are recorded
+        afterwards, as the per-chunk path would have left them, and an
+        abort is counted and raised at its instant.
         """
         prefetches: list[tuple[float, float, int]] = []
         link = self.in_link
+        injector = self.injector
+        aborted: list[int] = []
+
+        def abort(i: int) -> float | None:
+            if not injector.chunk_aborted():
+                return None
+            aborted.append(i)
+            return injector.abort_fraction()
+
+        draws = not _draws_nothing(injector, "chunk_abort_rate")
         end = self.timings.fold_stream(
-            sizes, self.sim.now, link.transfer_time, prefetches
+            sizes, self.sim.now, link.transfer_time, prefetches,
+            abort if draws else None,
         )
         link.reserve(owner, end)
+        if draws:
+            injector.reserve(owner, end, self.sim)
         yield WaitUntil(end)
         for start, stop, idx in prefetches:
             link.record(start, stop, sizes[idx], f"{owner}:bs{idx}")
+        if aborted:
+            self.count_write_abort()
+            raise WriteAbort(
+                f"ICAP write abort on chunk {aborted[0]} of {bitstream.name!r}"
+            )
 
     def _chunk_stream(
         self, bitstream: Bitstream, sizes: list[int], owner: str
     ) -> Generator[Any, Any, None]:
         """The per-chunk pipeline: one prefetch process per chunk.
 
-        The path whenever an injector can draw or the link is contended,
-        and the reference the folded stream is tested against.
+        The path whenever the link is contended or can corrupt a
+        prefetch, and the reference the folded stream is tested against.
         """
         t = self.timings
         for i, size in enumerate(sizes):
@@ -297,8 +332,7 @@ class IcapController:
             if self.injector is not None and self.injector.chunk_aborted():
                 # The state machine died partway through the write;
                 # pay the wasted fraction of the drain, then fail.
-                self.write_aborts += 1
-                obsm.counter("repro_icap_write_aborts_total").inc()
+                self.count_write_abort()
                 yield Delay(self.injector.abort_fraction() * drain)
                 raise WriteAbort(
                     f"ICAP write abort on chunk {i} of {bitstream.name!r}"

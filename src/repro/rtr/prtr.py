@@ -167,7 +167,7 @@ class PrtrExecutor:
             if inj is not None and inj.span_aborted(
                 self.node.icap.timings.n_chunks(bs.nbytes)
             ):
-                self.node.icap.write_aborts += 1
+                self.node.icap.count_write_abort()
                 yield Delay(inj.abort_fraction() * wire)
                 raise WriteAbort(
                     f"wire-only write of {bs.name!r} aborted"

@@ -4,6 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.reliability import (
+    DEFAULT_FAULT_RATES,
+    fault_cell_spec,
+    trace_with_hit_ratio,
+)
 from repro.faults import (
     CrcChecker,
     FallbackPolicy,
@@ -12,9 +17,11 @@ from repro.faults import (
     RecoveryPolicy,
     WriteAbort,
 )
+from repro.hardware import IcapController
+from repro.obs import metrics as obsm
 from repro.rtr.frtr import FrtrExecutor
 from repro.rtr.prtr import PrtrExecutor
-from repro.rtr.runner import make_node
+from repro.rtr.runner import make_node, simulate
 from repro.sim import Simulator
 from repro.sim.resources import BandwidthChannel
 from repro.workloads import CallTrace, HardwareTask
@@ -219,3 +226,47 @@ class TestIcapCrcPath:
         assert node.icap.silent_corruptions > 0
         assert node.icap.chunk_retransmits == 0
         assert result.n_retries == 0  # nothing detected, nothing recovered
+
+
+class TestFoldedFaultyCells:
+    """Fault-grid cells: the folded ICAP stream against the per-chunk one."""
+
+    @staticmethod
+    def _runs(spec, trace):
+        """Both runs, and every metric but the kernel event count."""
+        with obsm.observed() as registry:
+            frtr, prtr = simulate(spec, trace)
+            metrics = registry.snapshot()
+        del metrics["repro_run_events"]
+        return metrics, [
+            (r.total_time, r.records, r.notes, r.timeline.spans)
+            for r in (frtr, prtr)
+        ]
+
+    def test_every_default_cell_matches_per_chunk(self, monkeypatch):
+        cells = [
+            (fault_cell_spec(rate), trace_with_hit_ratio(h, 30, 0.1))
+            for rate in DEFAULT_FAULT_RATES
+            for h in (0.0, 0.5, 0.9)
+        ]
+        folded = [self._runs(spec, trace) for spec, trace in cells]
+        monkeypatch.setattr(IcapController, "_can_fold", lambda self: False)
+        reference = [self._runs(spec, trace) for spec, trace in cells]
+        assert len(folded) == 24
+        assert folded == reference
+
+
+class TestWriteAbortMetric:
+    """``repro_icap_write_aborts_total`` counts every ICAP write abort."""
+
+    @pytest.mark.parametrize("estimated", [False, True])
+    def test_metric_equals_controller_count(self, estimated):
+        spec = fault_cell_spec(0.1)
+        node = make_node(fault_injector=FaultInjector(spec.faults))
+        with obsm.observed() as registry:
+            PrtrExecutor(
+                node, estimated=estimated, recovery=spec.recovery
+            ).run(trace_with_hit_ratio(0.0, 30, 0.1))
+            counted = registry.counter("repro_icap_write_aborts_total")
+        assert node.icap.write_aborts > 0
+        assert counted.value() == node.icap.write_aborts

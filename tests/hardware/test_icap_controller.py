@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro.hardware import (
@@ -15,8 +17,9 @@ from repro.hardware import (
     full_bitstream,
     XC2VP50,
 )
+from repro.analysis.reliability import fault_cell_spec, trace_with_hit_ratio
 from repro.experiments import fig9
-from repro.faults import FaultConfig, FaultInjector
+from repro.faults import FaultConfig, FaultInjector, WriteAbort
 from repro.rtr.prtr import PrtrExecutor
 from repro.rtr.runner import make_node
 from repro.sim import BandwidthChannel, Delay, SimulationError, Simulator
@@ -173,14 +176,14 @@ STREAM_SIZES = (
 SLOW_LINK = 2 * MB
 
 
-def never_firing_injector():
-    """A positive abort rate forces the per-chunk loop; seed 0 never hits."""
-    return FaultInjector(FaultConfig(chunk_abort_rate=1e-12, seed=0))
+def run_stream(
+    nbytes, *, per_chunk=False, injector=None, rate=1600 * MB, contender=None
+):
+    """Two configurations contending for the ICAP: what they leave, and
+    the events.
 
-
-def run_stream(nbytes, *, injector=None, rate=1600 * MB, contender=None):
-    """Two back-to-back configurations: what they leave, and the events.
-
+    Each retries a write abort after a deterministic backoff, four
+    attempts in all.  ``per_chunk`` forces the per-chunk reference path.
     ``injector`` arms both the link and the ICAP.  ``contender`` (bytes)
     queues a data transfer during the first fill, so the link is still
     held by another owner when that fill ends.
@@ -191,7 +194,15 @@ def run_stream(nbytes, *, injector=None, rate=1600 * MB, contender=None):
     ends = []
 
     def cfg(tag):
-        ends.append((yield from ctrl.configure(partial(nbytes), owner=tag)))
+        for attempt in range(4):
+            try:
+                end = yield from ctrl.configure(partial(nbytes), owner=tag)
+            except WriteAbort as exc:
+                ends.append((sim.now, str(exc)))
+                yield Delay(attempt * 1e-4)
+            else:
+                ends.append(end)
+                return
 
     def data():
         yield Delay(1e-9)
@@ -201,9 +212,13 @@ def run_stream(nbytes, *, injector=None, rate=1600 * MB, contender=None):
     sim.spawn(cfg("b"))
     if contender is not None:
         sim.spawn(data())
-    sim.run()
-    assert ctrl.write_aborts == 0
-    assert ctrl.configurations == 2
+    with pytest.MonkeyPatch.context() as mp:
+        if per_chunk:
+            mp.setattr(IcapController, "_can_fold", lambda self: False)
+        sim.run()
+    if injector is None:
+        assert ctrl.write_aborts == 0
+        assert ctrl.configurations == 2
     state = {
         "ends": ends,
         "now": sim.now,
@@ -211,6 +226,10 @@ def run_stream(nbytes, *, injector=None, rate=1600 * MB, contender=None):
         "link": [(i.start, i.end, i.owner) for i in link.intervals],
         "bytes_moved": link.bytes_moved,
         "transfer_count": link.transfer_count,
+        "write_aborts": ctrl.write_aborts,
+        "chunk_retransmits": ctrl.chunk_retransmits,
+        "silent_corruptions": ctrl.silent_corruptions,
+        "configurations": ctrl.configurations,
     }
     return state, sim.events_processed
 
@@ -223,7 +242,7 @@ class TestFoldedStream:
     def test_fold_matches_per_chunk_reference(self, nbytes, rate):
         folded, folded_events = run_stream(nbytes, rate=rate)
         reference, reference_events = run_stream(
-            nbytes, injector=never_firing_injector(), rate=rate
+            nbytes, per_chunk=True, rate=rate
         )
         assert folded == reference
         assert len(folded["link"]) == 2 * DEFAULT_ICAP_TIMINGS.n_chunks(nbytes)
@@ -239,7 +258,7 @@ class TestFoldedStream:
         # configuration "a" cannot fold; only "b" does.
         contended, events = run_stream(DUAL, contender=64 * 1024)
         reference, reference_events = run_stream(
-            DUAL, injector=never_firing_injector(), contender=64 * 1024
+            DUAL, per_chunk=True, contender=64 * 1024
         )
         assert contended == reference
         assert "data-in" in [owner for *_, owner in contended["link"]]
@@ -277,3 +296,85 @@ class TestFoldedStream:
             bitstream_bytes=DUAL,
         ).run(fig9._cyclic_trace(0.1 * panel.t_frtr, 90))
         assert node.sim.events_processed <= 1000
+
+    def test_faulty_prtr_run_event_budget(self):
+        # The PRTR half of a rate-0.03 fault cell made 4,205 kernel
+        # events with one prefetch process per chunk; folded, aborts
+        # included, it needs under 500.
+        spec = fault_cell_spec(0.03, 0)
+        node = make_node(
+            spec.floorplan, fault_injector=FaultInjector(spec.faults)
+        )
+        PrtrExecutor(node, recovery=spec.recovery).run(
+            trace_with_hit_ratio(0.0, 30, 0.1)
+        )
+        assert node.icap.write_aborts > 0
+        assert node.sim.events_processed <= 500
+
+
+#: per-chunk abort probabilities the faulty fold is checked at
+ABORT_RATES = (1e-3, 0.05, 0.5)
+
+
+class TestFoldedFaultyStream:
+    """Under chunk aborts the fold draws as the per-chunk path does."""
+
+    def test_fold_matches_per_chunk_reference(self):
+        # 150 cases: every abort rate, stream size, link and seed 0-4.
+        aborts = folded_events = reference_events = 0
+        for case in itertools.product(
+            STREAM_SIZES, ABORT_RATES, (1600 * MB, SLOW_LINK), range(5)
+        ):
+            nbytes, abort_rate, rate, seed = case
+            runs = []
+            for per_chunk in (False, True):
+                injector = FaultInjector(
+                    FaultConfig(chunk_abort_rate=abort_rate, seed=seed)
+                )
+                state, events = run_stream(
+                    nbytes, per_chunk=per_chunk, injector=injector, rate=rate
+                )
+                state["injected"] = injector.stats.as_dict()
+                state["rng"] = injector.rng.bit_generator.state
+                runs.append((state, events))
+            (folded, n_folded), (reference, n_reference) = runs
+            assert folded == reference, case
+            assert n_folded <= n_reference, case
+            aborts += folded["write_aborts"]
+            folded_events += n_folded
+            reference_events += n_reference
+        assert aborts > 100
+        assert folded_events < reference_events / 5
+
+    @staticmethod
+    def intrude(after_window):
+        """Another process's ``port_aborted()`` draw while configuration
+        ``cfg`` folds: inside its window, or once it has ended.  Returns
+        the draw's time and the configuration's end."""
+        injector = FaultInjector(
+            FaultConfig(chunk_abort_rate=1e-12, port_abort_rate=0.5, seed=0)
+        )
+        sim = Simulator()
+        link = BandwidthChannel(sim, "link.in", rate=1600 * MB)
+        ctrl = IcapController(sim, in_link=link, injector=injector)
+        cfg = sim.spawn(ctrl.configure(partial(DUAL), owner="cfg"))
+        drawn = []
+
+        def intruder():
+            yield cfg if after_window else Delay(1 * MS)
+            injector.port_aborted()
+            drawn.append(sim.now)
+
+        sim.spawn(intruder())
+        sim.run()
+        return drawn, cfg.result
+
+    def test_injector_draw_inside_folded_window_raises(self):
+        with pytest.raises(
+            SimulationError, match=r"port_aborted\(\).*'cfg'.*held until"
+        ):
+            self.intrude(after_window=False)
+
+    def test_injector_draw_after_folded_window_is_allowed(self):
+        drawn, end = self.intrude(after_window=True)
+        assert drawn == [end]

@@ -382,6 +382,33 @@ class TestFig9Golden:
         assert panels == ["Fig 9(a) estimated", "Fig 9(b) measured"]
 
 
+class TestFaultsGolden:
+    """``repro faults`` stdout and CSV, pinned in ``tests/golden/faults/``.
+
+    The default 24-cell grid runs 21 cells on the DES with up to 85
+    ICAP write aborts each, so these bytes pin the faulty configuration
+    path end to end.
+    """
+
+    GOLDEN = Path(__file__).parent / "golden" / "faults"
+
+    def test_stdout_is_pinned(self, capsys):
+        assert main(["faults"]) == 0
+        expected = (self.GOLDEN / "stdout.txt").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == expected
+
+    def test_csv_run_is_pinned(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["faults", "--csv", "faults.csv"]) == 0
+        expected = (self.GOLDEN / "csv-stdout.txt").read_text(
+            encoding="utf-8"
+        )
+        assert capsys.readouterr().out == expected
+        assert (tmp_path / "faults.csv").read_bytes() == (
+            self.GOLDEN / "faults.csv"
+        ).read_bytes()
+
+
 class TestLintForwarding:
     """``repro lint`` hands its arguments to reprolint's own parser."""
 
