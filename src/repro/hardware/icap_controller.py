@@ -21,15 +21,16 @@ mechanism behind the paper's numbers.  See
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Generator
 
 from ..faults.detection import CrcChecker
 from ..faults.errors import TransferCorruption, WriteAbort
 from ..faults.injector import FaultInjector
 from ..obs import metrics as obsm
-from ..sim.engine import AllOf, Delay, Simulator, WaitUntil
+from ..sim.engine import AllOf, Delay, Simulator, WaitUntil, left_sum
 from ..sim.resources import BandwidthChannel, MutexResource
 from .bitstream import Bitstream
 from .catalog import MB, MS
@@ -54,6 +55,10 @@ class IcapTimings:
     chunk_bytes: int
     #: state-machine handshake overhead per chunk (seconds)
     chunk_handshake: float
+    #: per-chunk drain times by (chunk count, last-chunk size)
+    _drain_cache: dict[tuple[int, int], tuple[float, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.icap_bandwidth <= 0:
@@ -92,6 +97,21 @@ class IcapTimings:
         first = min(self.chunk_bytes, nbytes)
         return transfer_time(first) + self.drain_time(nbytes)
 
+    def _chunk_drains(self, sizes: list[int]) -> tuple[float, ...]:
+        """Each chunk's BRAM->ICAP drain time, for :meth:`chunk_sizes` chunks.
+
+        Cached per (chunk count, last-chunk size): all other chunks are
+        full.
+        """
+        key = (len(sizes), sizes[-1])
+        drains = self._drain_cache.get(key)
+        if drains is None:
+            drains = self._drain_cache[key] = tuple(
+                self.chunk_handshake + size / self.icap_bandwidth
+                for size in sizes
+            )
+        return drains
+
     def fold_stream(
         self,
         sizes: list[int],
@@ -102,14 +122,23 @@ class IcapTimings:
     ) -> float:
         """End time of the double-buffered drain once bank 0 is full at ``t``.
 
-        The one fold of the per-chunk pipeline, shared by the DES fast
-        path and :func:`repro.model.hybrid.replay_cell`: per chunk, the
-        drain and the next chunk's prefetch over the link
-        (``transfer_time``) both start at the barrier ``t`` and the next
-        barrier is the later of their ends — the same float additions
-        and ``max`` the per-chunk processes of
-        :meth:`IcapController._chunk_stream` perform.  ``prefetches``
-        collects each prefetch's ``(start, end, chunk index)``.
+        The one fold of the per-chunk pipeline over the chunks
+        :meth:`chunk_sizes` gives, shared by the DES fast path and
+        :func:`repro.model.hybrid.replay_cell`: per chunk, the drain and
+        the next chunk's prefetch over the link (``transfer_time``) both
+        start at the barrier ``t`` and the next barrier is the later of
+        their ends — the same float additions and ``max`` the per-chunk
+        processes of :meth:`IcapController._chunk_stream` perform.
+        ``prefetches`` collects each prefetch's ``(start, end, chunk
+        index)``.
+
+        When a full chunk drains no faster than it crosses the link,
+        every barrier is ``t + drain``, and the end is one left fold of
+        the drains: rounding to nearest is monotone, so ``drain >=
+        fetch`` gives ``t + drain >= t + fetch`` for every ``t``, and no
+        chunk is larger than a full one.  The fold is
+        :func:`~repro.sim.engine.left_sum`, never the builtin ``sum``,
+        whose compensated float sums (Python 3.12+) round differently.
 
         ``abort(i)`` is the per-chunk path's write-abort draw, made at
         chunk ``i``'s barrier before its drain: ``None`` drains on, a
@@ -117,9 +146,15 @@ class IcapTimings:
         that path's ``Delay`` schedules) before chunk ``i+1``'s prefetch
         starts.
         """
+        drains = self._chunk_drains(sizes)
+        if (
+            prefetches is None
+            and abort is None
+            and drains[0] >= transfer_time(self.chunk_bytes)
+        ):
+            return left_sum(drains, t)
         last = len(sizes) - 1
-        for i, size in enumerate(sizes):
-            drain = self.chunk_handshake + size / self.icap_bandwidth
+        for i, drain in enumerate(drains):
             if abort is not None:
                 fraction = abort(i)
                 if fraction is not None:
@@ -287,12 +322,13 @@ class IcapController:
         order.  The link is reserved for the window (a competing transfer
         raises), and so is the injector once the fold has drawn (a
         competing draw raises).  The prefetches that ran are recorded
-        afterwards, as the per-chunk path would have left them, and an
-        abort is counted and raised at its instant.
+        afterwards in one :meth:`BandwidthChannel.record_fold` record,
+        which rebuilds their intervals from the same fold when they are
+        read, and an abort is counted and raised at its instant.
         """
-        prefetches: list[tuple[float, float, int]] = []
         link = self.in_link
         injector = self.injector
+        fold = functools.partial(self.timings.fold_stream, sizes, self.sim.now)
         aborted: list[int] = []
 
         def abort(i: int) -> float | None:
@@ -302,16 +338,14 @@ class IcapController:
             return injector.abort_fraction()
 
         draws = not _draws_nothing(injector, "chunk_abort_rate")
-        end = self.timings.fold_stream(
-            sizes, self.sim.now, link.transfer_time, prefetches,
-            abort if draws else None,
-        )
+        end = fold(link.transfer_time, None, abort if draws else None)
         link.reserve(owner, end)
         if draws:
             injector.reserve(owner, end, self.sim)
         yield WaitUntil(end)
-        for start, stop, idx in prefetches:
-            link.record(start, stop, sizes[idx], f"{owner}:bs{idx}")
+        # Chunk i+1's prefetch starts once chunk i has drawn no abort.
+        ran = aborted[0] if aborted else len(sizes) - 1
+        link.record_fold(fold, sizes[1 : ran + 1], f"{owner}:bs")
         if aborted:
             self.count_write_abort()
             raise WriteAbort(

@@ -58,7 +58,3 @@ class DualChannelLink:
 
     def data_out_time(self, nbytes: float) -> float:
         return self.outbound.transfer_time(nbytes)
-
-    def assert_consistent(self) -> None:
-        self.inbound.assert_no_overlap()
-        self.outbound.assert_no_overlap()

@@ -22,6 +22,7 @@ import math
 import sys
 from typing import Any, Sequence
 
+from ..sim.engine import left_sum
 from .scheduler import ServiceResult, TenantOutcome
 
 __all__ = [
@@ -57,8 +58,8 @@ def jain_fairness(values: Sequence[float]) -> float:
     """
     if not values:
         return 1.0
-    total = sum(values)
-    squares = sum(v * v for v in values)
+    total = left_sum(values)
+    squares = left_sum(v * v for v in values)
     if squares < sys.float_info.min:
         # Tiny shares square into subnormals (or 0) and lose precision;
         # the index is scale-invariant, so rescale by the largest share.
@@ -66,8 +67,8 @@ def jain_fairness(values: Sequence[float]) -> float:
         if peak == 0:
             return 1.0
         values = [v / peak for v in values]
-        total = sum(values)
-        squares = sum(v * v for v in values)
+        total = left_sum(values)
+        squares = left_sum(v * v for v in values)
     return (total * total) / (len(values) * squares)
 
 
@@ -96,7 +97,7 @@ def _tenant_report(outcome: TenantOutcome) -> dict[str, Any]:
             "p50": percentile(lat, 50.0) if lat else None,
             "p99": percentile(lat, 99.0) if lat else None,
             "p999": percentile(lat, 99.9) if lat else None,
-            "mean": (sum(lat) / len(lat)) if lat else None,
+            "mean": (left_sum(lat) / len(lat)) if lat else None,
             "max": max(lat) if lat else None,
         },
         "slo_latency": outcome.slo_latency,

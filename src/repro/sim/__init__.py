@@ -14,6 +14,7 @@ from .engine import (
     SimulationError,
     Simulator,
     WaitEvent,
+    left_sum,
 )
 from .resources import BandwidthChannel, Interval, MutexResource
 from .trace import Phase, Span, Timeline
@@ -32,4 +33,5 @@ __all__ = [
     "Span",
     "Timeline",
     "WaitEvent",
+    "left_sum",
 ]

@@ -30,7 +30,9 @@ Example
 
 from __future__ import annotations
 
+import functools
 import heapq
+import operator
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Generator, Iterable, Optional
@@ -44,7 +46,21 @@ __all__ = [
     "Process",
     "Simulator",
     "SimulationError",
+    "left_sum",
 ]
+
+
+def left_sum(values: Iterable[float], start: float = 0.0) -> float:
+    """``(((start + v0) + v1) + ...)``: one rounding per addition, in order.
+
+    The float sum every supported interpreter agrees on, and the one
+    the DES performs when it adds times in sequence.  From Python 3.12
+    the builtin :func:`sum` compensates float sums, so its last bits
+    depend on the interpreter: ``sum([0.1] * 10)`` is ``1.0`` on 3.12
+    but ``0x1.fffffffffffffp-1`` on 3.10 and 3.11, which is what this
+    returns everywhere.
+    """
+    return functools.reduce(operator.add, values, start)
 
 
 class SimulationError(RuntimeError):
@@ -201,26 +217,36 @@ class Process:
         if not pending:
             self.sim._schedule(self.sim.now, self, None)
             return
-        remaining = {"n": len(pending)}
-        # Register a lightweight shim implementing the waiter protocol on
-        # each pending signal; the last one to fire resumes the parent.
-        parent = self
-
-        class _Shim:
-            __slots__ = ()
-
-            def _step(self_inner, _value: Any) -> None:
-                remaining["n"] -= 1
-                if remaining["n"] == 0:
-                    parent.sim._schedule(parent.sim.now, parent, None)
-
-        shim = _Shim()
+        waiter = _AllOfWaiter(self, len(pending))
         for sig in pending:
-            sig._waiters.append(shim)  # type: ignore[arg-type]
+            sig._waiters.append(waiter)  # type: ignore[arg-type]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "done" if self.finished else "running"
         return f"<Process {self.name!r} {state}>"
+
+
+class _AllOfWaiter:
+    """Resumes ``parent`` once ``remaining`` signals have fired.
+
+    Registered on each pending signal of an :class:`AllOf`, so every
+    firing resumes it as a kernel event, as it would a process; the
+    last one schedules the parent.  It has no ``name``, so the
+    :class:`repro.obs.profile.EventProfiler` files those events as
+    anonymous.
+    """
+
+    __slots__ = ("parent", "remaining")
+
+    def __init__(self, parent: Process, remaining: int) -> None:
+        self.parent = parent
+        self.remaining = remaining
+
+    def _step(self, _value: Any) -> None:
+        self.remaining -= 1
+        if self.remaining == 0:
+            sim = self.parent.sim
+            sim._schedule(sim.now, self.parent, None)
 
 
 class Event:

@@ -17,9 +17,9 @@ Two resource archetypes cover every piece of hardware we model:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generator, Optional
+from typing import Any, Callable, Generator, Optional, Sequence
 
-from .engine import Delay, EventSignal, SimulationError, Simulator
+from .engine import Delay, EventSignal, SimulationError, Simulator, left_sum
 
 __all__ = ["MutexResource", "BandwidthChannel", "ChannelTiming", "Interval"]
 
@@ -164,6 +164,8 @@ class BandwidthChannel(ChannelTiming):
         #: owner and end time of the current folded stream (:meth:`reserve`)
         self._fold_owner = ""
         self._fold_until = 0.0
+        #: whether :meth:`record_fold` left records to expand
+        self._deferred = False
 
     @property
     def busy(self) -> bool:
@@ -173,8 +175,8 @@ class BandwidthChannel(ChannelTiming):
         """Hold the free channel for ``owner``'s folded stream until ``until``.
 
         A folded stream computes its transfers' timing without events
-        and accounts them afterwards with :meth:`record`; that is exact
-        only if nobody else uses the channel in between.  Any
+        and accounts them afterwards with :meth:`record_fold`; that is
+        exact only if nobody else uses the channel in between.  Any
         :meth:`transfer` requested before ``until`` therefore raises
         :class:`SimulationError` naming both owners instead of silently
         diverging from the per-transfer timeline.
@@ -182,13 +184,31 @@ class BandwidthChannel(ChannelTiming):
         self._fold_owner = owner
         self._fold_until = until
 
-    def record(
-        self, start: float, end: float, nbytes: float, owner: str
+    def record_fold(
+        self,
+        fold: Callable[..., Any],
+        payloads: Sequence[float],
+        label: str,
     ) -> None:
-        """Account one transfer a folded stream made: interval and counters."""
-        self._mutex.intervals.append(Interval(start, end, owner))
-        self.bytes_moved += nbytes
-        self.transfer_count += 1
+        """Account the transfers a folded stream made, in one record.
+
+        ``payloads`` are the sizes of the transfers that ran, in order:
+        ``bytes_moved`` and ``transfer_count`` move now, by the float
+        additions :meth:`transfer` makes.  Their intervals are built on
+        first read of :attr:`intervals`, :meth:`utilization` or
+        :meth:`assert_no_overlap`, in the record's place in the list:
+        ``fold(self.transfer_time, spans)`` re-times the stream,
+        appending each transfer's ``(start, end, index)`` to ``spans``,
+        and the first ``len(payloads)`` become intervals owned by
+        ``f"{label}{index}"``.  ``fold`` must not reference the channel:
+        the record lives in the channel's own interval list, so that
+        would be a cycle only the garbage collector frees.
+        """
+        self.bytes_moved = left_sum(payloads, self.bytes_moved)
+        self.transfer_count += len(payloads)
+        record = (fold, len(payloads), label)
+        self._mutex.intervals.append(record)  # type: ignore[arg-type]
+        self._deferred = True
 
     def transfer(
         self, nbytes: float, owner: str
@@ -231,12 +251,34 @@ class BandwidthChannel(ChannelTiming):
             self.corrupted_count += 1
         return t, ok
 
+    def _expand(self) -> list[Interval]:
+        """The interval list, each :meth:`record_fold` record expanded."""
+        intervals = self._mutex.intervals
+        if self._deferred:
+            expanded: list[Interval] = []
+            for iv in intervals:
+                if not isinstance(iv, tuple):
+                    expanded.append(iv)
+                    continue
+                fold, count, label = iv
+                spans: list[tuple[float, float, int]] = []
+                fold(self.transfer_time, spans)
+                expanded.extend(
+                    Interval(start, end, f"{label}{idx}")
+                    for start, end, idx in spans[:count]
+                )
+            intervals[:] = expanded
+            self._deferred = False
+        return intervals
+
     @property
     def intervals(self) -> list[Interval]:
-        return self._mutex.intervals
+        return self._expand()
 
     def utilization(self, horizon: Optional[float] = None) -> float:
+        self._expand()
         return self._mutex.utilization(horizon)
 
     def assert_no_overlap(self) -> None:
+        self._expand()
         self._mutex.assert_no_overlap()

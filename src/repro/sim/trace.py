@@ -9,7 +9,7 @@ what :mod:`repro.analysis.validate` compares against the analytical model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 __all__ = ["Span", "Timeline", "Phase"]
 
@@ -226,16 +226,3 @@ class Timeline:
             f"(1 col = {horizon / (width - 1):.3g})"
         )
         return "\n".join(lines)
-
-
-def merge(timelines: Iterable[Timeline]) -> Timeline:
-    """Combine several timelines into one independent timeline.
-
-    The frozen :class:`Span` records are shared; the *list* is fresh, so
-    mutating the merged timeline never corrupts its sources (and vice
-    versa).
-    """
-    out = Timeline()
-    for tl in timelines:
-        out.spans.extend(tl.spans)
-    return out

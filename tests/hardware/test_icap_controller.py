@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
+import random
+import re
+import weakref
 
 import pytest
 
@@ -16,13 +20,24 @@ from repro.hardware import (
     PUBLISHED_TABLE2,
     full_bitstream,
     XC2VP50,
+    icap_controller,
 )
 from repro.analysis.reliability import fault_cell_spec, trace_with_hit_ratio
 from repro.experiments import fig9
 from repro.faults import FaultConfig, FaultInjector, WriteAbort
 from repro.rtr.prtr import PrtrExecutor
 from repro.rtr.runner import make_node
-from repro.sim import BandwidthChannel, Delay, SimulationError, Simulator
+from repro.sim import (
+    BandwidthChannel,
+    Delay,
+    SimulationError,
+    Simulator,
+    left_sum,
+    resources,
+)
+from repro.sim.engine import WaitUntil
+from repro.sim.resources import ChannelTiming, Interval
+from repro.workloads.task import CallTrace, HardwareTask
 
 
 def make_controller(sim=None):
@@ -378,3 +393,202 @@ class TestFoldedFaultyStream:
     def test_injector_draw_after_folded_window_is_allowed(self):
         drawn, end = self.intrude(after_window=True)
         assert drawn == [end]
+
+
+SINGLE = PUBLISHED_TABLE2["single_prr"].bitstream_bytes
+#: the calibrated controller and one with a smaller, faster buffer
+TIMINGS = (DEFAULT_ICAP_TIMINGS, IcapTimings(50 * MB, 4096, 2e-5))
+
+
+@pytest.fixture
+def left_folds(monkeypatch):
+    """The start of every left fold ``fold_stream`` ends a stream with."""
+    starts = []
+
+    def spy(values, start):
+        starts.append(start)
+        return left_sum(values, start)
+
+    monkeypatch.setattr(icap_controller, "left_sum", spy)
+    return starts
+
+
+def loop_end(timings, sizes, t, transfer_time):
+    """The barrier loop's end: asking for the prefetches always runs it."""
+    return timings.fold_stream(sizes, t, transfer_time, [])
+
+
+class TestLeftFold:
+    """The left fold of the drains against the barrier loop, bit for bit."""
+
+    def test_fold_matches_loop_on_random_draws(self, left_folds):
+        rng = random.Random(19)
+        folded = 0
+        for _ in range(2400):
+            timings = rng.choice(TIMINGS)
+            chunk = timings.chunk_bytes
+            k = rng.randrange(2, 60)
+            nbytes = rng.choice(
+                (1, chunk, k * chunk, k * chunk + 1, SINGLE, DUAL)
+            )
+            # 1 MB/s to 10 GB/s: the break-even link is near 20 MB/s.
+            rate = 10 ** rng.uniform(6, 10)
+            overhead = rng.choice((0.0, rng.uniform(0.0, 1e-3)))
+            link = ChannelTiming(rate, overhead).transfer_time
+            t = 10 ** rng.uniform(-9, 4)
+            sizes = timings.chunk_sizes(nbytes)
+            before = len(left_folds)
+            end = timings.fold_stream(sizes, t, link)
+            assert end.hex() == loop_end(timings, sizes, t, link).hex()
+            first = timings.chunk_handshake + sizes[0] / timings.icap_bandwidth
+            assert len(left_folds) - before == (first >= link(chunk))
+            folded += len(left_folds) - before
+        assert 600 < folded < 1800
+
+    @pytest.mark.parametrize("timings", TIMINGS)
+    def test_drain_equal_to_link_time_folds(self, timings, left_folds):
+        # The link pays the handshake and the ICAP wire time per transfer,
+        # so every chunk's prefetch ends exactly with its drain.
+        link = ChannelTiming(
+            timings.icap_bandwidth, timings.chunk_handshake
+        ).transfer_time
+        chunk = timings.chunk_bytes
+        drain = timings.chunk_handshake + chunk / timings.icap_bandwidth
+        assert link(chunk) == drain
+        rng = random.Random(7)
+        streams = [n for n in STREAM_SIZES if n > timings.chunk_bytes]
+        for nbytes in streams:
+            sizes = timings.chunk_sizes(nbytes)
+            for _ in range(20):
+                t = 10 ** rng.uniform(-9, 4)
+                end = timings.fold_stream(sizes, t, link)
+                assert end.hex() == loop_end(timings, sizes, t, link).hex()
+        assert len(left_folds) == 20 * len(streams)
+
+    def test_slow_link_runs_the_loop(self, left_folds):
+        timings = DEFAULT_ICAP_TIMINGS
+        sizes = timings.chunk_sizes(DUAL)
+        for rate in (SLOW_LINK, 1600 * MB):
+            link = ChannelTiming(rate).transfer_time
+            end = timings.fold_stream(sizes, 0.25, link)
+            assert end == loop_end(timings, sizes, 0.25, link)
+        # Only the fast link folded.
+        assert left_folds == [0.25]
+
+
+#: owners of the prefetched chunks 1, 2, ... (chunk 0 is the first fill)
+PREFETCH = re.compile(r":bs[1-9]\d*$")
+
+
+def fig9_prtr_run(node, per_chunk=False):
+    """The 90-call force_miss dual-PRR run of the event-budget test."""
+    panel = fig9.panel("measured")
+    with pytest.MonkeyPatch.context() as mp:
+        if per_chunk:
+            mp.setattr(IcapController, "_can_fold", lambda self: False)
+        PrtrExecutor(
+            node,
+            estimated=panel.estimated,
+            control_time=panel.t_control,
+            force_miss=True,
+            bitstream_bytes=DUAL,
+        ).run(fig9._cyclic_trace(0.1 * panel.t_frtr, 90))
+
+
+def link_state(link):
+    """What a reader of the link sees: intervals, counters, utilization."""
+    return {
+        "intervals": [(iv.start, iv.end, iv.owner) for iv in link.intervals],
+        "bytes_moved": link.bytes_moved,
+        "transfer_count": link.transfer_count,
+        "utilization": link.utilization(),
+    }
+
+
+def detailed_io_run(per_chunk, read_at=None):
+    """A PRTR run whose data-in transfers share the link with the
+    configurations, and the link state a process read at ``read_at``."""
+    node = make_node()
+    lib = {
+        n: HardwareTask(
+            n, time=0.2, data_in_bytes=0.1 * 1400e6,
+            data_out_bytes=0.0, compute_time=0.1,
+        )
+        for n in ("m0", "m1", "m2")
+    }
+    trace = CallTrace([lib[f"m{i % 3}"] for i in range(12)], name="io")
+    link = node.link.inbound
+    seen = {}
+
+    def reader():
+        yield WaitUntil(read_at)
+        seen.update(link_state(link))
+
+    if read_at is not None:
+        node.sim.spawn(reader(), name="reader")
+    with pytest.MonkeyPatch.context() as mp:
+        if per_chunk:
+            mp.setattr(IcapController, "_can_fold", lambda self: False)
+        result = PrtrExecutor(
+            node, detailed_io=True, force_miss=True, bitstream_bytes=DUAL
+        ).run(trace)
+    return result.total_time, link, seen, node.sim.events_processed
+
+
+class TestDeferredLinkRecord:
+    """A folded stream leaves one link record, expanded when read."""
+
+    def test_fig9_run_builds_no_prefetch_interval(self, monkeypatch):
+        owners = []
+
+        def counting(start, end, owner):
+            owners.append(owner)
+            return Interval(start, end, owner)
+
+        monkeypatch.setattr(resources, "Interval", counting)
+        node = make_node()
+        fig9_prtr_run(node)
+        assert [o for o in owners if PREFETCH.search(o)] == []
+        folded = link_state(node.link.inbound)
+        prefetches = [o for o in owners if PREFETCH.search(o)]
+        assert len(prefetches) == 89 * 24
+        monkeypatch.undo()
+        reference = make_node()
+        fig9_prtr_run(reference, per_chunk=True)
+        assert folded == link_state(reference.link.inbound)
+
+    def test_detailed_io_reads_mid_run_and_at_the_end(self):
+        _, reference, _, _ = detailed_io_run(per_chunk=True)
+        data_in = [
+            iv for iv in reference.intervals if iv.owner.endswith(":in")
+        ]
+        # A data-in transfer holds the link, so no folded window is open
+        # when it ends: both paths have recorded the same transfers.
+        read_at = data_in[len(data_in) // 2].end
+        total, link, seen, events = detailed_io_run(False, read_at)
+        ref_total, ref_link, ref_seen, ref_events = detailed_io_run(
+            True, read_at
+        )
+        owners = [owner for *_, owner in seen["intervals"]]
+        assert any(PREFETCH.search(o) for o in owners)
+        assert any(o.endswith(":in") for o in owners)
+        assert seen == ref_seen
+        final = link_state(link)
+        assert final["intervals"][: len(owners)] == seen["intervals"]
+        assert final == link_state(ref_link)
+        assert total == ref_total
+        link.assert_no_overlap()
+        assert events < ref_events
+
+    def test_finished_nodes_link_dies_by_refcount(self):
+        # The record holds the stream's fold, never the channel: a cycle
+        # through the channel's own interval list would outlive the node.
+        gc.disable()
+        try:
+            node = make_node()
+            fig9_prtr_run(node)
+            link = weakref.ref(node.link.inbound)
+            del node
+            assert link() is None
+        finally:
+            gc.enable()

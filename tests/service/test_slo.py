@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.service import ServiceConfig, default_tenants, run_service
+from repro.service.scheduler import ServiceResult, TenantOutcome
 from repro.service.slo import (
     jain_fairness,
     percentile,
@@ -17,6 +18,7 @@ from repro.service.slo import (
     report_json,
     slo_report,
 )
+from repro.sim import Timeline, left_sum
 
 floats = st.floats(
     min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -78,6 +80,31 @@ class TestJainFairness:
         assert jain_fairness(values) == pytest.approx(
             jain_fairness([v * scale for v in values]), abs=1e-9
         )
+
+
+class TestInterpreterStableSums:
+    """Report floats are left folds: the same bits on Python 3.10-3.12."""
+
+    def test_mean_latency_is_a_left_fold(self):
+        tenant = TenantOutcome(
+            "gold", priority=3, slo_latency=1.0, arrived=10, completed=10,
+            latencies=[0.1] * 10,
+        )
+        result = ServiceResult(
+            tenants=[tenant], makespan=1.0, horizon=1.0,
+            timeline=Timeline(), fills=0, cache_hits=0, cache_misses=0,
+            retired=[], decision_epochs={},
+        )
+        mean = slo_report(result)["tenants"]["gold"]["latency"]["mean"]
+        # 3.12's compensated builtin sum would give 1.0 / 10.
+        assert mean == float.fromhex("0x1.fffffffffffffp-1") / 10
+        assert mean != 1.0 / 10
+
+    def test_fairness_sums_are_left_folds(self):
+        shares = [0.1] * 10
+        total = float.fromhex("0x1.fffffffffffffp-1")
+        squares = left_sum(v * v for v in shares)
+        assert jain_fairness(shares) == total * total / (10 * squares)
 
 
 class TestReport:

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.obs.profile import profiled
 from repro.sim import (
     AllOf,
     Delay,
     SimulationError,
     Simulator,
     WaitEvent,
+    left_sum,
 )
 from repro.sim.engine import WaitUntil
 
@@ -227,6 +229,39 @@ class TestAllOf:
         sim.schedule_at(4.0, lambda: pending.succeed())
         sim.run()
         assert seen == [4.0]
+
+    def test_each_firing_is_one_anonymous_event(self):
+        sim = Simulator()
+        sigs = [sim.signal() for _ in range(3)]
+
+        def waiter():
+            yield AllOf(sigs)
+
+        def firer():
+            yield Delay(1.0)
+            for sig in sigs:
+                sig.succeed()
+
+        sim.spawn(waiter(), name="waiter")
+        sim.spawn(firer(), name="firer")
+        with profiled(sim) as profiler:
+            sim.run()
+        # Two starts, the firer's wake-up, one barrier event per signal
+        # and the waiter's resumption.
+        assert sim.events_processed == 7
+        assert profiler.stats["(anonymous)"][0] == 3
+        assert profiler.stats["waiter"][0] == 2
+
+
+class TestLeftSum:
+    def test_adds_in_order_with_one_rounding_each(self):
+        # Python 3.12's compensated builtin sum gives 1.0 here.
+        assert left_sum([0.1] * 10) == float.fromhex("0x1.fffffffffffffp-1")
+        assert left_sum([1e16, 1.0, -1e16]) == 0.0
+
+    def test_starts_from_start(self):
+        assert left_sum([], 2.5) == 2.5
+        assert left_sum([0.5, 0.25], 1.0) == 1.75
 
 
 class TestProcessJoin:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.sim import Phase, Span, Timeline
-from repro.sim.trace import merge
 
 
 class TestSpan:
@@ -91,11 +90,6 @@ class TestTimeline:
     def test_gantt_empty(self):
         assert Timeline().gantt() == "(empty timeline)"
 
-    def test_merge(self):
-        a, b = self.make(), self.make()
-        merged = merge([a, b])
-        assert len(merged) == 8
-
 
 class TestFreezeAndMerged:
     """Regression tests for the aliasable-span-list pitfall."""
@@ -156,11 +150,3 @@ class TestFreezeAndMerged:
         assert comparison.prtr.timeline.frozen
         with pytest.raises(TypeError):
             comparison.prtr.timeline.add(Phase.TASK, 0.0, 1.0)
-
-    def test_merge_of_frozen_sources_is_mutable(self):
-        a = self.make().freeze()
-        b = self.make().freeze()
-        merged = merge([a, b])
-        merged.add(Phase.TASK, 1.0, 2.0)
-        assert len(merged) == 3
-        assert len(a) == len(b) == 1
