@@ -11,8 +11,11 @@ points:
   bitstream (per-byte Bernoulli error rate, aggregated in closed form);
 * :meth:`FaultInjector.chunk_aborted` — once per BRAM chunk the ICAP
   controller drains (state-machine write abort);
-* :meth:`FaultInjector.port_aborted` — once per full-device write through
-  a vendor :class:`~repro.hardware.config_port.ConfigPort`;
+* :meth:`FaultInjector.port_aborted` — once per full-device write
+  (:meth:`~repro.hardware.node.XD1Node.configure_full`);
+* :meth:`FaultInjector.span_aborted` — once per wire-only partial write
+  (:meth:`~repro.hardware.node.XD1Node.configure_partial` with
+  ``estimated``);
 * :meth:`FaultInjector.seu_count` — Poisson upset counts for a scrub
   interval over the configured regions.
 

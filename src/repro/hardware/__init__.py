@@ -8,7 +8,10 @@ controller (:mod:`repro.hardware.config_port`,
 :mod:`repro.hardware.icap_controller`), the dual-channel link
 (:mod:`repro.hardware.interconnect`), on-board memory
 (:mod:`repro.hardware.memory`), and the assembled node
-(:mod:`repro.hardware.node`).
+(:mod:`repro.hardware.node`).  The ports are pure time models; the node
+performs every configuration attempt
+(:meth:`~repro.hardware.node.XD1Node.configure_full`,
+:meth:`~repro.hardware.node.XD1Node.configure_partial`).
 """
 
 from .bitstream import (

@@ -1,8 +1,9 @@
 """Configuration-port models: SelectMap, JTAG and the raw ICAP.
 
-Each port is a :class:`repro.sim.resources.BandwidthChannel` plus a pure
-time model usable without a simulator.  Two overhead regimes matter for
-Table 2:
+Each port is a pure time model: a rate, an API overhead and the vendor
+checks, with no DES channel.  The node that owns the ports performs the
+configuration attempts (:meth:`repro.hardware.node.XD1Node
+.configure_full`).  Two overhead regimes matter for Table 2:
 
 * the **estimated** times are simply ``bytes / port_rate`` — the paper's
   "lower bound, best case scenario";
@@ -19,12 +20,8 @@ sharing and chunked pipelining.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generator
+from typing import Any
 
-from ..faults.errors import WriteAbort
-from ..faults.injector import FaultInjector
-from ..sim.engine import Delay, Simulator
-from ..sim.resources import BandwidthChannel
 from .bitstream import Bitstream
 from .catalog import MS
 
@@ -98,8 +95,7 @@ class ConfigPort:
         self.bandwidth = bandwidth
         self.api_overhead = api_overhead or VendorApiOverhead()
         self.supports_partial = supports_partial
-        self._channel: BandwidthChannel | None = None
-        self._injector: FaultInjector | None = None
+        #: aborted writes, counted by the node's configuration attempts
         self.write_aborts = 0
 
     # -- pure time model -------------------------------------------------
@@ -133,53 +129,6 @@ class ConfigPort:
                 f"port {self.name!r} rejects partial bitstreams "
                 "(bitstream-size / DONE-signal checks in the vendor API)"
             )
-
-    # -- DES integration -------------------------------------------------
-
-    def bind(
-        self, sim: Simulator, injector: FaultInjector | None = None
-    ) -> "ConfigPort":
-        """Attach the port to a simulator (creates the serializing channel).
-
-        ``injector`` arms the port's write-abort fault process
-        (``port_abort_rate``); without one, configuration never fails.
-        """
-        self._injector = injector
-        self._channel = BandwidthChannel(
-            sim, name=f"port:{self.name}", rate=self.bandwidth
-        )
-        return self
-
-    @property
-    def channel(self) -> BandwidthChannel:
-        if self._channel is None:
-            raise RuntimeError(f"port {self.name!r} is not bound to a simulator")
-        return self._channel
-
-    def configure(
-        self, bitstream: Bitstream, owner: str
-    ) -> Generator[Any, Any, float]:
-        """DES process: run a configuration through the port.
-
-        With an armed injector the write may abort mid-stream: the
-        partial write's wire time is paid (those bytes moved), then
-        :class:`~repro.faults.errors.WriteAbort` is raised for the
-        caller's recovery policy to handle.
-        """
-        self._check(bitstream)
-        api = self.api_overhead.time(bitstream.nbytes)
-        if api > 0:
-            yield Delay(api)
-        if self._injector is not None and self._injector.port_aborted():
-            self.write_aborts += 1
-            frac = self._injector.abort_fraction()
-            yield from self.channel.transfer(bitstream.nbytes * frac, owner)
-            raise WriteAbort(
-                f"port {self.name!r} aborted writing {bitstream.name!r} "
-                f"at {frac:.0%}"
-            )
-        yield from self.channel.transfer(bitstream.nbytes, owner)
-        return self.channel.sim.now
 
 
 def selectmap_port(

@@ -174,7 +174,10 @@ def _calibrated_handshake() -> float:
     """Per-chunk handshake solved from the published single-PRR row.
 
     43.48 ms total = first-chunk link fill (negligible) +
-    n_chunks * handshake + bytes / 66 MB/s.
+    n_chunks * handshake + bytes / 66 MB/s.  The fill is timed at the
+    raw 1.6 GB/s link rate; the DES and the replay fill over the 1.4 GB/s
+    inbound channel, 1.463 us later per configuration (``docs/MODEL.md``
+    section 7).
     """
     nbytes = 887_784
     measured = 43.48 * MS

@@ -23,12 +23,14 @@ class DualChannelLink:
     Parameters
     ----------
     io_bandwidth:
-        Usable payload bandwidth per direction (the paper's 1400 MB/s).
+        Usable bandwidth per direction (the paper's 1400 MB/s): the rate
+        of both channels, so of payload and bitstream transfers alike.
     raw_bandwidth:
-        Raw channel rate used for configuration streaming into the BRAM
-        buffer (the paper's 1.6 GB/s HyperTransport figure).  Exposed as
-        ``config_rate`` on the inbound channel model; payload transfers use
-        ``io_bandwidth``.
+        Raw channel rate (the paper's 1.6 GB/s HyperTransport figure).
+        It only bounds ``io_bandwidth``: bitstreams stream into the BRAM
+        buffer over :attr:`config_stream`, the inbound channel itself.
+        Only the ICAP handshake calibration times its first-chunk fill
+        at this rate (``docs/MODEL.md`` section 7).
     """
 
     sim: Simulator
@@ -48,13 +50,7 @@ class DualChannelLink:
         self.outbound = BandwidthChannel(
             self.sim, name="link.out", rate=self.io_bandwidth
         )
-        #: configuration streaming shares the *inbound* wire; we model it on
-        #: the same serializing channel so contention with data-in emerges,
-        #: but at the raw rate (config writes bypass the payload protocol).
+        #: configuration streaming shares the *inbound* wire: it is the
+        #: same serializing channel at the same rate, so contention with
+        #: data-in emerges.
         self.config_stream = self.inbound
-
-    def data_in_time(self, nbytes: float) -> float:
-        return self.inbound.transfer_time(nbytes)
-
-    def data_out_time(self, nbytes: float) -> float:
-        return self.outbound.transfer_time(nbytes)

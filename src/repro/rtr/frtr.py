@@ -9,18 +9,17 @@ from __future__ import annotations
 
 from typing import Any, Generator
 
-from ..faults.errors import TransferCorruption, WriteAbort
 from ..faults.recovery import RecoveryPolicy
 from ..hardware.node import XD1Node
 from ..obs import metrics as obsm
-from ..sim.engine import Delay, Simulator
+from ..sim.engine import Delay
 from ..sim.resources import BandwidthChannel
 from ..sim.trace import Phase, Timeline
 from ..workloads.task import CallTrace
 from .events import CallRecord, RunResult
 from .resilience import resilient
 
-__all__ = ["FrtrExecutor", "PendingRun"]
+__all__ = ["FrtrExecutor", "PendingRun", "run_audited"]
 
 
 class PendingRun:
@@ -41,7 +40,7 @@ class PendingRun:
         self._result: RunResult | None = None
 
     # finalize() is PendingRun's accessor, not an entry point: every
-    # caller (FrtrExecutor.run, the cluster executor) audits the result
+    # caller (run_audited, the cluster executor) audits the result
     # before it escapes the runtime, so the audit-coverage rule would
     # double-count it here.
     def finalize(self, *, interrupted: str | None = None) -> RunResult:  # reprolint: disable=RL007
@@ -52,6 +51,34 @@ class PendingRun:
                 else self._build(interrupted)
             )
         return self._result
+
+
+def run_audited(executor: Any, trace: CallTrace) -> RunResult:
+    """Run ``executor`` over ``trace`` alone on its node's simulator.
+
+    ``FrtrExecutor.run`` and ``PrtrExecutor.run`` both call it.  The
+    result is audited (:func:`repro.runtime.invariants.audit_and_record`):
+    violations land in ``notes`` — or raise, in strict-invariants mode.
+    With power accounting enabled (:mod:`repro.power`), the energy
+    ledger is stamped into the notes first, arming the
+    ``energy-conservation`` check.
+    """
+    from ..power import annotate_energy
+    from ..runtime.invariants import audit_and_record
+
+    sim = executor.node.sim
+    pending = executor.launch(trace)
+    sim.run()
+    result = pending.finalize()
+    obsm.gauge("repro_run_sim_seconds").set(
+        result.total_time, mode=result.mode
+    )
+    obsm.gauge("repro_run_events").set(
+        sim.events_processed, mode=result.mode
+    )
+    annotate_energy(result, trace, executor.node)
+    audit_and_record(result)
+    return result
 
 
 class FrtrExecutor:
@@ -98,11 +125,11 @@ class FrtrExecutor:
 
     def launch(self, trace: CallTrace, lane: str = "main") -> PendingRun:
         """Spawn the execution process; does not advance the clock."""
-        sim = self.node.sim
+        node = self.node
+        sim = node.sim
         timeline = Timeline()
         records: list[CallRecord] = []
-        t_config = self.node.full_config_time(estimated=self.estimated)
-        full_bytes = self.node.full_image.nbytes
+        t_config = node.full_config_time(estimated=self.estimated)
         start = sim.now
 
         notes_extra: dict[str, float] = {}
@@ -114,40 +141,18 @@ class FrtrExecutor:
         m_stage_s = obsm.histogram("repro_stage_seconds")
         m_recovery_s = obsm.counter("repro_recovery_seconds_total")
 
-        def config_attempt(
-            call_index: int, fetch: bool
-        ) -> Generator[Any, Any, None]:
-            """One fetch + full-configuration try (may raise faults)."""
-            if self.bitstream_source is not None and fetch:
-                _, ok = yield from self.bitstream_source.transfer_ok(
-                    full_bytes, owner=f"{lane}:fetch{call_index}"
-                )
-                if not ok:
-                    raise TransferCorruption(
-                        f"full-bitstream fetch for call {call_index} "
-                        "failed its CRC check"
-                    )
-            # Full reconfiguration (the FPGA is held in reset; nothing
-            # else can run, so a plain delay is faithful).
-            inj = self.node.fault_injector
-            if inj is not None and inj.port_aborted():
-                self.node.selectmap.write_aborts += 1
-                yield Delay(inj.abort_fraction() * t_config)
-                raise WriteAbort(
-                    f"vendor-port write aborted on call {call_index}"
-                )
-            yield Delay(t_config)
+        def attempt(fetch: bool) -> Generator[Any, Any, None]:
+            return node.configure_full(
+                lane,
+                estimated=self.estimated,
+                source=self.bitstream_source if fetch else None,
+            )
 
         def main() -> Generator[Any, Any, None]:
             for call in trace:
                 stage_start = sim.now
                 cfg_start = sim.now
-                outcome = yield from resilient(
-                    sim,
-                    lambda fetch, idx=call.index: config_attempt(idx, fetch),
-                    self.recovery,
-                    allow_fallback=False,
-                )
+                outcome = yield from resilient(sim, attempt, self.recovery)
                 if outcome.degrade:
                     timeline.add(
                         Phase.CONFIG, cfg_start, sim.now, task=call.name,
@@ -234,26 +239,5 @@ class FrtrExecutor:
         return PendingRun(build)
 
     def run(self, trace: CallTrace) -> RunResult:
-        """Execute the trace; returns the measured :class:`RunResult`.
-
-        The result is audited (:func:`repro.runtime.invariants
-        .audit_and_record`): violations land in ``notes`` — or raise,
-        in strict-invariants mode.  With power accounting enabled
-        (:mod:`repro.power`), the energy ledger is stamped into the
-        notes first, arming the ``energy-conservation`` check.
-        """
-        from ..power import annotate_energy
-        from ..runtime.invariants import audit_and_record
-
-        pending = self.launch(trace)
-        self.node.sim.run()
-        result = pending.finalize()
-        obsm.gauge("repro_run_sim_seconds").set(
-            result.total_time, mode="frtr"
-        )
-        obsm.gauge("repro_run_events").set(
-            self.node.sim.events_processed, mode="frtr"
-        )
-        annotate_energy(result, trace, self.node)
-        audit_and_record(result)
-        return result
+        """Execute the trace; the audited result of :func:`run_audited`."""
+        return run_audited(self, trace)

@@ -31,7 +31,6 @@ from typing import Any, Generator
 
 from ..caching.base import ConfigCache
 from ..caching.policies import LruPolicy
-from ..hardware.bitstream import Bitstream
 from ..hardware.node import XD1Node
 from ..sim.engine import Delay
 from ..sim.resources import MutexResource
@@ -174,10 +173,13 @@ class MultitaskFrtrExecutor:
             if spec.arrival_time:
                 yield Delay(spec.arrival_time)
             for call in spec.trace:
-                yield from fabric.acquire(f"{spec.name}#{call.index}")
+                owner = f"{spec.name}#{call.index}"
+                yield from fabric.acquire(owner)
                 try:
                     t0 = sim.now
-                    yield Delay(t_config)
+                    yield from self.node.configure_full(
+                        owner, estimated=self.estimated
+                    )
                     timeline.add(
                         Phase.CONFIG, t0, sim.now,
                         task=call.name, lane="fabric", note=spec.name,
@@ -191,7 +193,7 @@ class MultitaskFrtrExecutor:
                         task=call.name, lane="fabric", note=spec.name,
                     )
                 finally:
-                    fabric.release(f"{spec.name}#{call.index}")
+                    fabric.release(owner)
             results[spec.name] = AppResult(
                 name=spec.name,
                 arrival_time=spec.arrival_time,
@@ -230,8 +232,9 @@ class PrrFabric:
       (:attr:`prr_mutexes`, its own memory banks per Section 4.2);
     * the ICAP controller serializes reconfigurations;
     * a miss allocates a victim PRR — never one whose module is pinned
-      (currently executing or queued) — and streams the partial
-      bitstream;
+      (currently executing or queued) — and configures the partial
+      bitstream with :meth:`~repro.hardware.node.XD1Node
+      .configure_partial`, the executors' own attempt;
     * a configuration fault (:class:`~repro.faults.errors
       .ReconfigurationFault`) rolls residency back cleanly and
       propagates, so callers can retry or shed;
@@ -284,15 +287,6 @@ class PrrFabric:
     def active_slots(self) -> int:
         """PRRs still in rotation (total minus retired minus blocked)."""
         return self.cache.slots - len(self.retired | self.blocked_slots)
-
-    def bitstream(self, module: str) -> Bitstream:
-        """The partial bitstream configured for ``module``."""
-        if self._bitstream_bytes is not None:
-            return Bitstream(
-                name=f"prr:{module}", nbytes=self._bitstream_bytes,
-                region="prr0", module=module, kind="module",
-            )
-        return self.node.prr_bitstream(0, module)
 
     def pin(self, module: str) -> None:
         """Protect ``module`` from eviction while it executes or queues."""
@@ -383,12 +377,12 @@ class PrrFabric:
             blocked=self.blocked_slots,
         )
         t0 = sim.now
-        bs = self.bitstream(module)
         try:
-            if self.estimated:
-                yield Delay(self.node.icap_raw.wire_time(bs.nbytes))
-            else:
-                yield from self.node.icap.configure(bs, owner=owner)
+            yield from self.node.configure_partial(
+                self.node.prr_bitstream(0, module, self._bitstream_bytes),
+                owner,
+                estimated=self.estimated,
+            )
         except BaseException:
             # Roll the speculative residency back so the slot is not
             # poisoned by a half-written configuration.
@@ -552,7 +546,9 @@ class MultitaskPrtrExecutor:
 
         def startup() -> Generator[Any, Any, None]:
             t0 = sim.now
-            yield Delay(self.node.full_config_time(estimated=self.estimated))
+            yield from self.node.configure_full(
+                "startup", estimated=self.estimated
+            )
             timeline.add(Phase.CONFIG, t0, sim.now, note="initial full")
 
         start = sim.now

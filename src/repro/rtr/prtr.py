@@ -32,17 +32,16 @@ from typing import Any, Generator
 
 from ..caching.base import ConfigCache
 from ..caching.policies import LruPolicy
-from ..faults.errors import TransferCorruption, WriteAbort
 from ..faults.recovery import RecoveryPolicy
 from ..hardware.bitstream import Bitstream
 from ..obs import metrics as obsm
 from ..hardware.node import XD1Node
-from ..sim.engine import AllOf, Delay, Simulator
+from ..sim.engine import AllOf, Delay
 from ..sim.trace import Phase, Timeline
 from ..sim.resources import BandwidthChannel
 from ..workloads.task import CallTrace, FunctionCall
 from .events import CallRecord, RunResult
-from .frtr import PendingRun
+from .frtr import PendingRun, run_audited
 from .resilience import ConfigOutcome, resilient
 
 __all__ = ["PrtrExecutor"]
@@ -128,73 +127,14 @@ class PrtrExecutor:
     # -- bitstream/config helpers -------------------------------------------
 
     def bitstream_for(self, module: str) -> Bitstream:
-        if self._bitstream_bytes is not None:
-            return Bitstream(
-                name=f"prr:{module}",
-                nbytes=self._bitstream_bytes,
-                region="prr0",
-                module=module,
-                kind="module",
-            )
-        return self.node.prr_bitstream(0, module)
+        """The partial bitstream configured for ``module``."""
+        return self.node.prr_bitstream(0, module, self._bitstream_bytes)
 
     def partial_config_time(self, module: str) -> float:
         """Unloaded partial configuration time for one module."""
         return self.node.partial_config_time(
             self.bitstream_for(module), estimated=self.estimated
         )
-
-    def _configure_partial(
-        self, module: str, owner: str, fetch: bool = True
-    ) -> Generator[Any, Any, None]:
-        """One partial-configuration attempt (may raise injected faults).
-
-        ``fetch=False`` skips the bitstream-server pull — a plain retry
-        re-drives the locally buffered copy.
-        """
-        bs = self.bitstream_for(module)
-        if self.bitstream_source is not None and fetch:
-            _, ok = yield from self.bitstream_source.transfer_ok(
-                bs.nbytes, owner=f"{owner}:fetch"
-            )
-            if not ok:
-                raise TransferCorruption(
-                    f"server fetch of {bs.name!r} failed its CRC check"
-                )
-        if self.estimated:
-            wire = self.node.icap_raw.wire_time(bs.nbytes)
-            inj = self.node.fault_injector
-            if inj is not None and inj.span_aborted(
-                self.node.icap.timings.n_chunks(bs.nbytes)
-            ):
-                self.node.icap.count_write_abort()
-                yield Delay(inj.abort_fraction() * wire)
-                raise WriteAbort(
-                    f"wire-only write of {bs.name!r} aborted"
-                )
-            yield Delay(wire)
-        else:
-            yield from self.node.icap.configure(bs, owner=owner)
-
-    def _full_config_attempt(
-        self, owner: str, fetch: bool = True
-    ) -> Generator[Any, Any, None]:
-        """One full-device configuration attempt through the vendor path."""
-        if self.bitstream_source is not None and fetch:
-            _, ok = yield from self.bitstream_source.transfer_ok(
-                self.node.full_image.nbytes, owner=f"{owner}:fetch-full"
-            )
-            if not ok:
-                raise TransferCorruption(
-                    "full-bitstream server fetch failed its CRC check"
-                )
-        t_full = self.node.full_config_time(estimated=self.estimated)
-        inj = self.node.fault_injector
-        if inj is not None and inj.port_aborted():
-            self.node.selectmap.write_aborts += 1
-            yield Delay(inj.abort_fraction() * t_full)
-            raise WriteAbort("vendor-port full configuration aborted")
-        yield Delay(t_full)
 
     def _task_body(
         self, call: FunctionCall, timeline: Timeline, lane: str
@@ -230,7 +170,8 @@ class PrtrExecutor:
 
     def launch(self, trace: CallTrace, lane: str = "prr") -> PendingRun:
         """Spawn the execution pipeline; does not advance the clock."""
-        sim = self.node.sim
+        node = self.node
+        sim = node.sim
         timeline = Timeline()
         records: list[CallRecord] = []
         calls = list(trace)
@@ -252,6 +193,43 @@ class PrtrExecutor:
         m_stage_s = obsm.histogram("repro_stage_seconds")
         m_recovery_s = obsm.counter("repro_recovery_seconds_total")
 
+        def full_config(owner: str) -> Generator[Any, Any, ConfigOutcome]:
+            """A full-device configuration, retried under the policy."""
+            return resilient(
+                sim,
+                lambda fetch: node.configure_full(
+                    owner,
+                    estimated=self.estimated,
+                    source=self.bitstream_source if fetch else None,
+                ),
+                self.recovery,
+            )
+
+        def partial_config(idx: int, note: str) -> Generator[Any, Any, None]:
+            """Configure call ``idx``'s module into a PRR (``note`` span)."""
+            module = calls[idx].name
+            c0 = sim.now
+            out = yield from resilient(
+                sim,
+                lambda fetch: node.configure_partial(
+                    self.bitstream_for(module),
+                    f"cfg{idx}",
+                    estimated=self.estimated,
+                    source=self.bitstream_source if fetch else None,
+                ),
+                self.recovery,
+                allow_fallback=True,
+            )
+            outcomes[idx] = out
+            config_attr[idx] = sim.now - c0
+            if out.ok:
+                timeline.add(
+                    Phase.CONFIG, c0, sim.now, task=module, lane="icap",
+                    note=note,
+                )
+                m_configs.inc(kind="partial")
+                m_config_s.observe(sim.now - c0, kind="partial")
+
         def startup() -> Generator[Any, Any, tuple[float, ConfigOutcome]]:
             t_start = sim.now
             if self.decision_time:
@@ -259,12 +237,7 @@ class PrtrExecutor:
                 yield Delay(self.decision_time)
                 timeline.add(Phase.SETUP, t0, sim.now, note="initial decision")
             t0 = sim.now
-            outcome = yield from resilient(
-                sim,
-                lambda fetch: self._full_config_attempt(lane, fetch),
-                self.recovery,
-                allow_fallback=False,
-            )
+            outcome = yield from full_config(lane)
             if outcome.degrade:
                 timeline.add(Phase.CONFIG, t0, sim.now, note="degraded")
                 return sim.now - t_start, outcome
@@ -357,38 +330,10 @@ class PrtrExecutor:
                         if overlap_possible:
                             if not resident:
                                 self.cache.fill(nxt.name, pinned={call.name})
-
-                            def cfg(
-                                module: str = nxt.name, idx: int = i + 1
-                            ) -> Generator[Any, Any, None]:
-                                c0 = sim.now
-                                out = yield from resilient(
-                                    sim,
-                                    lambda fetch, m=module, o=f"cfg{idx}": (
-                                        self._configure_partial(
-                                            m, owner=o, fetch=fetch
-                                        )
-                                    ),
-                                    self.recovery,
-                                    allow_fallback=True,
-                                )
-                                outcomes[idx] = out
-                                if out.ok:
-                                    timeline.add(
-                                        Phase.CONFIG,
-                                        c0,
-                                        sim.now,
-                                        task=module,
-                                        lane="icap",
-                                        note="partial",
-                                    )
-                                    m_configs.inc(kind="partial")
-                                    m_config_s.observe(
-                                        sim.now - c0, kind="partial"
-                                    )
-                                config_attr[idx] = sim.now - c0
-
-                            branch_cfg = sim.spawn(cfg(), name=f"cfg{i+1}")
+                            branch_cfg = sim.spawn(
+                                partial_config(i + 1, "partial"),
+                                name=f"cfg{i+1}",
+                            )
                         else:
                             # Single PRR: the target region is the one
                             # executing; configure serially after the stage.
@@ -400,31 +345,10 @@ class PrtrExecutor:
                     yield branch_task.done
 
                 if serial_cfg:
-                    nxt = calls[i + 1]
-                    t0 = sim.now
-                    out = yield from resilient(
-                        sim,
-                        lambda fetch, m=nxt.name, o=f"cfg{i+1}": (
-                            self._configure_partial(m, owner=o, fetch=fetch)
-                        ),
-                        self.recovery,
-                        allow_fallback=True,
-                    )
-                    outcomes[i + 1] = out
-                    config_attr[i + 1] = sim.now - t0
-                    if out.ok:
-                        timeline.add(
-                            Phase.CONFIG,
-                            t0,
-                            sim.now,
-                            task=nxt.name,
-                            lane="icap",
-                            note="partial-serial",
-                        )
-                        m_configs.inc(kind="partial")
-                        m_config_s.observe(sim.now - t0, kind="partial")
-                        if not self.cache.contains(nxt.name):
-                            self.cache.fill(nxt.name)
+                    yield from partial_config(i + 1, "partial-serial")
+                    module = calls[i + 1].name
+                    if outcomes[i + 1].ok and not self.cache.contains(module):
+                        self.cache.fill(module)
 
                 out_i = outcomes.get(i)
                 records.append(
@@ -465,14 +389,7 @@ class PrtrExecutor:
                     if out_next.fallback:
                         fallback_attr[i + 1] = True
                         t0 = sim.now
-                        out2 = yield from resilient(
-                            sim,
-                            lambda fetch, o=f"cfg{i+1}-full": (
-                                self._full_config_attempt(o, fetch)
-                            ),
-                            self.recovery,
-                            allow_fallback=False,
-                        )
+                        out2 = yield from full_config(f"cfg{i+1}-full")
                         out_next.retries += out2.retries
                         out_next.refetches += out2.refetches
                         out_next.recovery_time += out2.recovery_time
@@ -550,26 +467,5 @@ class PrtrExecutor:
         return PendingRun(build)
 
     def run(self, trace: CallTrace) -> RunResult:
-        """Execute the trace to completion on this node's simulator.
-
-        The result is audited (:func:`repro.runtime.invariants
-        .audit_and_record`): violations land in ``notes`` — or raise,
-        in strict-invariants mode.  With power accounting enabled
-        (:mod:`repro.power`), the energy ledger is stamped into the
-        notes first, arming the ``energy-conservation`` check.
-        """
-        from ..power import annotate_energy
-        from ..runtime.invariants import audit_and_record
-
-        pending = self.launch(trace)
-        self.node.sim.run()
-        result = pending.finalize()
-        obsm.gauge("repro_run_sim_seconds").set(
-            result.total_time, mode="prtr"
-        )
-        obsm.gauge("repro_run_events").set(
-            self.node.sim.events_processed, mode="prtr"
-        )
-        annotate_energy(result, trace, self.node)
-        audit_and_record(result)
-        return result
+        """Execute the trace; the audited result of :func:`run_audited`."""
+        return run_audited(self, trace)

@@ -25,7 +25,7 @@ runs) wrap themselves in three cooperating pieces:
     The harnesses tying them together: :func:`run_checkpointed`;
     :func:`run_journaled`, the one driver behind every journaled verb
     (``sweep``, ``power``, ``serve``, ``chaos``);
-    :func:`crash_safe_fault_sweep`; :func:`run_interruptible`.
+    :func:`crash_safe_fault_sweep`.
 
 ``crashsafe`` is exported lazily: it imports the executors, which in
 turn audit through :mod:`repro.runtime.invariants`, and the lazy hop
@@ -71,7 +71,6 @@ from .watchdog import Watchdog, WatchdogExpired
 _LAZY_CRASHSAFE = (
     "crash_safe_fault_sweep",
     "run_checkpointed",
-    "run_interruptible",
     "run_journaled",
 )
 

@@ -1,6 +1,6 @@
-"""Crash-safe execution harnesses: checkpointed sweeps, interruptible DES.
+"""Crash-safe execution harnesses: checkpointed, journaled sweeps.
 
-Four layers cooperate (see ``docs/MODEL.md`` section 9):
+Three layers cooperate (see ``docs/MODEL.md`` section 9):
 
 * :func:`run_checkpointed` — the generic engine: walk a grid of work
   items, journal every completed point atomically
@@ -18,9 +18,6 @@ Four layers cooperate (see ``docs/MODEL.md`` section 9):
   (:func:`~repro.model.stochastic.resolve_rng` semantics), so a resumed
   sweep is **bit-identical** to an uninterrupted one regardless of
   where the crash fell.
-* :func:`run_interruptible` — attach a watchdog to a single executor's
-  DES run; on expiry the partial :class:`~repro.rtr.events.RunResult`
-  comes back marked ``interrupted`` instead of the process hanging.
 """
 
 from __future__ import annotations
@@ -57,7 +54,6 @@ __all__ = [
     "GridOutcome",
     "crash_safe_fault_sweep",
     "run_checkpointed",
-    "run_interruptible",
     "run_journaled",
 ]
 
@@ -329,26 +325,3 @@ def crash_safe_fault_sweep(
         progress=progress,
         workers=workers,
     )
-
-
-def run_interruptible(
-    executor: Any, trace: Any, *, watchdog: Watchdog
-) -> Any:
-    """Run one executor under a DES watchdog; never hangs.
-
-    Returns the full :class:`~repro.rtr.events.RunResult` when the run
-    drains normally, or a partial result marked ``interrupted`` (with
-    ``interrupt_reason`` set to the watchdog's reason) when a limit
-    trips mid-run.
-    """
-    sim = executor.node.sim
-    pending = executor.launch(trace)
-    sim.watchdog = watchdog.start(sim)
-    try:
-        try:
-            sim.run()
-        except WatchdogExpired as exc:
-            return pending.finalize(interrupted=str(exc))
-    finally:
-        sim.watchdog = None
-    return pending.finalize()

@@ -14,8 +14,9 @@ Two execution shapes need guarding:
 
 Cancellation is cooperative and graceful: the exception unwinds out of
 ``Simulator.run`` (or the sweep loop) to a harness that flushes the
-journal and finalizes a partial result marked ``interrupted`` — see
-:func:`repro.runtime.crashsafe.run_interruptible`.
+journal or finalizes a partial result marked ``interrupted`` — see
+:func:`repro.runtime.crashsafe.run_checkpointed` and
+:func:`repro.rtr.cluster.run_cluster`.
 
 Deadline semantics are deterministic for DES limits: an event scheduled
 *exactly at* ``max_sim_time`` still runs (the check is strict ``>``),

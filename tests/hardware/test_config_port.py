@@ -17,7 +17,6 @@ from repro.hardware import (
     jtag_port,
     selectmap_port,
 )
-from repro.sim import Simulator
 
 
 def partial(nbytes: int = 404_168) -> Bitstream:
@@ -76,39 +75,3 @@ class TestConfigPortChecks:
         with pytest.raises(ValueError):
             ConfigPort("x", 0.0)
 
-
-class TestConfigPortDes:
-    def test_unbound_port_has_no_channel(self):
-        port = icap_raw_port(66 * MB)
-        with pytest.raises(RuntimeError, match="not bound"):
-            _ = port.channel
-
-    def test_des_configure_matches_pure_model(self):
-        sim = Simulator()
-        port = selectmap_port(66 * MB, vendor_api=True).bind(sim)
-        bs = full_bitstream(XC2VP50)
-        results = []
-
-        def proc():
-            end = yield from port.configure(bs, owner="me")
-            results.append(end)
-
-        sim.spawn(proc())
-        sim.run()
-        assert results[0] == pytest.approx(port.configure_time(bs))
-
-    def test_des_configurations_serialize(self):
-        sim = Simulator()
-        port = icap_raw_port(66 * MB).bind(sim)
-        bs = partial(660_000)  # 10 ms each
-        ends = []
-
-        def proc(tag):
-            end = yield from port.configure(bs, owner=tag)
-            ends.append(end)
-
-        sim.spawn(proc("a"))
-        sim.spawn(proc("b"))
-        sim.run()
-        assert ends == [pytest.approx(0.01), pytest.approx(0.02)]
-        port.channel.assert_no_overlap()

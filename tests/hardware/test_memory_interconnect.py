@@ -121,12 +121,6 @@ class TestDualChannelLink:
         sim.run()
         assert done == [("in", 1.0), ("out", 1.0)]
 
-    def test_time_models(self):
-        link = DualChannelLink(Simulator(), io_bandwidth=1400 * MB,
-                               raw_bandwidth=1600 * MB)
-        assert link.data_in_time(1400 * MB) == pytest.approx(1.0)
-        assert link.data_out_time(700 * MB) == pytest.approx(0.5)
-
     def test_config_stream_shares_inbound(self):
         link = DualChannelLink(Simulator(), io_bandwidth=1400 * MB,
                                raw_bandwidth=1600 * MB)

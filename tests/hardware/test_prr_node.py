@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from repro.hardware import (
@@ -17,7 +20,11 @@ from repro.hardware import (
     single_prr_floorplan,
     uniform_prr_floorplan,
 )
+from repro.rtr.runner import make_node
 from repro.sim import Simulator
+from repro.sim.resources import BandwidthChannel
+
+SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 
 class TestBusMacro:
@@ -166,3 +173,45 @@ class TestXD1Node:
         with pytest.raises(KeyError):
             node.memory.banks_of("prr5")
         assert len(node.fifos["prr5"]) == 1  # link-streaming FIFO
+
+
+def _icap_configure(call: ast.Call) -> bool:
+    """``<...>.icap.configure(...)`` or ``icap.configure(...)``."""
+    func = call.func
+    if not isinstance(func, ast.Attribute) or func.attr != "configure":
+        return False
+    owner = func.value
+    return (isinstance(owner, ast.Attribute) and owner.attr == "icap") or (
+        isinstance(owner, ast.Name) and owner.id == "icap"
+    )
+
+
+class TestOneConfigurationPath:
+    """The node performs every configuration attempt; ports only time."""
+
+    def test_node_builds_only_the_link_channels(self, monkeypatch):
+        built = []
+        init = BandwidthChannel.__init__
+
+        def counting(self, sim, name, *args, **kwargs):
+            built.append(name)
+            init(self, sim, name, *args, **kwargs)
+
+        monkeypatch.setattr(BandwidthChannel, "__init__", counting)
+        node = make_node()
+        assert sorted(built) == ["link.in", "link.out"]
+        assert node.link.config_stream is node.link.inbound
+
+    def test_only_the_node_draws_aborts_or_streams(self):
+        callers = set()
+        for path in sorted(SRC.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for call in ast.walk(tree):
+                if not isinstance(call, ast.Call):
+                    continue
+                attr = getattr(call.func, "attr", None)
+                if attr in ("port_aborted", "span_aborted") or (
+                    _icap_configure(call)
+                ):
+                    callers.add(path.relative_to(SRC).as_posix())
+        assert callers == {"hardware/node.py"}

@@ -1,5 +1,5 @@
-"""Tests for :mod:`repro.runtime.crashsafe` (checkpointed walks,
-interruptible DES runs, the audited fault sweep)."""
+"""Tests for :mod:`repro.runtime.crashsafe` (checkpointed walks, the
+audited fault sweep) and for watchdog-interrupted cluster runs."""
 
 from __future__ import annotations
 
@@ -10,13 +10,7 @@ import pytest
 
 from repro.analysis.reliability import sweep_fault_hit_grid
 from repro.rtr.cluster import run_cluster
-from repro.rtr.frtr import FrtrExecutor
-from repro.rtr.runner import make_node
-from repro.runtime.crashsafe import (
-    crash_safe_fault_sweep,
-    run_checkpointed,
-    run_interruptible,
-)
+from repro.runtime.crashsafe import crash_safe_fault_sweep, run_checkpointed
 from repro.runtime.journal import JournalError, RunJournal
 from repro.runtime.watchdog import Watchdog
 from repro.workloads import CallTrace, HardwareTask
@@ -168,36 +162,18 @@ def long_trace(n: int = 6) -> CallTrace:
     return CallTrace([lib[i % 3] for i in range(n)], name="wd")
 
 
-class TestRunInterruptible:
-    def test_normal_completion_is_unmarked(self):
-        executor = FrtrExecutor(make_node())
-        result = run_interruptible(
-            executor, long_trace(), watchdog=Watchdog(max_sim_time=1e9)
-        )
-        assert not result.interrupted
-        assert result.n_calls == 6
-        # The watchdog hook is detached afterwards.
-        assert executor.node.sim.watchdog is None
-
-    def test_sim_deadline_yields_partial_result(self):
-        executor = FrtrExecutor(make_node())
-        result = run_interruptible(
-            executor, long_trace(), watchdog=Watchdog(max_sim_time=5.0)
-        )
-        assert result.interrupted
-        assert "deadline" in result.interrupt_reason
-        assert 0 < result.n_calls < 6
-        assert result.summary()["interrupted"] == 1.0
-        assert executor.node.sim.watchdog is None
-
-    def test_cluster_watchdog_interrupts_gracefully(self):
+class TestInterruptedRuns:
+    @pytest.mark.parametrize("mode", ["frtr", "prtr"])
+    def test_cluster_watchdog_interrupts_gracefully(self, mode):
+        traces = [long_trace(4), long_trace(4)]
         result = run_cluster(
-            [long_trace(4), long_trace(4)],
-            mode="prtr",
-            watchdog=Watchdog(max_sim_time=1.0),
+            traces, mode=mode, watchdog=Watchdog(max_sim_time=1.9)
         )
         assert result.interrupted
         assert result.notes["interrupted"] == 1.0
-        assert result.completed_calls < 8
+        for blade, trace in zip(result.blades, traces):
+            assert 0 < blade.n_calls < len(trace)
+            assert "deadline" in blade.interrupt_reason
+            assert blade.summary()["interrupted"] == 1.0
         # Partial blades still satisfy the ordering invariants.
         assert result.notes["invariant_violations"] == 0.0
