@@ -23,7 +23,6 @@ Three layers cooperate (see ``docs/MODEL.md`` section 9):
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import asdict
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -36,12 +35,7 @@ from ..analysis.reliability import (
 )
 from ..obs import metrics as obsm
 from .invariants import AuditReport, audit_sweep_points
-from .journal import (
-    JournalError,
-    RunJournal,
-    atomic_write_text,
-    list_segments,
-)
+from .journal import JournalError, RunJournal
 from .parallel import (
     GridOutcome,
     fork_available,
@@ -213,8 +207,7 @@ def run_checkpointed(
         # Seal with the observability snapshot (None while disabled, so
         # uninstrumented journals keep the pre-observability byte format).
         journal.seal(obsm.snapshot() or None)
-        for name in list_segments(run_dir).values():
-            os.remove(os.path.join(run_dir, name))
+        journal.remove_segments()
     return GridOutcome(
         results=results,
         interrupted=interrupted,
@@ -255,8 +248,8 @@ def run_journaled(
         **walk,
     )
     outcome.audit = audit(outcome.results)
-    atomic_write_text(
-        os.path.join(run_dir, "invariants.json"),
+    outcome.journal.write_text(
+        "invariants.json",
         json.dumps(outcome.audit.as_dict(), indent=2) + "\n",
     )
     outcome.audit.raise_if_strict(strict)

@@ -23,6 +23,23 @@ Durability contract
   artifact.
 * Record keys are unique; re-recording a key raises.  A ``seal`` record
   marks the run complete; sealed journals refuse further records.
+* A file's bytes are durable at its fsync, but a create, rename or
+  unlink is durable only once its parent directory is fsynced too.  So
+  every namespace change here is followed by a directory fsync before
+  the call returns: :meth:`RunJournal.create` fsyncs the run
+  directory's parent, every rename fsyncs its directory, and
+  :meth:`RunJournal.remove_segments` fsyncs the run directory once
+  after its unlinks.  A loaded journal's first append fsyncs the run
+  directory too, in case its creator was killed before doing so.
+  :attr:`RunJournal.renames`, :attr:`RunJournal.unlinks` and
+  :attr:`RunJournal.dir_fsyncs` count them.
+* Whole files are written by write-then-rename: write a temp file,
+  fsync, rename over the target.  :meth:`RunJournal.create` writes the
+  header this way, so a journal file never exists without its header.
+  :func:`atomic_write_text` (``invariants.json``) never replaces a file
+  with the bytes it already holds; it fsyncs the file and its directory
+  instead, so resuming a sealed journal rewrites no file and frees no
+  disk block.
 
 Record grammar (one JSON object per line)::
 
@@ -63,21 +80,57 @@ JOURNAL_NAME = "journal.jsonl"
 JOURNAL_VERSION = 1
 
 _SEGMENT_RE = re.compile(r"^journal-(\d+)\.jsonl$")
+#: a segment, or the temp file its creation (:func:`_replace`) writes
+_SEGMENT_FILE_RE = re.compile(
+    r"^(journal-\d+\.jsonl|\.journal-\d+\.jsonl\.tmp)$"
+)
 
 
 class JournalError(ValueError):
     """Raised for malformed or misused journals."""
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` via write-then-rename (crash atomic)."""
+def _fsync_dir(directory: str) -> None:
+    """Make the entries of ``directory`` durable (creates, renames,
+    unlinks)."""
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def _replace(path: str, data: bytes) -> None:
+    """Write-then-rename ``data`` over ``path``, then fsync the directory."""
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".{os.path.basename(path)}.tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    with open(tmp, "wb") as fh:
+        fh.write(data)
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
+    _fsync_dir(directory)
+
+
+def atomic_write_text(path: str, text: str) -> bool:
+    """Durably set ``path`` to ``text``; True when it renamed a new file.
+
+    A target already holding exactly these bytes is fsynced in place,
+    with its directory (the bytes or the entry may be only in the page
+    cache after a kill); any other target is replaced by
+    write-then-rename, which is crash atomic.
+    """
+    data = text.encode("utf-8")
+    try:
+        with open(path, "rb") as fh:
+            if fh.read() == data:
+                os.fsync(fh.fileno())
+                _fsync_dir(os.path.dirname(os.path.abspath(path)))
+                return False
+    except FileNotFoundError:
+        pass
+    _replace(path, data)
+    return True
 
 
 def segment_name(shard: int) -> str:
@@ -141,10 +194,20 @@ class RunJournal:
         self._append_offset = append_offset
         self._needs_newline = False
         self._fh: Any = None
+        # The file's directory entry may not be durable yet: the first
+        # append fsyncs the directory too.
+        self._entry_pending = False
         #: bytes appended by this instance (the O(n) I/O guard)
         self.bytes_written = 0
-        #: fsync calls issued by this instance (one per mutation)
+        #: journal-line fsyncs issued by this instance (one per mutation)
         self.fsyncs = 0
+        #: renames into the run directory (the journal's own creation,
+        #: :meth:`write_text` calls that changed a file)
+        self.renames = 0
+        #: segment files this instance unlinked
+        self.unlinks = 0
+        #: directory fsyncs this instance issued
+        self.dir_fsyncs = 0
 
     # -- construction -----------------------------------------------------
 
@@ -169,15 +232,17 @@ class RunJournal:
                 f"journal already exists in {run_dir!r}; "
                 "pass resume=True (CLI: --resume) to continue it"
             )
-        journal._append(
-            _encode(
-                {
-                    "kind": "header",
-                    "version": JOURNAL_VERSION,
-                    "meta": journal.meta,
-                }
-            )
-        )
+        journal._sync_dir(os.path.dirname(os.path.abspath(run_dir)))
+        header = _encode(
+            {"kind": "header", "version": JOURNAL_VERSION, "meta": journal.meta}
+        ) + "\n"
+        # The file appears with its header or not at all, so no crash
+        # leaves a journal that a resume cannot read.
+        _replace(journal.path, header.encode("ascii"))
+        journal.renames += 1
+        journal.dir_fsyncs += 1
+        journal.fsyncs += 1
+        journal.bytes_written = journal._append_offset = len(header)
         return journal
 
     @classmethod
@@ -254,6 +319,8 @@ class RunJournal:
         journal._needs_newline = (
             good_end == len(text) and bool(text) and not text.endswith("\n")
         )
+        # Its creator may have been killed before fsyncing the directory.
+        journal._entry_pending = True
         return journal
 
     # -- queries ----------------------------------------------------------
@@ -319,25 +386,49 @@ class RunJournal:
         self._append(line)
         self.close()
 
+    def write_text(self, name: str, text: str) -> None:
+        """Durably set the run file ``name`` to ``text`` (counted)."""
+        if atomic_write_text(os.path.join(self.run_dir, name), text):
+            self.renames += 1
+        self.dir_fsyncs += 1
+
+    def remove_segments(self) -> None:
+        """Unlink every segment journal of the run directory, durably.
+
+        A worker killed while creating its segment leaves the segment's
+        temp file; it goes too.
+        """
+        names = [
+            name for name in sorted(os.listdir(self.run_dir))
+            if _SEGMENT_FILE_RE.match(name)
+        ]
+        for name in names:
+            os.remove(os.path.join(self.run_dir, name))
+            self.unlinks += 1
+        if names:
+            self._sync_dir(self.run_dir)
+
     def close(self) -> None:
         """Release the append handle (reopened on the next mutation)."""
         if self._fh is not None:
             self._fh.close()
             self._fh = None
 
+    def _sync_dir(self, directory: str) -> None:
+        """Fsync ``directory``, counted in :attr:`dir_fsyncs`."""
+        _fsync_dir(directory)
+        self.dir_fsyncs += 1
+
     def _open_for_append(self) -> Any:
         """The append handle, clipping any torn tail on first open."""
         if self._fh is None:
-            if os.path.exists(self.path):
-                if os.path.getsize(self.path) != self._append_offset:
-                    os.truncate(self.path, self._append_offset)
-                self._fh = open(self.path, "a", encoding="utf-8")
-                if self._needs_newline:
-                    self._fh.write("\n")
-                    self._append_offset += 1
-                    self._needs_newline = False
-            else:
-                self._fh = open(self.path, "x", encoding="utf-8")
+            if os.path.getsize(self.path) != self._append_offset:
+                os.truncate(self.path, self._append_offset)
+            self._fh = open(self.path, "a", encoding="utf-8")
+            if self._needs_newline:
+                self._fh.write("\n")
+                self._append_offset += 1
+                self._needs_newline = False
         return self._fh
 
     def _append(self, line: str) -> None:
@@ -349,3 +440,6 @@ class RunJournal:
         self.fsyncs += 1
         self.bytes_written += len(data)
         self._append_offset += len(data)
+        if self._entry_pending:
+            self._entry_pending = False
+            self._sync_dir(self.run_dir)

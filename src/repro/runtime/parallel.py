@@ -407,8 +407,7 @@ def run_sharded(
             # regardless of strict mode, before sealing anything.
             raise InvariantError(merge_audit.violations)
         journal.seal(merge_snapshots(worker_snapshots))
-        for name in list_segments(run_dir).values():
-            os.remove(os.path.join(run_dir, name))
+        journal.remove_segments()
 
     results: list[Any] = []
     for key in keys:

@@ -7,12 +7,14 @@ import os
 
 import pytest
 
+from repro.power.pareto import crash_safe_power_sweep
 from repro.runtime.journal import (
     JOURNAL_NAME,
     JournalError,
     RunJournal,
     atomic_write_text,
 )
+from repro.runtime.parallel import fork_available
 
 
 class TestAtomicWrite:
@@ -25,6 +27,87 @@ class TestAtomicWrite:
     def test_leaves_no_temp_files(self, tmp_path):
         atomic_write_text(str(tmp_path / "out.json"), "x\n")
         assert sorted(os.listdir(tmp_path)) == ["out.json"]
+
+    def test_same_bytes_are_not_replaced(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "out.json")
+        assert atomic_write_text(path, "same\n")
+        inode = os.stat(path).st_ino
+        replaced = []
+        monkeypatch.setattr(os, "replace", lambda *a: replaced.append(a))
+        assert not atomic_write_text(path, "same\n")
+        assert replaced == []
+        assert os.stat(path).st_ino == inode
+        assert sorted(os.listdir(tmp_path)) == ["out.json"]
+
+
+def io_counts(journal: RunJournal) -> dict[str, int]:
+    return {
+        "bytes_written": journal.bytes_written,
+        "fsyncs": journal.fsyncs,
+        "renames": journal.renames,
+        "unlinks": journal.unlinks,
+        "dir_fsyncs": journal.dir_fsyncs,
+    }
+
+
+class TestRunDirectoryCounters:
+    """Exact I/O of a 4-point power sweep's run directory."""
+
+    def sweep(self, run_dir, **kw):
+        return crash_safe_power_sweep(
+            str(run_dir), (1, 2), (0.0, 0.9), n_calls=6, **kw
+        )
+
+    def test_fresh_serial_run(self, tmp_path):
+        journal = self.sweep(tmp_path / "run").journal
+        # Line fsyncs: header + 4 points + seal.  Renames: the journal
+        # with its header, invariants.json.  Dir fsyncs: the run
+        # directory's parent, then one per rename.
+        assert io_counts(journal) == {
+            "bytes_written": os.path.getsize(journal.path),
+            "fsyncs": 6,
+            "renames": 2,
+            "unlinks": 0,
+            "dir_fsyncs": 3,
+        }
+
+    def test_sealed_resume_rewrites_no_file(self, tmp_path, monkeypatch):
+        run_dir = tmp_path / "run"
+        self.sweep(run_dir)
+        before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+        replaced = []
+        real_replace = os.replace
+        monkeypatch.setattr(
+            os, "replace",
+            lambda *a: replaced.append(a) or real_replace(*a),
+        )
+        journal = self.sweep(run_dir, resume=True).journal
+        assert replaced == []
+        # Only the invariants.json skip's directory fsync remains.
+        assert io_counts(journal) == {
+            "bytes_written": 0,
+            "fsyncs": 0,
+            "renames": 0,
+            "unlinks": 0,
+            "dir_fsyncs": 1,
+        }
+        assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+
+    @pytest.mark.skipif(not fork_available(), reason="needs fork")
+    def test_parallel_run_unlinks_its_segments(self, tmp_path):
+        journal = self.sweep(tmp_path / "run", workers=2).journal
+        # The segments' own I/O is counted in the workers; the parent
+        # counts the merge and one directory fsync for both unlinks.
+        assert io_counts(journal) == {
+            "bytes_written": os.path.getsize(journal.path),
+            "fsyncs": 6,
+            "renames": 2,
+            "unlinks": 2,
+            "dir_fsyncs": 4,
+        }
+        assert sorted(os.listdir(journal.run_dir)) == [
+            "invariants.json", JOURNAL_NAME,
+        ]
 
 
 class TestJournalRoundTrip:

@@ -226,6 +226,18 @@ class TestRL005:
         result = lint_fixture("rl005", select=["RL005"])
         assert not by_file(result, "runtime/journal.py")
 
+    def test_runtime_renames_and_unlinks_need_the_owner(self):
+        result = lint_fixture("rl005", select=["RL005"])
+        bad = by_file(result, "runtime/bad_unlink.py")
+        assert sorted(f.message.split("(")[0] for f in bad) == [
+            "os.remove", "os.rename",
+        ]
+        assert all("directory fsync" in f.message for f in bad)
+
+    def test_renames_and_unlinks_outside_runtime_are_clean(self):
+        result = lint_fixture("rl005", select=["RL005"])
+        assert not by_file(result, "clean_unlink.py")
+
 
 # -- RL006 invariant drift -------------------------------------------------
 

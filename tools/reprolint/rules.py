@@ -32,7 +32,9 @@ The rules encode the contracts the reproduction's claims rest on:
   ``repro.obs.metrics.CATALOG``, and every catalog entry must be
   emitted somewhere.
 * **RL005 journal-bypass** — nothing outside ``runtime/journal.py``
-  may open a ``journal*.jsonl`` path for writing.
+  may open a ``journal*.jsonl`` path for writing, and nothing else in
+  ``runtime/`` may rename or unlink a file (each needs the directory
+  fsync that ``runtime/journal.py`` adds).
 * **RL006 invariant-registry drift** — the invariant names registered
   in ``runtime/invariants.py`` and the table in ``docs/MODEL.md`` must
   stay in bijection.
@@ -430,15 +432,19 @@ class MetricsCatalogRule(Rule):
 
 
 class JournalBypassRule(Rule):
-    """Journal files are written only through runtime/journal.py."""
+    """Journal files are written only through runtime/journal.py, and
+    runtime/ renames and unlinks only there."""
 
     id = "RL005"
-    title = "journal-bypass: journal*.jsonl written only via RunJournal"
+    title = (
+        "journal-bypass: journal*.jsonl written, and runtime/ files "
+        "renamed or unlinked, only via runtime/journal.py"
+    )
     rationale = (
         "the crash-safety contract (append-only, one fsync per point, "
-        "torn-tail clipping, byte-identical serial-vs-sharded merge) "
-        "holds only if every write goes through "
-        "repro.runtime.journal.RunJournal"
+        "torn-tail clipping, byte-identical serial-vs-sharded merge, a "
+        "directory fsync after every rename and unlink) holds only if "
+        "every write goes through repro.runtime.journal"
     )
     example = 'open(f"{d}/journal.jsonl", "a")   # RL005: use RunJournal'
     local = True
@@ -446,6 +452,9 @@ class JournalBypassRule(Rule):
     OWNER_MODULE = "runtime/journal.py"
     _JOURNAL_RE = re.compile(r"journal[-\w.{}]*\.jsonl")
     _WRITE_FUNCS = frozenset({"os.write", "os.truncate", "os.ftruncate"})
+    _NAMESPACE_FUNCS = frozenset(
+        {"os.replace", "os.rename", "os.remove", "os.unlink"}
+    )
 
     def _journalish(self, node: ast.AST) -> bool:
         for sub in ast.walk(node):
@@ -488,11 +497,21 @@ class JournalBypassRule(Rule):
     ) -> Iterator["Finding"]:
         if mod.src_rel == self.OWNER_MODULE:
             return
+        in_runtime = mod.src_rel.startswith("runtime/")
         for node in ast.walk(mod.tree):
             if not isinstance(node, ast.Call):
                 continue
             dotted = dotted_name(node.func) or ""
             tail = dotted.split(".")[-1]
+            if in_runtime and dotted in self._NAMESPACE_FUNCS:
+                yield mod.finding(
+                    self.id,
+                    node,
+                    f"{dotted}() in runtime/ outside runtime/journal.py "
+                    "skips the directory fsync that makes it durable; "
+                    "use RunJournal.remove_segments or atomic_write_text",
+                )
+                continue
             if not self._journalish(node):
                 continue
             if (
