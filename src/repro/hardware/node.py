@@ -115,6 +115,7 @@ class XD1Node:
         self.fifos: dict[str, list[Fifo]] = {}
         self._assign_banks()
         self.full_image: Bitstream = full_bitstream(self.device)
+        self._bitstreams: dict[tuple[int, str, int | None], Bitstream] = {}
 
     # -- construction helpers ---------------------------------------------
 
@@ -172,14 +173,21 @@ class XD1Node:
         """Module-based partial bitstream for a PRR.
 
         At the floorplan's geometric size, or at ``nbytes`` when given
-        (e.g. the published Table 2 size).
+        (e.g. the published Table 2 size).  Built once per (PRR, module,
+        size) and shared after: a :class:`Bitstream` is immutable.
         """
+        key = (prr_index, module, nbytes)
+        bs = self._bitstreams.get(key)
+        if bs is not None:
+            return bs
         if nbytes is not None:
-            return Bitstream(
+            bs = Bitstream(
                 name=f"prr:{module}", nbytes=nbytes,
                 region=f"prr{prr_index}", module=module, kind="module",
             )
-        (bs,) = self.floorplan.bitstreams_for(prr_index, [module])
+        else:
+            (bs,) = self.floorplan.bitstreams_for(prr_index, [module])
+        self._bitstreams[key] = bs
         return bs
 
     # -- configuration attempts -----------------------------------------------

@@ -24,8 +24,8 @@ for one grid cell, described by a :class:`repro.rtr.runner.CellSpec`:
 
 Why the replay is exact and not merely accurate: every branch of the
 executors accumulates absolute event times as a left fold of float sums
-(``sim.now + duration`` at each dispatch), ``AllOf`` barriers resolve to
-the max of their branch end times, the fault-free recovery wrapper adds
+(``sim.now + duration`` at each dispatch), a stage join resolves to
+the max of its branch end times, the fault-free recovery wrapper adds
 zero events, a zero-rate injector consumes no RNG draws, and uncontended
 mutexes grant in zero time.  The replay takes every duration from the
 code the node runs (the ports' time models, the ICAP chunking and fold
@@ -361,7 +361,8 @@ def replay_cell(
                 # configuration overlaps the running task.
                 if not resident:
                     cache.fill(nxt.name, pinned={call.name})
-                # AllOf(task, config) resolves to the later branch end.
+                # The stage joins at the later of the task and
+                # configuration branch ends.
                 stage_end = max(stage_end, partial_end(prtr))
         prtr = stage_end
     return frtr, prtr, n_configs

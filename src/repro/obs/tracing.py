@@ -15,7 +15,7 @@ Example
 -------
 >>> from repro.sim.trace import Timeline
 >>> tl = Timeline()
->>> _ = tl.add("config", 0.0, 1.5, lane="icap", task="sobel")
+>>> tl.add("config", 0.0, 1.5, lane="icap", task="sobel")
 >>> doc = trace_document(chrome_trace_events(tl, process_name="demo"))
 >>> sorted(doc) == ["displayTimeUnit", "traceEvents"]
 True

@@ -36,7 +36,7 @@ from ..faults.recovery import RecoveryPolicy
 from ..hardware.bitstream import Bitstream
 from ..obs import metrics as obsm
 from ..hardware.node import XD1Node
-from ..sim.engine import AllOf, Delay
+from ..sim.engine import Delay
 from ..sim.trace import Phase, Timeline
 from ..sim.resources import BandwidthChannel
 from ..workloads.task import CallTrace, FunctionCall
@@ -274,9 +274,7 @@ class PrtrExecutor:
             main_result["degraded_at"] = float(index)
 
         def main() -> Generator[Any, Any, None]:
-            startup_proc = sim.spawn(startup(), name="prtr-startup")
-            yield startup_proc.done
-            startup_time, startup_outcome = startup_proc.result
+            startup_time, startup_outcome = yield from startup()
             main_result["startup_time"] = startup_time
             main_result["startup_config"] = startup_time
             if startup_outcome.retries:
@@ -296,21 +294,6 @@ class PrtrExecutor:
                     t0 = sim.now
                     yield Delay(self.control_time)
                     timeline.add(Phase.CONTROL, t0, sim.now, task=call.name)
-
-                # Serial chain: the task, then the pre-fetch decision
-                # about the next call.
-                def chain(
-                    call: FunctionCall = call,
-                ) -> Generator[Any, Any, None]:
-                    yield from self._task_body(call, timeline, lane=lane)
-                    if self.decision_time:
-                        t0 = sim.now
-                        yield Delay(self.decision_time)
-                        timeline.add(
-                            Phase.SETUP, t0, sim.now, task=call.name
-                        )
-
-                branch_task = sim.spawn(chain(), name=f"task{i}")
 
                 branch_cfg = None
                 serial_cfg = False
@@ -339,10 +322,19 @@ class PrtrExecutor:
                             # executing; configure serially after the stage.
                             serial_cfg = True
 
-                if branch_cfg is not None:
-                    yield AllOf([branch_task.done, branch_cfg.done])
-                else:
-                    yield branch_task.done
+                # This process runs the task, then the pre-fetch
+                # decision, itself.  The configuration branch starts only
+                # once this yields, so the task acts first (its delay,
+                # or its data-in request on the shared inbound link) and
+                # its wake-up wins an exact time tie.  The stage ends at
+                # the later of the two branch ends.
+                yield from self._task_body(call, timeline, lane=lane)
+                if self.decision_time:
+                    t0 = sim.now
+                    yield Delay(self.decision_time)
+                    timeline.add(Phase.SETUP, t0, sim.now, task=call.name)
+                if branch_cfg is not None and not branch_cfg.finished:
+                    yield branch_cfg.done
 
                 if serial_cfg:
                     yield from partial_config(i + 1, "partial-serial")

@@ -27,7 +27,8 @@ Durability contract
   unlink is durable only once its parent directory is fsynced too.  So
   every namespace change here is followed by a directory fsync before
   the call returns: :meth:`RunJournal.create` fsyncs the run
-  directory's parent, every rename fsyncs its directory, and
+  directory's parent, and the parent of every directory it created on
+  the way, every rename fsyncs its directory, and
   :meth:`RunJournal.remove_segments` fsyncs the run directory once
   after its unlinks.  A loaded journal's first append fsyncs the run
   directory too, in case its creator was killed before doing so.
@@ -225,6 +226,11 @@ class RunJournal:
         name: str = JOURNAL_NAME,
     ) -> "RunJournal":
         """Start a fresh journal; refuses to clobber an existing one."""
+        missing = []
+        head = os.path.abspath(run_dir)
+        while not os.path.isdir(head):
+            missing.append(head)
+            head = os.path.dirname(head)
         os.makedirs(run_dir, exist_ok=True)
         journal = cls(run_dir, meta or {}, {}, name=name)
         if os.path.exists(journal.path):
@@ -232,7 +238,11 @@ class RunJournal:
                 f"journal already exists in {run_dir!r}; "
                 "pass resume=True (CLI: --resume) to continue it"
             )
-        journal._sync_dir(os.path.dirname(os.path.abspath(run_dir)))
+        # Each directory makedirs created is an entry in its parent; an
+        # existing run directory's entry is fsynced again, in case its
+        # creator was killed first.
+        for directory in reversed(missing or [os.path.abspath(run_dir)]):
+            journal._sync_dir(os.path.dirname(directory))
         header = _encode(
             {"kind": "header", "version": JOURNAL_VERSION, "meta": journal.meta}
         ) + "\n"

@@ -5,7 +5,8 @@ executors in :mod:`repro.rtr` are built on this small, deterministic DES
 kernel.  It follows the classic event-list design:
 
 * a :class:`Simulator` owns a monotonically advancing clock and a priority
-  queue of :class:`Event` records;
+  queue of ``(time, seq, process, value)`` tuples, ordered by time and
+  then by ``seq``, the order events were scheduled in;
 * *processes* are plain Python generators that ``yield`` scheduling
   primitives (:class:`Delay`, :class:`WaitUntil`, :class:`WaitEvent`,
   :class:`AllOf`) and are resumed by the kernel when the corresponding
@@ -14,6 +15,13 @@ kernel.  It follows the classic event-list design:
 The engine is intentionally synchronous and single-threaded: determinism is
 a hard requirement because the analytical model of the paper is exact, and
 we validate the simulator against it to float precision.
+
+:meth:`Simulator.run` without a deadline or a per-event hook takes a hot
+path: it pops inline, and a process whose :class:`Delay` wakes strictly
+before every queued event resumes in place instead of through the heap.
+That event would be popped next anyway, so it still takes a sequence
+number and counts in :attr:`Simulator.events_processed`: order and counts
+are those of the hooked loop.
 
 Example
 -------
@@ -24,6 +32,7 @@ Example
 ...     log.append(sim.now)
 >>> _ = sim.spawn(proc(sim))
 >>> sim.run()
+5.0
 >>> log
 [5.0]
 """
@@ -67,18 +76,17 @@ class SimulationError(RuntimeError):
     """Raised for scheduling violations (negative delays, dead kernels...)."""
 
 
-@dataclass(frozen=True)
 class Delay:
     """Yield from a process to suspend it for ``duration`` simulated time."""
 
-    duration: float
+    __slots__ = ("duration",)
 
-    def __post_init__(self) -> None:
-        if self.duration < 0:
-            raise SimulationError(f"negative delay: {self.duration!r}")
+    def __init__(self, duration: float) -> None:
+        if duration < 0:
+            raise SimulationError(f"negative delay: {duration!r}")
+        self.duration = duration
 
 
-@dataclass(frozen=True)
 class WaitUntil:
     """Yield from a process to suspend it until absolute time ``time``.
 
@@ -87,7 +95,10 @@ class WaitUntil:
     :class:`SimulationError` when yielded.
     """
 
-    time: float
+    __slots__ = ("time",)
+
+    def __init__(self, time: float) -> None:
+        self.time = time
 
 
 class EventSignal:
@@ -186,18 +197,38 @@ class Process:
         return self.done.value
 
     def _step(self, send_value: Any) -> None:
-        try:
-            target = self.gen.send(send_value)
-        except StopIteration as stop:
-            self.done.succeed(stop.value)
+        sim = self.sim
+        while True:
+            try:
+                target = self.gen.send(send_value)
+            except StopIteration as stop:
+                self.done.succeed(stop.value)
+                return
+            if type(target) is not Delay:
+                self._dispatch(target)
+                return
+            wake = sim.now + target.duration
+            queue = sim._queue
+            if (
+                sim._in_place
+                and not sim._zero
+                and (not queue or wake < queue[0][0])
+            ):
+                # The wake-up would be the next event popped: take it
+                # here, as the kernel would, with its seq and its count.
+                sim._next_seq += 1
+                sim._event_count += 1
+                sim.now = wake
+                sim.last_process = self
+                send_value = None
+                continue
+            sim._schedule(wake, self, None)
             return
-        self._dispatch(target)
 
     def _dispatch(self, target: Any) -> None:
+        """Wait on anything but a :class:`Delay` (:meth:`_step` does those)."""
         sim = self.sim
-        if isinstance(target, Delay):
-            sim._schedule(sim.now + target.duration, self, None)
-        elif isinstance(target, WaitUntil):
+        if isinstance(target, WaitUntil):
             sim._schedule(target.time, self, None)
         elif isinstance(target, WaitEvent):
             target.signal._add_waiter(self)
@@ -249,35 +280,6 @@ class _AllOfWaiter:
             sim._schedule(sim.now, self.parent, None)
 
 
-class Event:
-    """Internal event-queue record; ordered by ``(time, seq)``.
-
-    Hot-path record: ``__slots__`` plus a hand-written ``__lt__`` keep the
-    heap sifts free of the tuple churn a ``dataclass(order=True)``
-    comparator would pay on every comparison, and instances are pooled by
-    the owning :class:`Simulator` so a long run allocates O(heap depth)
-    events, not O(events processed).
-    """
-
-    __slots__ = ("time", "seq", "proc", "value")
-
-    def __init__(self, time: float, seq: int, proc: Any, value: Any) -> None:
-        self.time = time
-        self.seq = seq
-        self.proc = proc
-        self.value = value
-
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
-
-#: cap on the simulator's event free-list — bounds pool memory while still
-#: covering any realistic heap depth in this codebase
-_POOL_LIMIT = 1024
-
-
 class Simulator:
     """Deterministic single-threaded discrete-event simulator.
 
@@ -289,16 +291,21 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._queue: list[Event] = []
+        #: heap of ``(time, seq, process, value)``; ``seq`` is unique, so
+        #: tuple order is (time, seq) order and never compares processes
+        self._queue: list[tuple[float, int, Any, Any]] = []
         #: zero-delay side queue: events scheduled at exactly ``now`` are
         #: drained FIFO without paying two O(log n) heap sifts each.  Any
         #: heap entry at the current time was inserted *before* the clock
         #: reached it, so its seq is smaller than every side-queue entry's
         #: and plain "heap first on time ties" preserves (time, seq) order.
-        self._zero: deque[tuple[int, Any, Any]] = deque()
+        self._zero: deque[tuple[Any, Any]] = deque()
         self._next_seq = 0
-        self._pool: list[Event] = []
         self._running = False
+        #: set while :meth:`run` drains without a deadline or hook: a
+        #: process whose :class:`Delay` wakes strictly before every queued
+        #: event then resumes in place (:meth:`Process._step`)
+        self._in_place = False
         self._event_count = 0
         #: optional cancellation hook (:class:`repro.runtime.watchdog.
         #: Watchdog`-shaped: ``after_event(sim)`` raising to cancel);
@@ -313,57 +320,36 @@ class Simulator:
     # -- scheduling ------------------------------------------------------
 
     def _schedule(self, time: float, proc: Any, value: Any) -> None:
-        now = self.now
-        if time < now:
+        if time < self.now:
             raise SimulationError(
                 f"cannot schedule in the past: {time} < now={self.now}"
             )
         seq = self._next_seq
         self._next_seq = seq + 1
-        if time == now:
-            self._zero.append((seq, proc, value))
-            return
-        pool = self._pool
-        if pool:
-            ev = pool.pop()
-            ev.time = time
-            ev.seq = seq
-            ev.proc = proc
-            ev.value = value
+        if time == self.now:
+            self._zero.append((proc, value))
         else:
-            ev = Event(time, seq, proc, value)
-        heapq.heappush(self._queue, ev)
+            heapq.heappush(self._queue, (time, seq, proc, value))
 
     def _pop(self) -> Optional[tuple[float, Any, Any]]:
         """The next ``(time, proc, value)`` in (time, seq) order, or None."""
-        zero = self._zero
         queue = self._queue
-        if zero:
-            # Heap entries tied with ``now`` always precede side-queue
-            # entries (smaller seq by construction — see __init__).
-            if queue and queue[0].time == self.now:
-                ev = heapq.heappop(queue)
-            else:
-                _seq, proc, value = zero.popleft()
-                return (self.now, proc, value)
-        elif queue:
-            ev = heapq.heappop(queue)
-        else:
-            return None
-        out = (ev.time, ev.proc, ev.value)
-        ev.proc = None
-        ev.value = None
-        pool = self._pool
-        if len(pool) < _POOL_LIMIT:
-            pool.append(ev)
-        return out
+        # Heap entries tied with ``now`` always precede side-queue
+        # entries (smaller seq by construction — see __init__).
+        if self._zero and not (queue and queue[0][0] == self.now):
+            proc, value = self._zero.popleft()
+            return self.now, proc, value
+        if queue:
+            time, _seq, proc, value = heapq.heappop(queue)
+            return time, proc, value
+        return None
 
     def _peek_time(self) -> Optional[float]:
         """The timestamp of the next pending event, or None if drained."""
         if self._zero:
             return self.now
         if self._queue:
-            return self._queue[0].time
+            return self._queue[0][0]
         return None
 
     def spawn(
@@ -417,10 +403,7 @@ class Simulator:
         self._running = True
         try:
             if until is None and self.watchdog is None:
-                # Hot path: no deadline to poll and no per-event hook, so
-                # drain without the peek/branch per event.
-                while self.step():
-                    pass
+                self._drain()
             else:
                 while True:
                     t = self._peek_time()
@@ -434,7 +417,29 @@ class Simulator:
                         self.watchdog.after_event(self)
         finally:
             self._running = False
+            self._in_place = False
         return self.now
+
+    def _drain(self) -> None:
+        """The hot path: no deadline to poll and no per-event hook.
+
+        Pops inline instead of through :meth:`step`, and lets processes
+        resume in place; both keep :meth:`step`'s order and counts.
+        """
+        self._in_place = True
+        queue = self._queue
+        zero = self._zero
+        heappop = heapq.heappop
+        while True:
+            if zero and not (queue and queue[0][0] == self.now):
+                proc, value = zero.popleft()
+            elif queue:
+                self.now, _seq, proc, value = heappop(queue)
+            else:
+                return
+            self._event_count += 1
+            self.last_process = proc
+            proc._step(value)
 
     @property
     def events_processed(self) -> int:

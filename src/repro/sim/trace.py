@@ -4,11 +4,13 @@ Every executor in :mod:`repro.rtr` records what happened when as a list of
 :class:`Span` records (phase name, task, lane, start, end).  The trace is
 the simulated analogue of the paper's Figures 2-4 execution profiles and is
 what :mod:`repro.analysis.validate` compares against the analytical model.
+A :class:`Timeline` builds its spans on first read, so a run whose
+timeline nobody reads builds none.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 __all__ = ["Span", "Timeline", "Phase"]
@@ -53,20 +55,28 @@ class Span:
         return self.start < other.end and other.start < self.end
 
 
-@dataclass
 class Timeline:
     """An append-only collection of :class:`Span` records.
+
+    :meth:`add` checks its arguments and keeps a plain tuple; the
+    :class:`Span` records are built on the first read of :attr:`spans`
+    (iteration, ``len``, ``==``, every query and export), in insertion
+    order.  A run nobody reads builds none.
 
     :class:`Span` itself is frozen, but the ``spans`` *list* is plain
     and therefore aliasable: ``Timeline(spans=shared_list)`` (or module
     callers holding a reference) can mutate a timeline behind its back.
     Use :meth:`merged` for a defensive copy and :meth:`freeze` to make
     a timeline reject further mutation through *this* object while
-    decoupling it from any aliased list.
+    decoupling it from any aliased list.  A span appended straight to
+    an aliased list lands before any :meth:`add` left pending.
     """
 
-    spans: list[Span] = field(default_factory=list)
-    _frozen: bool = field(default=False, repr=False, compare=False)
+    def __init__(self, spans: Optional[list[Span]] = None) -> None:
+        self._spans: list[Span] = [] if spans is None else spans
+        #: ``Span`` arguments :meth:`add` accepted since the last read
+        self._pending: list[tuple[str, float, float, str, str, str]] = []
+        self._frozen = False
 
     def add(
         self,
@@ -77,13 +87,33 @@ class Timeline:
         lane: str = "main",
         task: str = "",
         note: str = "",
-    ) -> Span:
-        """Append one span; raises ``TypeError`` once frozen."""
+    ) -> None:
+        """Append one span; raises ``TypeError`` once frozen.
+
+        A span ending before it starts raises :class:`Span`'s
+        ``ValueError`` here, not when it is read.
+        """
         if self._frozen:
             raise TypeError("cannot add spans to a frozen timeline")
-        span = Span(phase, start, end, lane=lane, task=task, note=note)
-        self.spans.append(span)
-        return span
+        if end < start:  # Span raises, naming every field
+            Span(phase, start, end, lane=lane, task=task, note=note)
+        self._pending.append((phase, start, end, lane, task, note))
+
+    @property
+    def spans(self) -> list[Span]:
+        """Every span in insertion order (builds the pending ones)."""
+        if self._pending:
+            self._spans.extend([Span(*args) for args in self._pending])
+            self._pending.clear()
+        return self._spans
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Timeline):
+            return NotImplemented
+        return self.spans == other.spans
+
+    def __repr__(self) -> str:
+        return f"Timeline(spans={self.spans!r})"
 
     # -- defensive copies --------------------------------------------------
 
@@ -98,9 +128,10 @@ class Timeline:
         The span list is copied, so appends through a previously shared
         list no longer reach this timeline — the regression this guards
         is a caller mutating the list a finalized ``RunResult`` holds.
+        Pending spans stay pending: freezing builds none.
         """
         if not self._frozen:
-            self.spans = list(self.spans)
+            self._spans = list(self._spans)
             self._frozen = True
         return self
 

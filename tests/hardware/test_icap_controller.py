@@ -21,10 +21,12 @@ from repro.hardware import (
     full_bitstream,
     XC2VP50,
     icap_controller,
+    single_prr_floorplan,
 )
 from repro.analysis.reliability import fault_cell_spec, trace_with_hit_ratio
 from repro.experiments import fig9
 from repro.faults import FaultConfig, FaultInjector, WriteAbort
+from repro.rtr.frtr import FrtrExecutor
 from repro.rtr.prtr import PrtrExecutor
 from repro.rtr.runner import make_node
 from repro.sim import (
@@ -298,24 +300,43 @@ class TestFoldedStream:
         fresh = FaultInjector(FaultConfig(seed=3))
         assert injector.rng.random() == fresh.rng.random()
 
+    # Exact kernel event counts.  With one prefetch process per chunk
+    # the fig9 run made 9,353 events and the faulty run 4,205.  Folded,
+    # but with each PRTR stage built from a spawned task and
+    # configuration joined by an AllOf, they made 809 and 357, the
+    # config-bound run 809 and the single-PRR run 542.  The pipeline
+    # process now runs each task itself.
+
     def test_fig9_prtr_run_event_budget(self):
-        # A 90-call force_miss dual-PRR run made 9,353 kernel events with
-        # one prefetch process per chunk; folded it needs under 1,000.
+        node = make_node()
+        fig9_prtr_run(node)
+        assert node.sim.events_processed == 449
+
+    def test_config_bound_fig9_prtr_run_event_budget(self):
+        # The configuration outlasts the task, so every stage also waits
+        # on the configuration's done.
+        node = make_node()
+        fig9_prtr_run(node, x_task=0.001)
+        assert node.sim.events_processed == 538
+
+    def test_single_prr_fig9_prtr_run_event_budget(self):
+        # One PRR: each stage runs its task, then configures serially.
+        node = make_node(single_prr_floorplan())
+        single = PUBLISHED_TABLE2["single_prr"].bitstream_bytes
+        fig9_prtr_run(node, bitstream_bytes=single)
+        assert node.sim.events_processed == 360
+
+    def test_fig9_frtr_run_event_budget(self):
+        # No overlapped branch, so nothing to save: as before the change.
         panel = fig9.panel("measured")
         node = make_node()
-        PrtrExecutor(
-            node,
-            estimated=panel.estimated,
-            control_time=panel.t_control,
-            force_miss=True,
-            bitstream_bytes=DUAL,
+        FrtrExecutor(
+            node, estimated=panel.estimated, control_time=panel.t_control
         ).run(fig9._cyclic_trace(0.1 * panel.t_frtr, 90))
-        assert node.sim.events_processed <= 1000
+        assert node.sim.events_processed == 271
 
     def test_faulty_prtr_run_event_budget(self):
-        # The PRTR half of a rate-0.03 fault cell made 4,205 kernel
-        # events with one prefetch process per chunk; folded, aborts
-        # included, it needs under 500.
+        # The PRTR half of a rate-0.03 fault cell.
         spec = fault_cell_spec(0.03, 0)
         node = make_node(
             spec.floorplan, fault_injector=FaultInjector(spec.faults)
@@ -323,8 +344,8 @@ class TestFoldedStream:
         PrtrExecutor(node, recovery=spec.recovery).run(
             trace_with_hit_ratio(0.0, 30, 0.1)
         )
-        assert node.icap.write_aborts > 0
-        assert node.sim.events_processed <= 500
+        assert node.icap.write_aborts == 34
+        assert node.sim.events_processed == 248
 
 
 #: per-chunk abort probabilities the faulty fold is checked at
@@ -480,19 +501,19 @@ class TestLeftFold:
 PREFETCH = re.compile(r":bs[1-9]\d*$")
 
 
-def fig9_prtr_run(node, per_chunk=False):
-    """The 90-call force_miss dual-PRR run of the event-budget test."""
+def fig9_prtr_run(node, per_chunk=False, x_task=0.1, bitstream_bytes=DUAL):
+    """The 90-call force_miss PRTR run of the event-budget tests."""
     panel = fig9.panel("measured")
     with pytest.MonkeyPatch.context() as mp:
         if per_chunk:
             mp.setattr(IcapController, "_can_fold", lambda self: False)
-        PrtrExecutor(
+        return PrtrExecutor(
             node,
             estimated=panel.estimated,
             control_time=panel.t_control,
             force_miss=True,
-            bitstream_bytes=DUAL,
-        ).run(fig9._cyclic_trace(0.1 * panel.t_frtr, 90))
+            bitstream_bytes=bitstream_bytes,
+        ).run(fig9._cyclic_trace(x_task * panel.t_frtr, 90))
 
 
 def link_state(link):

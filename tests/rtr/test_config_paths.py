@@ -165,17 +165,35 @@ CLUSTER_FAULTS = FaultConfig(
 )
 
 
-def _cluster_case(mode: str, recovery: Any) -> Callable[[], tuple]:
+def _cluster_case(
+    mode: str,
+    recovery: Any,
+    *,
+    blades: int = 3,
+    faults: FaultConfig | None = CLUSTER_FAULTS,
+    lockstep: bool = False,
+    estimated: bool = False,
+) -> Callable[[], tuple]:
+    """Identical-trace blades sharing one bitstream server.
+
+    ``lockstep`` gives the server unlimited bandwidth: fetches take no
+    time but still queue on it, so the blades run in lockstep until a
+    fault sets one apart.  Their stage joins then fall on the same
+    instants, which pins the order of same-time events across blades.
+    """
+    bandwidth = float("inf") if lockstep else cluster.DEFAULT_SERVER_BANDWIDTH
+
     def case() -> tuple[dict[str, Any], dict[str, Any]]:
-        traces = [_trace(8) for _ in range(3)]
+        traces = [_trace(8) for _ in range(blades)]
         with _built(cluster, "XD1Node") as nodes, _built(
             cluster, "FaultInjector"
         ) as injectors:
             result = run_cluster(
-                traces, mode, fault_config=CLUSTER_FAULTS,
-                recovery=recovery, force_miss=True,
+                traces, mode, fault_config=faults, recovery=recovery,
+                force_miss=True, estimated=estimated,
+                server_bandwidth=bandwidth,
             )
-        server = injectors[0]
+        server = injectors[0] if injectors else None
         doc = {
             "makespan": _hex(result.makespan),
             "server_bytes": _hex(result.server_bytes),
@@ -188,23 +206,39 @@ def _cluster_case(mode: str, recovery: Any) -> Callable[[], tuple]:
             "redistributed": [_run_doc(w) for w in result.redistributed],
             "nodes": [_node_doc(n) for n in nodes],
         }
-        blades = result.blades + result.redistributed
+        runs = result.blades + result.redistributed
+        #: distinct blade end times of each stage
+        per_blade = ([r.end for r in b.records] for b in result.blades)
+        ends = [len(set(stage)) for stage in zip(*per_blade)]
+        if server is None:
+            return doc, {"every stage end tied": set(ends) == {1}}
         proofs = {
             "server fetch corrupted": server.stats.transfers_corrupted,
             "port aborts": sum(n.selectmap.write_aborts for n in nodes),
-            "retries": sum(b.n_retries for b in blades),
+            "retries": sum(b.n_retries for b in runs),
         }
+        if lockstep:
+            proofs["a tie in every stage"] = max(ends) < blades
         if recovery.exhausted == "degrade":
             proofs["degraded blades"] = len(result.degraded)
             proofs["redistributed runs"] = len(result.redistributed)
         elif mode == "prtr":
-            proofs["fallbacks"] = sum(b.n_fallbacks for b in blades)
+            proofs["fallbacks"] = sum(b.n_fallbacks for b in runs)
             proofs["icap write aborts"] = sum(
                 n.icap.write_aborts for n in nodes
             )
         return doc, proofs
 
     return case
+
+
+def _tied_case(
+    faults: FaultConfig | None = None, recovery: Any = None, **kwargs: Any
+) -> Callable[[], tuple]:
+    """Four lockstep PRTR blades (see :func:`_cluster_case`)."""
+    return _cluster_case(
+        "prtr", recovery, blades=4, faults=faults, lockstep=True, **kwargs
+    )
 
 
 def _degrade() -> RecoveryPolicy:
@@ -319,6 +353,11 @@ CASES: dict[str, Callable[[], tuple[dict[str, Any], dict[str, Any]]]] = {
     "cluster-prtr-fallback": _cluster_case("prtr", FallbackPolicy()),
     "cluster-frtr-degrade": _cluster_case("frtr", _degrade()),
     "cluster-prtr-degrade": _cluster_case("prtr", _degrade()),
+    "cluster-prtr-tied-measured": _tied_case(),
+    "cluster-prtr-tied-estimated": _tied_case(estimated=True),
+    "cluster-prtr-tied-faulty": _tied_case(
+        faults=CLUSTER_FAULTS.reseeded(3), recovery=FallbackPolicy()
+    ),
     "estimated-frtr": _estimated_case("frtr"),
     "estimated-prtr": _estimated_case("prtr"),
     "detailed-io-prtr": _detailed_io_case,

@@ -441,6 +441,25 @@ class TestPromisesHoldOnReturn:
             journal.seal()
             session.assert_durable()
 
+    def test_create_in_new_nested_directories(self, tmp_path):
+        # makedirs creates two directories: both entries are made durable.
+        with Session(tmp_path / "root") as session:
+            run_dir = os.path.join(session.root, "nest", RUN)
+            journal = RunJournal.create(run_dir, {"kind": "demo"})
+            assert journal.dir_fsyncs == 3
+            created = len(session.ops())
+            journal.record("a", {"v": 1})
+            segment = RunJournal.create(run_dir, name=segment_name(0))
+            assert segment.dir_fsyncs == 2
+            ops = session.ops()
+            journal.close()
+            segment.close()
+        first_sync = next(
+            k for k in range(created, len(ops)) if ops[k]["op"] in SYNCS
+        )
+        after_power_loss = View(ops[: first_sync + 1]).tree()
+        assert os.path.join("nest", RUN, JOURNAL_NAME) in after_power_loss
+
     def test_first_append_of_a_reloaded_journal(self, tmp_path):
         # A run killed between the journal's rename and the directory
         # fsync: the journal's entry is durable after the next append.

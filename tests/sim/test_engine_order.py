@@ -1,7 +1,8 @@
 """Event-order regression for the specialized DES hot path.
 
-The engine replaced tuple-ordered heap entries with pooled
-``__slots__`` events plus a zero-delay side queue
+The engine keeps ``(time, seq, process, value)`` heap tuples plus a
+zero-delay side queue, and its un-hooked loop resumes a process in
+place when its ``Delay`` wakes before every queued event
 (docs/PERFORMANCE.md section 2). The ordering contract did not change:
 events fire in strict ``(time, seq)`` order, where ``seq`` is
 assignment order at schedule time. This suite replays seeded random
@@ -9,15 +10,26 @@ schedules — mixed zero and nonzero delays, relative ``Delay`` and
 absolute ``WaitUntil`` wake-ups, scheduling from inside running
 processes — against a naive sorted-list reference kernel and
 asserts the exact firing order, so the heap specialization can never
-silently reorder ties.
+silently reorder ties.  It also runs whole experiments on both kernel
+loops, the hot one and the one a per-event hook takes, and asserts
+identical results.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import heapq
+
 import numpy as np
 import pytest
 
+from repro.analysis.reliability import fault_cell_spec, trace_with_hit_ratio
+from repro.experiments import fig9
+from repro.faults import FallbackPolicy, FaultConfig
+from repro.hardware import PUBLISHED_TABLE2
+from repro.rtr import cluster, runner
 from repro.sim.engine import Delay, Simulator, WaitUntil
+from repro.workloads import CallTrace, HardwareTask
 
 
 class ReferenceKernel:
@@ -165,8 +177,8 @@ def test_heap_tie_beats_later_zero_delay():
 
 
 def test_pool_reuse_does_not_leak_state():
-    # Run enough churn to cycle the event pool several times, then
-    # check the clock and counters still advance exactly.
+    # Heavy heap churn (the kernel once pooled its event records): the
+    # clock and counters still advance exactly.
     sim = Simulator()
     hits = []
 
@@ -180,3 +192,162 @@ def test_pool_reuse_does_not_leak_state():
     assert len(hits) == 5000
     assert sim.events_processed >= 5000
     assert hits == sorted(hits)
+
+
+class PassThrough:
+    """A per-event hook that does nothing: it forces the hooked loop."""
+
+    def after_event(self, sim):
+        pass
+
+
+def _lone_run_plan(seed: int):
+    """Six one-shot wake-ups around one chain of 40 fine delays.
+
+    The chain is one process (each child is its next ``Delay``), so the
+    hot loop can resume it in place between the others' events.
+    """
+    rng = np.random.default_rng(seed)
+    plan = {
+        f"o{i}": (float(rng.choice([0.5, 1.0, 1.0, 2.5, 4.0])), [])
+        for i in range(6)
+    }
+    for k in range(40):
+        delay = float(rng.choice([0.0, 0.0, 0.125, 0.25, 0.5, 1.0]))
+        plan[f"r{k}"] = (delay, [f"r{k + 1}"] if k < 39 else [])
+    return ["o0", "o1", "o2", "r0", "o3", "o4", "o5"], plan
+
+
+def _run_chains(roots, plan, hooked):
+    sim = Simulator()
+    fired: list[tuple[float, str]] = []
+
+    def chain(label):
+        while True:
+            delay, children = plan[label]
+            yield Delay(delay)
+            fired.append((sim.now, label))
+            if not children:
+                return
+            (label,) = children
+
+    for label in roots:
+        sim.spawn(chain(label))
+    if hooked:
+        sim.watchdog = PassThrough()
+    sim.run()
+    return fired, sim.events_processed
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_in_place_resume_keeps_order_and_count(seed, monkeypatch):
+    roots, plan = _lone_run_plan(seed)
+    pushes = []
+    real_push = heapq.heappush
+
+    def push(queue, entry):
+        pushes.append(entry)
+        real_push(queue, entry)
+
+    monkeypatch.setattr(heapq, "heappush", push)
+    hot = _run_chains(roots, plan, hooked=False)
+    hot_pushes = len(pushes)
+    hooked = _run_chains(roots, plan, hooked=True)
+    reference = _run_reference(roots, plan)
+    # The kernel counts each spawn and each wake-up as one event.
+    assert hot == hooked == (reference, len(reference) + len(roots))
+    # The hot loop resumed the chain in place at least once.
+    assert hot_pushes < len(pushes) - hot_pushes
+
+
+# -- whole runs on both loops -------------------------------------------------
+
+
+def _result_doc(result):
+    def render(obj):
+        return "|".join(
+            value.hex() if isinstance(value, float) else str(value)
+            for value in (
+                getattr(obj, f.name) for f in dataclasses.fields(obj)
+            )
+        )
+
+    return {
+        "total": result.total_time.hex(),
+        "records": [render(r) for r in result.records],
+        "spans": [render(s) for s in result.timeline],
+    }
+
+
+def _fig9_pair():
+    panel = fig9.panel("measured")
+    comparison = runner.compare(
+        fig9._cyclic_trace(0.1 * panel.t_frtr, 90),
+        estimated=panel.estimated,
+        control_time=panel.t_control,
+        force_miss=True,
+        bitstream_bytes=PUBLISHED_TABLE2["dual_prr"].bitstream_bytes,
+    )
+    return [comparison.frtr, comparison.prtr]
+
+
+def _faulty_cell():
+    spec = fault_cell_spec(0.03, 0)
+    return list(runner.simulate(spec, trace_with_hit_ratio(0.5, 30, 0.1)))
+
+
+def _tied_cluster():
+    lib = {n: HardwareTask(n, 0.05) for n in "abc"}
+    trace = CallTrace([lib["abc"[i % 3]] for i in range(8)], name="tied")
+    result = cluster.run_cluster(
+        [trace] * 4,
+        "prtr",
+        force_miss=True,
+        server_bandwidth=float("inf"),
+        fault_config=FaultConfig(
+            transfer_ber=1e-7, chunk_abort_rate=0.02, port_abort_rate=0.3,
+            seed=3,
+        ),
+        recovery=FallbackPolicy(),
+    )
+    return result.blades + result.redistributed
+
+
+def _observed(case, monkeypatch, hooked):
+    """Run ``case``; its results, simulators' counts and fault streams."""
+    sims, injectors = [], []
+    real_init = Simulator.__init__
+
+    def init(sim):
+        real_init(sim)
+        sims.append(sim)
+        if hooked:
+            sim.watchdog = PassThrough()
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Simulator, "__init__", init)
+        for module in (runner, cluster):
+            real = module.FaultInjector
+
+            def build(*args, real=real, **kwargs):
+                injectors.append(real(*args, **kwargs))
+                return injectors[-1]
+
+            patch.setattr(module, "FaultInjector", build)
+        results = case()
+    return {
+        "results": [_result_doc(r) for r in results],
+        "events": [sim.events_processed for sim in sims],
+        "streams": [inj.rng.bit_generator.state for inj in injectors],
+    }
+
+
+@pytest.mark.parametrize(
+    "case", [_fig9_pair, _faulty_cell, _tied_cluster],
+    ids=["fig9-pair", "faulty-cell", "tied-cluster"],
+)
+def test_hot_and_hooked_loops_agree(case, monkeypatch):
+    hot = _observed(case, monkeypatch, hooked=False)
+    hooked = _observed(case, monkeypatch, hooked=True)
+    assert hot["events"] and all(hot["events"])
+    assert hot == hooked

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
-from repro.sim import Phase, Span, Timeline
+from repro.experiments import fig9
+from repro.hardware import PUBLISHED_TABLE2
+from repro.rtr import runner
+from repro.sim import Phase, Span, Timeline, trace
 
 
 class TestSpan:
@@ -150,3 +155,107 @@ class TestFreezeAndMerged:
         assert comparison.prtr.timeline.frozen
         with pytest.raises(TypeError):
             comparison.prtr.timeline.add(Phase.TASK, 0.0, 1.0)
+
+
+#: sha256 of the 90-call fig9 compare's FRTR and PRTR spans, recorded
+#: when every ``Timeline.add`` still built its span on the spot
+FIG9_SPANS_SHA256 = (
+    "04da9ff16ce7b221852c8e1a9dc7d9e5fe8e351b2d685829f8415757b43220c0",
+    "29145a916b128186a7116e999a2aa1a8541b367a47f99dea64147fd1142d31a1",
+)
+
+
+def _sha256(spans: list[Span]) -> str:
+    text = "\n".join(
+        "|".join([s.phase, s.start.hex(), s.end.hex(), s.lane, s.task, s.note])
+        for s in spans
+    )
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestSpansOnRead:
+    """``add`` keeps a tuple; the spans are built on the first read."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        made: list[Span] = []
+
+        def counting(*args, **kwargs):
+            made.append(Span(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(trace, "Span", counting)
+        return made
+
+    def make(self) -> Timeline:
+        tl = Timeline()
+        tl.add(Phase.CONFIG, 0.0, 1.0, task="m", lane="icap", note="n")
+        tl.add(Phase.TASK, 1.0, 2.5, task="m")
+        return tl
+
+    def test_fig9_compare_builds_spans_only_when_read(self, built):
+        panel = fig9.panel("measured")
+        comparison = runner.compare(
+            fig9._cyclic_trace(0.1 * panel.t_frtr, 90),
+            estimated=panel.estimated,
+            control_time=panel.t_control,
+            force_miss=True,
+            bitstream_bytes=PUBLISHED_TABLE2["dual_prr"].bitstream_bytes,
+        )
+        assert built == []
+        runs = (comparison.frtr, comparison.prtr)
+        for result, digest in zip(runs, FIG9_SPANS_SHA256):
+            before = len(built)
+            spans = result.timeline.spans
+            assert len(spans) == 270
+            assert all(a is b for a, b in zip(built[before:], spans))
+            assert len(built) == before + len(spans)
+            assert _sha256(spans) == digest
+            assert list(result.timeline) == spans
+            assert len(built) == before + len(spans)
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            len,
+            list,
+            lambda tl: tl == Timeline(),
+            lambda tl: tl.merged(),
+            lambda tl: tl.by_phase(Phase.TASK),
+            lambda tl: tl.to_rows(),
+            lambda tl: tl.gantt(),
+        ],
+        ids=["len", "iter", "eq", "merged", "query", "to_rows", "gantt"],
+    )
+    def test_every_read_builds_the_pending_spans(self, built, read):
+        tl = self.make()
+        assert built == []
+        read(tl)
+        assert built == [
+            Span(Phase.CONFIG, 0.0, 1.0, lane="icap", task="m", note="n"),
+            Span(Phase.TASK, 1.0, 2.5, task="m"),
+        ]
+        assert tl.spans == built
+
+    def test_freeze_builds_nothing(self, built):
+        tl = self.make().freeze()
+        assert built == []
+        assert len(tl) == 2
+
+    def test_frozen_add_raises_and_builds_nothing(self, built):
+        tl = self.make().freeze()
+        with pytest.raises(TypeError, match="frozen"):
+            tl.add(Phase.TASK, 3.0, 4.0)
+        assert built == []
+        assert len(tl) == 2
+
+    def test_backwards_span_raises_at_add(self, built):
+        tl = self.make()
+        message = (
+            "span ends before it starts: Span(phase='task', start=2.0, "
+            "end=1.0, lane='main', task='m', note='')"
+        )
+        with pytest.raises(ValueError) as err:
+            tl.add(Phase.TASK, 2.0, 1.0, task="m")
+        assert str(err.value) == message
+        assert len(tl) == 2
