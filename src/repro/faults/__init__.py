@@ -7,8 +7,7 @@ makes those failure modes first-class and *deterministic*:
 
 * :mod:`repro.faults.injector` — seeded fault processes (corrupt
   transfers, abort ICAP/port writes, flip configuration frames);
-* :mod:`repro.faults.detection` — per-chunk CRC checking and periodic
-  readback scrubbing;
+* :mod:`repro.faults.detection` — per-chunk CRC checking;
 * :mod:`repro.faults.recovery` — pluggable policies: retry with capped
   exponential backoff, re-fetch from the bitstream server, fall back to a
   full (FRTR) reconfiguration, or degrade the blade so the cluster
@@ -19,7 +18,7 @@ With every rate at zero the whole subsystem is inert: runs are
 bit-identical to the fault-free baseline (a test pins this).
 """
 
-from .detection import CrcChecker, ScrubCycle, Scrubber
+from .detection import CrcChecker
 from .errors import ReconfigurationFault, TransferCorruption, WriteAbort
 from .injector import FaultConfig, FaultInjector, FaultStats
 from .recovery import FallbackPolicy, RecoveryAction, RecoveryPolicy
@@ -33,8 +32,6 @@ __all__ = [
     "ReconfigurationFault",
     "RecoveryAction",
     "RecoveryPolicy",
-    "ScrubCycle",
-    "Scrubber",
     "TransferCorruption",
     "WriteAbort",
 ]

@@ -16,8 +16,8 @@ points:
 * :meth:`FaultInjector.span_aborted` — once per wire-only partial write
   (:meth:`~repro.hardware.node.XD1Node.configure_partial` with
   ``estimated``);
-* :meth:`FaultInjector.seu_count` — Poisson upset counts for a scrub
-  interval over the configured regions.
+* :meth:`FaultInjector.seu_count` — Poisson upset counts over an
+  interval across the configured regions.
 
 Determinism contract: the DES engine is single-threaded and its event
 order is fully deterministic, so the *call order* into the injector is
@@ -67,7 +67,7 @@ class FaultConfig:
         vendor path is validated end-to-end (DONE-pin polling).
     seu_rate:
         Configuration-memory single-event upsets per second *per
-        configured region* (consumed by the readback scrubber).
+        configured region* (drawn by :meth:`FaultInjector.seu_count`).
     seed:
         Seed for the injector's private random stream.
     """

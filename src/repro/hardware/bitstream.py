@@ -129,7 +129,10 @@ def module_based_bitstreams(
     return out
 
 
-def difference_size(
+# Sizes each bitstream of difference_based_bitstreams below, which backs
+# the paper's Section 5 development-cost claim (TestDevelopmentCostClaim);
+# its own oracle checks are in tests/hardware/test_bitstream.py.
+def difference_size(  # reprolint: disable=RL010
     device: FpgaDevice,
     region: Region,
     similarity: float,
@@ -147,7 +150,9 @@ def difference_size(
     return int(round(device.bitstream_overhead_bytes + payload * (1.0 - similarity)))
 
 
-def difference_based_bitstreams(
+# Kept for the paper's Section 5 development-cost claim in
+# tests/integration/test_paper_headlines.py (TestDevelopmentCostClaim).
+def difference_based_bitstreams(  # reprolint: disable=RL010
     device: FpgaDevice,
     region: Region,
     similarities: Mapping[tuple[str, str], float],

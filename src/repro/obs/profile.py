@@ -3,13 +3,14 @@
 :class:`EventProfiler` finds where *host* time goes (the simulated
 clock is already fully observable through timelines).  It rides the
 simulator's existing watchdog hook point
-(:attr:`repro.sim.engine.Simulator.watchdog`): the kernel calls
-``after_event(sim)`` after every dispatched event, and the profiler
-attributes the wall-clock gap since the previous hook call to the event
-just processed, keyed by its process's *event type* (the process name
-with indices stripped, so ``task17`` and ``cfg3`` fold into ``task`` and
-``cfg``).  An existing watchdog can be chained, so profiling composes
-with deadline cancellation.
+(:attr:`repro.sim.engine.Simulator.watchdog`): the kernel's one event
+loop calls ``after_event(sim)`` after every event, a process resumed in
+place included, and the profiler attributes the wall-clock gap since
+the previous hook call to the event just processed, keyed by its
+process's *event type* (the process name with indices stripped, so
+``task17`` and ``cfg3`` fold into ``task`` and ``cfg``).  An existing
+watchdog can be chained, so profiling composes with deadline
+cancellation.
 
 Profiling is measurement only — it never influences scheduling, so a
 profiled run produces the same :class:`~repro.rtr.events.RunResult` as

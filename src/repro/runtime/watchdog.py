@@ -5,9 +5,11 @@ Two execution shapes need guarding:
 * **DES runs** (:class:`~repro.sim.engine.Simulator`) can livelock —
   a buggy process yielding ``Delay(0)`` forever burns events without
   advancing the clock — or simply run far past any useful horizon.
-  Attach a watchdog to the simulator (``sim.watchdog = wd; wd.start()``)
-  and the kernel calls :meth:`Watchdog.after_event` after every event;
-  the watchdog raises :class:`WatchdogExpired` when a limit trips.
+  Attach a watchdog to the simulator (``sim.watchdog = wd.start(sim)``)
+  and the kernel calls :meth:`Watchdog.after_event` after every event, a
+  process resumed in place included; the watchdog raises
+  :class:`WatchdogExpired` when a limit trips, with the run's pending
+  events still queued.
 * **Sweep loops** (grid evaluations in :mod:`repro.runtime.crashsafe`)
   are bounded by *wall clock*: call :meth:`Watchdog.check_wall` between
   grid points.
@@ -129,7 +131,7 @@ class Watchdog:
             )
 
     def after_event(self, sim: Any) -> None:
-        """Per-event hook called by ``Simulator.run`` after each step."""
+        """Per-event hook called by ``Simulator.run`` after each event."""
         if self.max_sim_time is not None and sim.now > self.max_sim_time:
             self._expire(
                 "sim-deadline",

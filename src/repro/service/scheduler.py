@@ -82,6 +82,9 @@ __all__ = [
 
 #: slack under which a remaining-time balance counts as finished
 _EPS = 1e-12
+#: consecutive events without a clock advance that cut a run off (the
+#: no-deadlock guard every run arms)
+_STALL_EVENTS = 1_000_000
 
 
 @dataclass
@@ -870,11 +873,7 @@ class ServiceExecutor:
                     self._chaos.outage_proc(event),
                     name=f"chaos:{event.domain}#{idx}",
                 )
-        watchdog = Watchdog(
-            max_events=self.config.max_events,
-            stall_events=self.config.stall_events,
-        ).start(sim)
-        sim.watchdog = watchdog
+        sim.watchdog = Watchdog(stall_events=_STALL_EVENTS).start(sim)
         interrupted: str | None = None
         try:
             sim.run()

@@ -22,7 +22,7 @@ gold/silver/bronze mix used when no spec file is given.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Any, Mapping, Sequence
 
 from ..faults.injector import FaultConfig
@@ -323,8 +323,6 @@ class ServiceConfig:
         :mod:`repro.power` model — above the cap.  ``None`` (default)
         disables the check entirely, leaving admission byte-identical
         to a power-unaware service.
-    max_events, stall_events:
-        Watchdog limits armed for every run (the no-deadlock guard).
     chaos:
         Optional :class:`~repro.chaos.spec.ChaosSpec`.  ``None`` — and
         any spec whose ``inert`` property is true — leaves the chaos
@@ -346,8 +344,6 @@ class ServiceConfig:
     max_config_attempts: int = 3
     prrs: int = 0
     power_cap_w: float | None = None
-    max_events: int | None = None
-    stall_events: int = field(default=1_000_000)
     #: a :class:`~repro.chaos.spec.ChaosSpec` or None (typed ``Any`` to
     #: keep :mod:`repro.chaos` importable on top of the service layer)
     chaos: Any = None
@@ -376,8 +372,6 @@ class ServiceConfig:
             raise ValueError("prrs must be >= 0 (0 = dual-PRR default)")
         if self.power_cap_w is not None and self.power_cap_w <= 0:
             raise ValueError("power_cap_w must be > 0 (or None to disable)")
-        if self.stall_events < 1:
-            raise ValueError("stall_events must be >= 1")
         if self.chaos is not None and not hasattr(self.chaos, "as_dict"):
             raise ValueError(
                 "chaos must be a ChaosSpec (or None): "

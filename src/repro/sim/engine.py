@@ -16,12 +16,14 @@ The engine is intentionally synchronous and single-threaded: determinism is
 a hard requirement because the analytical model of the paper is exact, and
 we validate the simulator against it to float precision.
 
-:meth:`Simulator.run` without a deadline or a per-event hook takes a hot
-path: it pops inline, and a process whose :class:`Delay` wakes strictly
-before every queued event resumes in place instead of through the heap.
-That event would be popped next anyway, so it still takes a sequence
-number and counts in :attr:`Simulator.events_processed`: order and counts
-are those of the hooked loop.
+:meth:`Simulator.run` is the kernel's one event loop.  It pops events
+inline, and a process whose :class:`Delay` wakes strictly before every
+queued event resumes in place instead of through the heap.  That event
+would be popped next anyway, so it still takes a sequence number and
+counts in :attr:`Simulator.events_processed`.  A per-event hook in
+:attr:`Simulator.watchdog` runs once after every event, in-place
+resumes included, and must not schedule events; it changes neither
+order nor counts.
 
 Example
 -------
@@ -44,7 +46,7 @@ import heapq
 import operator
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Iterable
 
 __all__ = [
     "Delay",
@@ -209,13 +211,17 @@ class Process:
                 return
             wake = sim.now + target.duration
             queue = sim._queue
-            if (
-                sim._in_place
-                and not sim._zero
-                and (not queue or wake < queue[0][0])
-            ):
+            if not sim._zero and (not queue or wake < queue[0][0]):
                 # The wake-up would be the next event popped: take it
-                # here, as the kernel would, with its seq and its count.
+                # here, as the kernel would, with its seq and its count,
+                # after the hook has seen the event that just ran.
+                hook = sim.watchdog
+                if hook is not None:
+                    try:
+                        hook.after_event(sim)
+                    except BaseException:
+                        sim._schedule(wake, self, None)
+                        raise
                 sim._next_seq += 1
                 sim._event_count += 1
                 sim.now = wake
@@ -302,16 +308,14 @@ class Simulator:
         self._zero: deque[tuple[Any, Any]] = deque()
         self._next_seq = 0
         self._running = False
-        #: set while :meth:`run` drains without a deadline or hook: a
-        #: process whose :class:`Delay` wakes strictly before every queued
-        #: event then resumes in place (:meth:`Process._step`)
-        self._in_place = False
         self._event_count = 0
-        #: optional cancellation hook (:class:`repro.runtime.watchdog.
+        #: optional per-event hook (:class:`repro.runtime.watchdog.
         #: Watchdog`-shaped: ``after_event(sim)`` raising to cancel);
         #: duck-typed so the kernel stays dependency-free.  The
         #: :class:`repro.obs.profile.EventProfiler` rides the same slot
-        #: (and chains any real watchdog behind it).
+        #: (and chains any real watchdog behind it).  It runs once after
+        #: every event, in-place resumes included, and must not schedule
+        #: events: the in-place check has already been made when it runs.
         self.watchdog: Any = None
         #: the process the most recent event was dispatched to — what a
         #: watchdog-slot hook (profiler) sees as "the event just run"
@@ -330,27 +334,6 @@ class Simulator:
             self._zero.append((proc, value))
         else:
             heapq.heappush(self._queue, (time, seq, proc, value))
-
-    def _pop(self) -> Optional[tuple[float, Any, Any]]:
-        """The next ``(time, proc, value)`` in (time, seq) order, or None."""
-        queue = self._queue
-        # Heap entries tied with ``now`` always precede side-queue
-        # entries (smaller seq by construction — see __init__).
-        if self._zero and not (queue and queue[0][0] == self.now):
-            proc, value = self._zero.popleft()
-            return self.now, proc, value
-        if queue:
-            time, _seq, proc, value = heapq.heappop(queue)
-            return time, proc, value
-        return None
-
-    def _peek_time(self) -> Optional[float]:
-        """The timestamp of the next pending event, or None if drained."""
-        if self._zero:
-            return self.now
-        if self._queue:
-            return self._queue[0][0]
-        return None
 
     def spawn(
         self, gen: Generator[Any, Any, Any], name: str = ""
@@ -379,67 +362,31 @@ class Simulator:
 
     # -- execution -------------------------------------------------------
 
-    def step(self) -> bool:
-        """Process a single event.  Returns ``False`` if the queue is empty."""
-        entry = self._pop()
-        if entry is None:
-            return False
-        time, proc, value = entry
-        if time < self.now:  # pragma: no cover - guarded at insert
-            raise SimulationError("event queue time went backwards")
-        self.now = time
-        self._event_count += 1
-        self.last_process = proc
-        proc._step(value)
-        return True
-
-    def run(self, until: Optional[float] = None) -> float:
-        """Run until the event queue drains (or ``until`` is reached).
-
-        Returns the final simulation time.
-        """
+    def run(self) -> float:
+        """Run until the event queue drains; returns the final time."""
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True
-        try:
-            if until is None and self.watchdog is None:
-                self._drain()
-            else:
-                while True:
-                    t = self._peek_time()
-                    if t is None:
-                        break
-                    if until is not None and t > until:
-                        self.now = until
-                        break
-                    self.step()
-                    if self.watchdog is not None:
-                        self.watchdog.after_event(self)
-        finally:
-            self._running = False
-            self._in_place = False
-        return self.now
-
-    def _drain(self) -> None:
-        """The hot path: no deadline to poll and no per-event hook.
-
-        Pops inline instead of through :meth:`step`, and lets processes
-        resume in place; both keep :meth:`step`'s order and counts.
-        """
-        self._in_place = True
         queue = self._queue
         zero = self._zero
         heappop = heapq.heappop
-        while True:
-            if zero and not (queue and queue[0][0] == self.now):
-                proc, value = zero.popleft()
-            elif queue:
-                self.now, _seq, proc, value = heappop(queue)
-            else:
-                return
-            self._event_count += 1
-            self.last_process = proc
-            proc._step(value)
+        try:
+            while True:
+                # Heap entries tied with ``now`` precede side-queue
+                # entries (smaller seq by construction — see __init__).
+                if zero and not (queue and queue[0][0] == self.now):
+                    proc, value = zero.popleft()
+                elif queue:
+                    self.now, _seq, proc, value = heappop(queue)
+                else:
+                    return self.now
+                self._event_count += 1
+                self.last_process = proc
+                proc._step(value)
+                if self.watchdog is not None:
+                    self.watchdog.after_event(self)
+        finally:
+            self._running = False
 
     @property
     def events_processed(self) -> int:

@@ -1,12 +1,11 @@
-"""Detection layer: bitstream CRCs, the checker model, and the scrubber."""
+"""Detection layer: bitstream CRCs and the checker model."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.faults import CrcChecker, FaultConfig, FaultInjector, Scrubber
+from repro.faults import CrcChecker, FaultConfig, FaultInjector
 from repro.hardware.bitstream import Bitstream
-from repro.sim import Simulator
 
 
 def make_bitstream(nbytes: int = 100_000, name: str = "bs") -> Bitstream:
@@ -65,83 +64,3 @@ class TestCrcChecker:
             CrcChecker(coverage=1.5)
         with pytest.raises(ValueError):
             CrcChecker().check_time(-1)
-
-
-class TestScrubber:
-    def make(self, seu_rate=0.5, **kwargs):
-        sim = Simulator()
-        inj = FaultInjector(FaultConfig(seu_rate=seu_rate, seed=3))
-        defaults = dict(interval=10.0, readback_time=0.1, repair_time=0.2)
-        defaults.update(kwargs)
-        return sim, Scrubber(sim, inj, n_regions=2, **defaults)
-
-    def test_bounded_cycles(self):
-        sim, scrub = self.make()
-        proc = scrub.start(n_cycles=5)
-        sim.run()
-        assert len(scrub.cycles) == 5
-        assert proc.result == scrub.upsets_repaired
-
-    def test_finds_and_repairs_upsets(self):
-        sim, scrub = self.make()
-        scrub.start(n_cycles=10)
-        sim.run()
-        # rate 0.5/s/region x 10 s x 2 regions = lam 10 per cycle
-        assert scrub.upsets_repaired > 0
-        assert scrub.upsets_repaired == sum(
-            c.upsets_found for c in scrub.cycles
-        )
-        dirty = [c for c in scrub.cycles if c.upsets_found]
-        assert all(
-            c.repair_time == pytest.approx(0.2 * c.upsets_found)
-            for c in dirty
-        )
-
-    def test_zero_rate_cycles_are_clean(self):
-        sim, scrub = self.make(seu_rate=0.0)
-        scrub.start(n_cycles=4)
-        sim.run()
-        assert scrub.upsets_repaired == 0
-        assert scrub.mean_time_to_repair() == 0.0
-        # busy time is pure readback
-        assert scrub.busy_time == pytest.approx(4 * 0.2)
-
-    def test_availability_and_mttr(self):
-        sim, scrub = self.make()
-        scrub.start(n_cycles=10)
-        sim.run()
-        avail = scrub.availability()
-        assert 0.0 < avail < 1.0
-        assert avail == pytest.approx(1.0 - scrub.busy_time / sim.now)
-        mttr = scrub.mean_time_to_repair()
-        # detection latency dominates: interval/2 + readback + service
-        assert mttr > scrub.interval / 2.0
-
-    def test_determinism(self):
-        def totals():
-            sim, scrub = self.make()
-            scrub.start(n_cycles=8)
-            sim.run()
-            return scrub.upsets_repaired, scrub.busy_time, sim.now
-
-        assert totals() == totals()
-
-    def test_stop_ends_loop(self):
-        sim, scrub = self.make()
-        scrub.start()
-        for _ in range(200):
-            if len(scrub.cycles) >= 2:
-                scrub.stop()
-            if not sim.step():
-                break
-        assert 2 <= len(scrub.cycles) <= 3
-
-    def test_validation(self):
-        sim = Simulator()
-        inj = FaultInjector(FaultConfig())
-        with pytest.raises(ValueError):
-            Scrubber(sim, inj, n_regions=0, interval=1.0)
-        with pytest.raises(ValueError):
-            Scrubber(sim, inj, n_regions=1, interval=0.0)
-        with pytest.raises(ValueError):
-            Scrubber(sim, inj, n_regions=1, interval=1.0, repair_time=-1)

@@ -375,22 +375,6 @@ class TestScheduling:
         assert fired == ["a", "b", "c"]
         assert sim.now == 2.0
 
-    def test_run_until_stops_early(self):
-        sim = Simulator()
-        seen = []
-
-        def proc():
-            for _ in range(10):
-                yield Delay(1.0)
-                seen.append(sim.now)
-
-        sim.spawn(proc())
-        sim.run(until=3.5)
-        assert seen == [1.0, 2.0, 3.0]
-        assert sim.now == 3.5
-        sim.run()
-        assert seen[-1] == 10.0
-
     def test_unsupported_yield_raises(self):
         sim = Simulator()
 

@@ -39,27 +39,6 @@ class TestReentrancy:
         assert sim.run() == 2.0
 
 
-class TestStep:
-    def test_step_returns_false_when_empty(self):
-        assert Simulator().step() is False
-
-    def test_step_processes_one_event(self):
-        sim = Simulator()
-        log = []
-
-        def proc():
-            log.append("a")
-            yield Delay(1.0)
-            log.append("b")
-
-        sim.spawn(proc())
-        assert sim.step() is True  # spawn event -> runs to first yield
-        assert log == ["a"]
-        assert sim.step() is True
-        assert log == ["a", "b"]
-        assert sim.step() is False
-
-
 class TestPendingRun:
     def test_finalize_caches_result(self):
         calls = []

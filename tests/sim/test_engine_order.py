@@ -1,7 +1,7 @@
 """Event-order regression for the specialized DES hot path.
 
 The engine keeps ``(time, seq, process, value)`` heap tuples plus a
-zero-delay side queue, and its un-hooked loop resumes a process in
+zero-delay side queue, and its one event loop resumes a process in
 place when its ``Delay`` wakes before every queued event
 (docs/PERFORMANCE.md section 2). The ordering contract did not change:
 events fire in strict ``(time, seq)`` order, where ``seq`` is
@@ -10,15 +10,25 @@ schedules — mixed zero and nonzero delays, relative ``Delay`` and
 absolute ``WaitUntil`` wake-ups, scheduling from inside running
 processes — against a naive sorted-list reference kernel and
 asserts the exact firing order, so the heap specialization can never
-silently reorder ties.  It also runs whole experiments on both kernel
-loops, the hot one and the one a per-event hook takes, and asserts
-identical results.
+silently reorder ties.  It also runs whole experiments with and
+without a per-event hook and asserts identical results, checks that an
+event budget tripped inside an in-place chain leaves every pending
+wake-up queued, and pins the log a hook keeps of whole runs against
+``tests/golden/hook_log/logs.json``.
+
+To re-record that golden (only for a change meant to move it)::
+
+    PYTHONPATH=src python tests/sim/test_engine_order.py
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import hashlib
 import heapq
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,9 +37,16 @@ from repro.analysis.reliability import fault_cell_spec, trace_with_hit_ratio
 from repro.experiments import fig9
 from repro.faults import FallbackPolicy, FaultConfig
 from repro.hardware import PUBLISHED_TABLE2
+from repro.obs.profile import event_type
 from repro.rtr import cluster, runner
+from repro.runtime.watchdog import Watchdog, WatchdogExpired
+from repro.service import ServiceConfig, default_tenants, run_service
 from repro.sim.engine import Delay, Simulator, WaitUntil
 from repro.workloads import CallTrace, HardwareTask
+
+HOOK_GOLDEN = (
+    Path(__file__).resolve().parents[1] / "golden" / "hook_log" / "logs.json"
+)
 
 
 class ReferenceKernel:
@@ -195,7 +212,7 @@ def test_pool_reuse_does_not_leak_state():
 
 
 class PassThrough:
-    """A per-event hook that does nothing: it forces the hooked loop."""
+    """A per-event hook that does nothing."""
 
     def after_event(self, sim):
         pass
@@ -205,7 +222,7 @@ def _lone_run_plan(seed: int):
     """Six one-shot wake-ups around one chain of 40 fine delays.
 
     The chain is one process (each child is its next ``Delay``), so the
-    hot loop can resume it in place between the others' events.
+    kernel can resume it in place between the others' events.
     """
     rng = np.random.default_rng(seed)
     plan = {
@@ -218,7 +235,7 @@ def _lone_run_plan(seed: int):
     return ["o0", "o1", "o2", "r0", "o3", "o4", "o5"], plan
 
 
-def _run_chains(roots, plan, hooked):
+def _spawn_chains(roots, plan):
     sim = Simulator()
     fired: list[tuple[float, str]] = []
 
@@ -231,8 +248,12 @@ def _run_chains(roots, plan, hooked):
                 return
             (label,) = children
 
-    for label in roots:
-        sim.spawn(chain(label))
+    procs = [sim.spawn(chain(label)) for label in roots]
+    return sim, procs, fired
+
+
+def _run_chains(roots, plan, hooked):
+    sim, _procs, fired = _spawn_chains(roots, plan)
     if hooked:
         sim.watchdog = PassThrough()
     sim.run()
@@ -253,14 +274,34 @@ def test_in_place_resume_keeps_order_and_count(seed, monkeypatch):
     hot = _run_chains(roots, plan, hooked=False)
     hot_pushes = len(pushes)
     hooked = _run_chains(roots, plan, hooked=True)
+    hooked_pushes = len(pushes) - hot_pushes
     reference = _run_reference(roots, plan)
     # The kernel counts each spawn and each wake-up as one event.
     assert hot == hooked == (reference, len(reference) + len(roots))
-    # The hot loop resumed the chain in place at least once.
-    assert hot_pushes < len(pushes) - hot_pushes
+    # A kernel without in-place resume pushes one heap entry per
+    # positive Delay; both runs resumed the chain in place at least once.
+    positive_delays = sum(1 for delay, _ in plan.values() if delay > 0)
+    assert hot_pushes == hooked_pushes < positive_delays
 
 
-# -- whole runs on both loops -------------------------------------------------
+@pytest.mark.parametrize("seed", range(12))
+def test_event_budget_trips_inside_in_place_chains(seed):
+    roots, plan = _lone_run_plan(seed)
+    total = len(plan) + len(roots)
+    for budget in range(1, total):
+        sim, procs, _fired = _spawn_chains(roots, plan)
+        sim.watchdog = Watchdog(max_events=budget).start(sim)
+        with pytest.raises(WatchdogExpired, match="budget"):
+            sim.run()
+        assert sim.events_processed == budget
+        # A trip leaves every unfinished process its one pending wake-up.
+        queued = [entry[2] for entry in sim._queue]
+        queued += [proc for proc, _value in sim._zero]
+        for proc in procs:
+            assert queued.count(proc) == (0 if proc.finished else 1)
+
+
+# -- whole runs, with and without a hook --------------------------------------
 
 
 def _result_doc(result):
@@ -313,16 +354,15 @@ def _tied_cluster():
     return result.blades + result.redistributed
 
 
-def _observed(case, monkeypatch, hooked):
-    """Run ``case``; its results, simulators' counts and fault streams."""
+def _observed(case, monkeypatch, hook=None):
+    """Run ``case``, ``hook`` on every simulator; results, counts, streams."""
     sims, injectors = [], []
     real_init = Simulator.__init__
 
     def init(sim):
         real_init(sim)
         sims.append(sim)
-        if hooked:
-            sim.watchdog = PassThrough()
+        sim.watchdog = hook
 
     with monkeypatch.context() as patch:
         patch.setattr(Simulator, "__init__", init)
@@ -342,12 +382,94 @@ def _observed(case, monkeypatch, hooked):
     }
 
 
-@pytest.mark.parametrize(
-    "case", [_fig9_pair, _faulty_cell, _tied_cluster],
-    ids=["fig9-pair", "faulty-cell", "tied-cluster"],
-)
+WHOLE_RUNS = {
+    "fig9-pair": _fig9_pair,
+    "faulty-cell": _faulty_cell,
+    "tied-cluster": _tied_cluster,
+}
+
+
+@pytest.mark.parametrize("case", sorted(WHOLE_RUNS))
 def test_hot_and_hooked_loops_agree(case, monkeypatch):
-    hot = _observed(case, monkeypatch, hooked=False)
-    hooked = _observed(case, monkeypatch, hooked=True)
+    """A per-event hook changes no result, count or fault stream."""
+    hot = _observed(WHOLE_RUNS[case], monkeypatch)
+    hooked = _observed(WHOLE_RUNS[case], monkeypatch, PassThrough())
     assert hot["events"] and all(hot["events"])
     assert hot == hooked
+
+
+# -- the hook's view of a run, pinned -----------------------------------------
+
+
+class HookLog:
+    """A per-event hook that logs what it sees of the event just run."""
+
+    def __init__(self):
+        self.lines: list[str] = []
+
+    def after_event(self, sim):
+        name = getattr(sim.last_process, "name", "")
+        self.lines.append(
+            f"{sim.events_processed}|{sim.now.hex()}|{event_type(name)}"
+        )
+
+    def digest(self):
+        text = "".join(line + "\n" for line in self.lines)
+        return {
+            "length": len(self.lines),
+            "sha256": hashlib.sha256(text.encode()).hexdigest(),
+        }
+
+
+def _whole_run_log(case, patch):
+    log = HookLog()
+    _observed(WHOLE_RUNS[case], patch, log)
+    return log.digest()
+
+
+def _serve_log(seed, patch):
+    """A short ``serve`` run, logged through its own watchdog's hook."""
+    log = HookLog()
+    real = Watchdog.after_event
+
+    def after_event(watchdog, sim):
+        log.after_event(sim)
+        real(watchdog, sim)
+
+    with patch.context() as inner:
+        inner.setattr(Watchdog, "after_event", after_event)
+        result = run_service(
+            default_tenants(), ServiceConfig(horizon=2.0), seed=seed
+        )
+    assert result.interrupted is None
+    return log.digest()
+
+
+HOOK_LOGS = {
+    **{case: functools.partial(_whole_run_log, case) for case in WHOLE_RUNS},
+    **{
+        f"serve-seed{seed}": functools.partial(_serve_log, seed)
+        for seed in range(3)
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOOK_LOGS))
+def test_hook_log_is_pinned(case, monkeypatch):
+    """The hook sees every event once, with that event's clock and count.
+
+    ``tests/golden/hook_log/logs.json`` was recorded on a kernel that
+    resumed no process in place while a hook was installed.
+    """
+    golden = json.loads(HOOK_GOLDEN.read_text(encoding="utf-8"))
+    assert HOOK_LOGS[case](monkeypatch) == golden[case]
+
+
+if __name__ == "__main__":
+    HOOK_GOLDEN.parent.mkdir(parents=True, exist_ok=True)
+    with pytest.MonkeyPatch.context() as mp:
+        logs = {case: run(mp) for case, run in sorted(HOOK_LOGS.items())}
+    HOOK_GOLDEN.write_text(
+        json.dumps(logs, indent=1, sort_keys=True) + "\n", encoding="utf-8"
+    )
+    print(json.dumps(logs, indent=1, sort_keys=True))
