@@ -15,9 +15,7 @@ points:
   (:meth:`~repro.hardware.node.XD1Node.configure_full`);
 * :meth:`FaultInjector.span_aborted` — once per wire-only partial write
   (:meth:`~repro.hardware.node.XD1Node.configure_partial` with
-  ``estimated``);
-* :meth:`FaultInjector.seu_count` — Poisson upset counts over an
-  interval across the configured regions.
+  ``estimated``).
 
 Determinism contract: the DES engine is single-threaded and its event
 order is fully deterministic, so the *call order* into the injector is
@@ -67,7 +65,9 @@ class FaultConfig:
         vendor path is validated end-to-end (DONE-pin polling).
     seu_rate:
         Configuration-memory single-event upsets per second *per
-        configured region* (drawn by :meth:`FaultInjector.seu_count`).
+        configured region*.  No model draws upsets, so the rate does
+        not clear :attr:`fault_free` and
+        :attr:`FaultStats.seus_injected` stays 0.
     seed:
         Seed for the injector's private random stream.
     """
@@ -92,7 +92,6 @@ class FaultConfig:
             self.transfer_ber == 0.0
             and self.chunk_abort_rate == 0.0
             and self.port_abort_rate == 0.0
-            and self.seu_rate == 0.0
         )
 
     def transfer_corruption_probability(self, nbytes: float) -> float:
@@ -227,17 +226,6 @@ class FaultInjector:
     def abort_fraction(self) -> float:
         """How far through the write the abort struck (uniform in (0,1))."""
         return float(self._stream("abort_fraction").uniform(0.0, 1.0))
-
-    def seu_count(self, duration: float, n_regions: int = 1) -> int:
-        """Poisson configuration-memory upsets over ``duration`` seconds."""
-        if duration < 0:
-            raise ValueError(f"negative duration: {duration}")
-        lam = self.config.seu_rate * duration * max(0, n_regions)
-        if lam <= 0.0:
-            return 0
-        count = int(self._stream("seu_count").poisson(lam))
-        self.stats.seus_injected += count
-        return count
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<FaultInjector {self.config!r} injected={self.stats.total}>"

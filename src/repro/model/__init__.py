@@ -39,15 +39,7 @@ from .prtr import (
     prtr_total_normalized,
     prtr_total_time,
 )
-from .sensitivity import (
-    dS_dH,
-    dS_dx_control,
-    dS_dx_decision,
-    dS_dx_prtr,
-    dS_dx_task,
-    finite_difference,
-    gradient,
-)
+from .sensitivity import dS_dx_prtr, finite_difference
 from .stochastic import (
     DISTRIBUTIONS,
     expected_max_uniform,
@@ -87,18 +79,13 @@ __all__ = [
     "SweepResult",
     "asymptotic_speedup",
     "convergence_n",
-    "dS_dH",
-    "dS_dx_control",
-    "dS_dx_decision",
     "dS_dx_prtr",
-    "dS_dx_task",
     "figure5_grid",
     "figure9_grid",
     "finite_difference",
     "frtr_per_call_normalized",
     "frtr_total_normalized",
     "frtr_total_time",
-    "gradient",
     "hit_stage_normalized",
     "large_task_bound",
     "left_branch_increasing",

@@ -13,7 +13,6 @@ from .multitask import (
     AppResult,
     AppSpec,
     MultitaskFrtrExecutor,
-    MultitaskPrtrExecutor,
     MultitaskResult,
     compare_multitask,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "ConfigOutcome",
     "FrtrExecutor",
     "MultitaskFrtrExecutor",
-    "MultitaskPrtrExecutor",
     "MultitaskResult",
     "PrtrExecutor",
     "RunResult",

@@ -17,11 +17,14 @@ implements that scenario so the claim can be measured:
   memory banks (Section 4.2's dual layout), PRRs execute **concurrently**
   — spatial multitasking.
 
-Scheduling: each application is a DES process issuing its calls in order
-(optionally after an arrival delay).  A call executes on the PRR holding
-its module; per-PRR queues are FIFO; the ICAP serializes
-reconfigurations.  This is deliberately simple — the point is the
-architectural comparison, not scheduler research.
+Scheduling: each application issues its calls in order, each when the
+previous completes (optionally after an arrival delay).  The PRTR half
+is one run of the service scheduler (:mod:`repro.service.scheduler`),
+the repository's one PRR time-sharing loop, with admission and
+preemption off: at most one call per PRR holds a grant, later ones wait
+in its FIFO grant queue, a call executes on the PRR holding its module,
+and the ICAP serializes reconfigurations.  This is deliberately simple —
+the point is the architectural comparison, not scheduler research.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ from dataclasses import dataclass, field
 from typing import Any, Generator
 
 from ..caching.base import ConfigCache
-from ..caching.policies import LruPolicy
 from ..hardware.node import XD1Node
+from ..hardware.prr import dual_prr_floorplan
 from ..sim.engine import Delay
 from ..sim.resources import MutexResource
 from ..sim.trace import Phase, Timeline
@@ -42,7 +45,6 @@ __all__ = [
     "AppResult",
     "MultitaskResult",
     "MultitaskFrtrExecutor",
-    "MultitaskPrtrExecutor",
     "PrrFabric",
     "compare_multitask",
 ]
@@ -219,11 +221,9 @@ class MultitaskFrtrExecutor:
 class PrrFabric:
     """The shared PRR-pool machinery: residency, pinning, reconfiguration.
 
-    Extracted from :class:`MultitaskPrtrExecutor` so the multi-tenant
-    service scheduler (:mod:`repro.service.scheduler`) can time-share the
-    exact same pool — the reduction identity (service with one tenant,
-    no admission, no preemption == multitask PRTR) holds because both
-    run *this* code, not a reimplementation.
+    The pool the service scheduler (:mod:`repro.service.scheduler`)
+    time-shares, for ``repro serve``/``repro chaos`` and for
+    :func:`compare_multitask`'s PRTR half alike.
 
     Responsibilities:
 
@@ -461,121 +461,6 @@ class PrrFabric:
         self.node.icap.icap_mutex.assert_no_overlap()
 
 
-class MultitaskPrtrExecutor:
-    """Spatial multitasking: PRRs as a shared, concurrent module cache.
-
-    The pool machinery lives in :class:`PrrFabric`; this executor adds
-    the closed-loop application processes (each replays its trace,
-    issuing the next call when the previous completes) and the initial
-    full configuration that loads the static design only — all modules
-    arrive by partial reconfiguration (unlike the single-app executor,
-    there is no well-defined "first module" here).
-    """
-
-    def __init__(
-        self,
-        node: XD1Node,
-        *,
-        estimated: bool = False,
-        control_time: float | None = None,
-        cache: ConfigCache | None = None,
-        bitstream_bytes: int | None = None,
-    ) -> None:
-        if not node.floorplan.n_prrs:
-            raise ValueError("PRTR multitasking needs PRRs")
-        self.node = node
-        self.estimated = estimated
-        self.control_time = (
-            node.params.control_time if control_time is None else control_time
-        )
-        self.cache = cache or ConfigCache(
-            slots=node.floorplan.n_prrs, policy=LruPolicy()
-        )
-        if self.cache.slots != node.floorplan.n_prrs:
-            raise ValueError("cache slots must equal the PRR count")
-        self._bitstream_bytes = bitstream_bytes
-
-    def run(self, apps: list[AppSpec]) -> MultitaskResult:
-        if not apps:
-            raise ValueError("need at least one application")
-        _check_unique_names(apps)
-        sim = self.node.sim
-        timeline = Timeline()
-        fabric = PrrFabric(
-            self.node,
-            self.cache,
-            timeline,
-            estimated=self.estimated,
-            bitstream_bytes=self._bitstream_bytes,
-        )
-        results: dict[str, AppResult] = {}
-        config_counts: dict[str, int] = {s.name: 0 for s in apps}
-
-        def app_proc(spec: AppSpec) -> Generator[Any, Any, None]:
-            if spec.arrival_time:
-                yield Delay(spec.arrival_time)
-            for call in spec.trace:
-                owner = f"{spec.name}#{call.index}"
-                fabric.pin(call.name)
-                try:
-                    hit = yield from fabric.ensure_resident(call.name, owner)
-                    if not hit:
-                        config_counts[spec.name] += 1
-                    slot = self.cache.slot_of(call.name)
-                    yield from fabric.prr_mutexes[slot].acquire(owner)
-                    try:
-                        if self.control_time:
-                            yield Delay(self.control_time)
-                        t0 = sim.now
-                        yield Delay(call.task.time)
-                        timeline.add(
-                            Phase.TASK, t0, sim.now, task=call.name,
-                            lane=f"prr{slot}", note=spec.name,
-                        )
-                    finally:
-                        fabric.prr_mutexes[slot].release(owner)
-                finally:
-                    fabric.unpin(call.name)
-            results[spec.name] = AppResult(
-                name=spec.name,
-                arrival_time=spec.arrival_time,
-                completion_time=sim.now,
-                n_calls=spec.trace.n_calls,
-                n_configs=config_counts[spec.name],
-            )
-
-        def startup() -> Generator[Any, Any, None]:
-            t0 = sim.now
-            yield from self.node.configure_full(
-                "startup", estimated=self.estimated
-            )
-            timeline.add(Phase.CONFIG, t0, sim.now, note="initial full")
-
-        start = sim.now
-        boot = sim.spawn(startup(), name="startup")
-
-        def gated_app(spec: AppSpec) -> Generator[Any, Any, None]:
-            yield boot.done
-            yield from app_proc(spec)
-
-        for spec in apps:
-            sim.spawn(gated_app(spec), name=f"app:{spec.name}")
-        sim.run()
-        fabric.assert_no_overlap()
-        return MultitaskResult(
-            mode="prtr",
-            apps=[results[s.name] for s in apps],
-            makespan=sim.now - start,
-            timeline=timeline,
-            notes={
-                "t_config_full": self.node.full_config_time(
-                    estimated=self.estimated
-                ),
-                "hit_ratio": self.cache.stats.hit_ratio,
-            },
-        )
-
-
 def _check_unique_names(apps: list[AppSpec]) -> None:
     names = [a.name for a in apps]
     if len(set(names)) != len(names):
@@ -590,16 +475,50 @@ def compare_multitask(
     control_time: float | None = None,
     bitstream_bytes: int | None = None,
 ) -> tuple[MultitaskResult, MultitaskResult]:
-    """Run the application mix under FRTR and PRTR on fresh nodes."""
-    from .runner import make_node
+    """Run the application mix under FRTR and PRTR on fresh nodes.
+
+    The PRTR half is one service run (:mod:`repro.service.scheduler`)
+    with admission and preemption off and each application a closed
+    tenant starting at its ``arrival_time``.
+    """
+    from ..service.scheduler import ServiceExecutor
+    from ..service.tenants import ServiceConfig, TenantSpec
+    from .runner import CellSpec, make_node
 
     frtr = MultitaskFrtrExecutor(
         make_node(floorplan), estimated=estimated, control_time=control_time
     ).run(apps)
-    prtr = MultitaskPrtrExecutor(
-        make_node(floorplan),
-        estimated=estimated,
-        control_time=control_time,
-        bitstream_bytes=bitstream_bytes,
-    ).run(apps)
+    service = ServiceExecutor(
+        [
+            TenantSpec(
+                a.name, arrival="closed", trace=a.trace, start=a.arrival_time
+            )
+            for a in apps
+        ],
+        ServiceConfig(admission=False, preemption=False),
+        cell=CellSpec(
+            floorplan=floorplan or dual_prr_floorplan(),
+            estimated=estimated,
+            control_time=control_time,
+            bitstream_bytes=bitstream_bytes,
+        ),
+    ).run()
+    if service.interrupted:
+        raise RuntimeError(f"PRTR run cut off: {service.interrupted}")
+    prtr = MultitaskResult(
+        mode="prtr",
+        apps=[
+            AppResult(
+                name=a.name,
+                arrival_time=a.arrival_time,
+                completion_time=t.finished,
+                n_calls=t.completed,
+                n_configs=t.configs,
+            )
+            for a, t in zip(apps, service.tenants)
+        ],
+        makespan=service.makespan,
+        timeline=service.timeline,
+        notes={k: service.notes[k] for k in ("t_config_full", "hit_ratio")},
+    )
     return frtr, prtr

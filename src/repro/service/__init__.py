@@ -23,9 +23,11 @@ stresses it open-loop — the reconfigurable node run as a *service*:
 Determinism contract: one master seed drives per-tenant substreams via
 :func:`repro.model.stochastic.resolve_rng`; same seed, same spec ->
 byte-identical SLO report, under any worker count and across
-kill-and-resume.  With admission disabled, preemption off, and a single
-closed tenant the service reduces bit-identically to the multitask PRTR
-executor — both run the same :class:`~repro.rtr.multitask.PrrFabric`.
+kill-and-resume.  The scheduler is the one loop that time-shares the
+:class:`~repro.rtr.multitask.PrrFabric`:
+:func:`~repro.rtr.multitask.compare_multitask` runs its PRTR half as one
+service run with admission and preemption off and one closed tenant per
+application.
 """
 
 from .admission import AdmissionController, TokenBucket

@@ -30,7 +30,8 @@ arrival — instead of this module scanning every configured tenant.
 
 With :attr:`~repro.service.tenants.ServiceConfig.admission` off the
 controller is a pass-through (every arrival decides ``admit``/``queue``
-purely on grant availability) — the reduction-identity path.
+purely on grant availability), as
+:func:`~repro.rtr.multitask.compare_multitask` runs it.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """Preemptive service scheduler time-sharing the PRR pool.
 
 The scheduler runs the service as a DES on one reconfigurable node,
-sharing the exact :class:`~repro.rtr.multitask.PrrFabric` machinery the
-closed-loop multitask executor uses — residency, pinning, the ICAP
-serialization, eviction under pressure.  On top of it, service mode adds:
+time-sharing its :class:`~repro.rtr.multitask.PrrFabric` — residency,
+pinning, the ICAP serialization, eviction under pressure.  On top of it,
+service mode adds:
 
 * **grants** — at most ``active_slots`` requests hold execution grants
   at once; the rest wait in a priority queue ordered by *effective
@@ -39,11 +39,12 @@ two waiters identically to comparing their aged effective priorities at
 dispatch time — so dispatch is O(log waiters) with decisions identical
 to the original full scan, and idle tenants cost nothing per tick.
 
-Reduction identity: with admission off, preemption off and a single
-closed tenant, every code path that yields to the DES is the same
-sequence the multitask PRTR executor produces — grants are immediate
-(no waiters), no preemption flags are ever set, and the per-call body
-is pin / ensure-resident / acquire / control / task / release / unpin.
+This is the repository's one PRR time-sharing loop:
+:func:`~repro.rtr.multitask.compare_multitask` runs its PRTR half as one
+service run with admission and preemption off and one closed tenant per
+application, so each call is grant / pin / ensure-resident / acquire /
+control / task / release / unpin, and applications beyond the PRR count
+wait in the FIFO grant queue.
 """
 
 from __future__ import annotations
@@ -58,13 +59,13 @@ from ..chaos.breakers import CircuitBreaker
 from ..chaos.brownout import BrownoutController
 from ..faults.injector import FaultInjector
 from ..hardware.domains import DomainTopology
-from ..hardware.prr import uniform_prr_floorplan
+from ..hardware.prr import dual_prr_floorplan, uniform_prr_floorplan
 from ..model.stochastic import resolve_rng
 from ..obs import metrics as obsm
 from ..power import current_model
+from ..rtr import runner
 from ..rtr.multitask import PrrFabric
 from ..rtr.resilience import config_attempts
-from ..rtr.runner import make_node
 from ..runtime.watchdog import Watchdog, WatchdogExpired
 from ..sim.engine import Delay
 from ..sim.trace import Phase, Timeline
@@ -133,6 +134,8 @@ class TenantOutcome:
     configs: int = 0
     #: admitted requests still queued or running at run end
     in_flight: int = 0
+    #: simulated time of the latest completion (0.0 before any)
+    finished: float = 0.0
     #: arrival-to-completion latency per completed request
     latencies: list[float] = field(default_factory=list)
     backlog_peak: int = 0
@@ -403,7 +406,14 @@ class _ChaosRuntime:
 
 
 class ServiceExecutor:
-    """Run a tenant mix as an open service on one PRR node."""
+    """Run a tenant mix as an open service on one PRR node.
+
+    ``cell`` sets the node's floorplan and timing (``estimated``,
+    ``control_time``, ``bitstream_bytes``); without one the node has
+    ``config.prrs`` uniform PRRs (0: the dual-PRR layout).  A cell's
+    ``faults``, ``recovery`` and ``force_miss`` have no service meaning
+    and are rejected, as is a cell alongside ``config.prrs``.
+    """
 
     def __init__(
         self,
@@ -411,31 +421,54 @@ class ServiceExecutor:
         config: ServiceConfig,
         *,
         seed: int = 0,
+        cell: runner.CellSpec | None = None,
     ) -> None:
         if not tenants:
             raise ValueError("need at least one tenant")
         names = [t.name for t in tenants]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate tenant names: {names}")
+        if cell is None:
+            cell = runner.CellSpec(
+                floorplan=uniform_prr_floorplan(config.prrs, 12)
+                if config.prrs
+                else dual_prr_floorplan()
+            )
+        elif (
+            cell.faults is not None
+            or cell.recovery is not None
+            or cell.force_miss
+            or config.prrs
+        ):
+            raise ValueError(
+                "a service cell takes no faults, recovery or force_miss "
+                "(faults come from ServiceConfig.fault) and replaces "
+                "ServiceConfig.prrs"
+            )
         self.tenants = list(tenants)
         self.config = config
         self.seed = seed
-        floorplan = (
-            uniform_prr_floorplan(config.prrs, 12) if config.prrs else None
-        )
         injector = (
             FaultInjector(config.fault)
             if config.fault is not None and not config.fault.fault_free
             else None
         )
-        self.node = make_node(floorplan, fault_injector=injector)
+        self.node = runner.make_node(cell.floorplan, fault_injector=injector)
         self.sim = self.node.sim
-        self.control_time = self.node.params.control_time
+        self.estimated = cell.estimated
+        self.control_time = (
+            self.node.params.control_time
+            if cell.control_time is None
+            else cell.control_time
+        )
         self.timeline = Timeline()
         self.cache = ConfigCache(
             slots=self.node.floorplan.n_prrs, policy=LruPolicy()
         )
-        self.fabric = PrrFabric(self.node, self.cache, self.timeline)
+        self.fabric = PrrFabric(
+            self.node, self.cache, self.timeline,
+            estimated=cell.estimated, bitstream_bytes=cell.bitstream_bytes,
+        )
         self.admission = AdmissionController(tenants, config)
         self.stats = {
             t.name: TenantOutcome(
@@ -516,8 +549,8 @@ class ServiceExecutor:
     def _acquire_grant(self, req: Request) -> Generator[Any, Any, None]:
         """Take a grant, waiting in the priority queue if none is free.
 
-        The fast path returns without yielding so an uncontended
-        request adds no DES events (the reduction-identity invariant).
+        The fast path returns without yielding, so an uncontended
+        request adds no DES events.
         """
         if self._grant_free():
             self._granted += 1
@@ -732,6 +765,7 @@ class ServiceExecutor:
         stats = self.stats[req.tenant]
         stats.completed += 1
         stats.in_flight -= 1
+        stats.finished = self.sim.now
         latency = self.sim.now - req.arrival
         stats.latencies.append(latency)
         obsm.counter("repro_service_completions_total").inc(
@@ -818,10 +852,13 @@ class ServiceExecutor:
     def _closed_source(self, spec: TenantSpec) -> Generator[Any, Any, None]:
         """Replay a closed tenant's trace, one call at a time.
 
-        The next call is issued when the previous completes — the
-        multitask closed loop, admission and grants permitting.
+        The first call is issued :attr:`TenantSpec.start` seconds after
+        boot, and each next call when the previous completes, admission
+        and grants permitting.
         """
         yield self._boot.done
+        if spec.start:
+            yield Delay(spec.start)
         for call in spec.trace:  # type: ignore[union-attr]
             req = self._admit(spec, call.name, call.task.time)
             if req is None:
@@ -840,7 +877,7 @@ class ServiceExecutor:
     def _startup(self) -> Generator[Any, Any, None]:
         """Initial full configuration loading the static design."""
         t0 = self.sim.now
-        yield Delay(self.node.full_config_time())
+        yield Delay(self.node.full_config_time(self.estimated))
         self.timeline.add(Phase.CONFIG, t0, self.sim.now,
                           note="initial full")
 
@@ -899,7 +936,7 @@ class ServiceExecutor:
             decision_epochs=self.admission.epochs_as_dict(),
             interrupted=interrupted,
             notes={
-                "t_config_full": self.node.full_config_time(),
+                "t_config_full": self.node.full_config_time(self.estimated),
                 "hit_ratio": self.cache.stats.hit_ratio,
                 "events": float(sim.events_processed),
             },

@@ -75,8 +75,9 @@ class TenantSpec:
     arrival:
         One of :data:`ARRIVAL_KINDS`.  Open kinds generate a seeded
         stream until the horizon; ``closed`` replays :attr:`trace`
-        call-by-call (each request issued when the previous completes —
-        the multitask reduction path).
+        call-by-call (each request issued when the previous completes,
+        as :func:`~repro.rtr.multitask.compare_multitask` runs each
+        application).
     rate:
         Long-run mean arrival rate (requests per simulated second) for
         the open kinds.
@@ -100,6 +101,12 @@ class TenantSpec:
         Bound on this tenant's backlog (queued, not-yet-running
         requests); arrivals beyond it are shed with reason
         ``queue_full``.
+    start:
+        Seconds after service boot at which a closed tenant issues its
+        first call (an application's
+        :attr:`~repro.rtr.multitask.AppSpec.arrival_time`).  Open
+        tenants start at boot and take only 0; :meth:`as_dict` omits
+        the key at 0.
     """
 
     name: str
@@ -116,10 +123,13 @@ class TenantSpec:
     rate_limit: float = 0.0
     bucket: float = 1.0
     queue_capacity: int = 64
+    start: float = 0.0
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("tenant name must be non-empty")
+        if self.start < 0:
+            raise ValueError(f"tenant {self.name!r} start must be >= 0")
         if self.arrival not in ARRIVAL_KINDS:
             raise ValueError(
                 f"unknown arrival kind {self.arrival!r}; "
@@ -134,6 +144,11 @@ class TenantSpec:
             if not self.tasks:
                 raise ValueError(
                     f"open tenant {self.name!r} needs a task mix"
+                )
+            if self.start:
+                raise ValueError(
+                    f"open tenant {self.name!r} starts at boot: "
+                    f"start must be 0, not {self.start}"
                 )
             if self.rate <= 0:
                 raise ValueError(
@@ -183,6 +198,8 @@ class TenantSpec:
             out["trace"] = [
                 [c.name, float(c.task.time)] for c in self.trace
             ]
+        if self.start:
+            out["start"] = float(self.start)
         return out
 
 
@@ -281,7 +298,8 @@ class ServiceConfig:
         is reported as in-flight.
     admission:
         Master switch for the admission controller; off means every
-        arrival is admitted (pass-through — the reduction path).
+        arrival is admitted (pass-through, as
+        :func:`~repro.rtr.multitask.compare_multitask` runs it).
     preemption:
         Master switch for preemptive time-sharing.  Off means a granted
         request runs to completion in one slice.
@@ -314,7 +332,9 @@ class ServiceConfig:
         reason ``fault``.
     prrs:
         PRR count of the node (uniform floorplan); ``0`` keeps the
-        paper's dual-PRR layout.
+        paper's dual-PRR layout.  It must stay 0 when the
+        :class:`~repro.service.scheduler.ServiceExecutor` is given a
+        cell, whose floorplan then sets the node.
     power_cap_w:
         Optional node power budget in watts.  When set, an arrival is
         shed with reason ``power_cap`` if granting it would push the

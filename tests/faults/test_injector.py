@@ -20,7 +20,9 @@ class TestFaultConfig:
         assert not FaultConfig(transfer_ber=1e-9).fault_free
         assert not FaultConfig(chunk_abort_rate=0.1).fault_free
         assert not FaultConfig(port_abort_rate=0.1).fault_free
-        assert not FaultConfig(seu_rate=1.0).fault_free
+
+    def test_seu_rate_draws_nothing_so_stays_fault_free(self):
+        assert FaultConfig(seu_rate=1.0).fault_free
 
     @pytest.mark.parametrize(
         "field", ["transfer_ber", "chunk_abort_rate", "port_abort_rate"]
@@ -97,7 +99,6 @@ class TestInjectorDeterminism:
         assert not inj.chunk_aborted()
         assert not inj.span_aborted(100)
         assert not inj.port_aborted()
-        assert inj.seu_count(1e6, 4) == 0
         # The stream is untouched: next draw equals a fresh stream's first.
         assert inj.rng.random() == resolve_rng(42).random()
 
@@ -122,12 +123,6 @@ class TestInjectorDeterminism:
         inj = FaultInjector(FaultConfig(seed=1))
         for _ in range(100):
             assert 0.0 <= inj.abort_fraction() <= 1.0
-
-    def test_seu_count_poisson_mean(self):
-        inj = FaultInjector(FaultConfig(seu_rate=2.0, seed=0))
-        counts = [inj.seu_count(1.0, 1) for _ in range(2000)]
-        assert np.mean(counts) == pytest.approx(2.0, rel=0.1)
-        assert inj.stats.seus_injected == sum(counts)
 
     def test_explicit_rng_overrides_config_seed(self):
         config = FaultConfig(chunk_abort_rate=0.5, seed=1)

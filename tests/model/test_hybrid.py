@@ -166,6 +166,20 @@ class TestReplayCellIsTheDes:
         assert len(specs) * len(traces) == 720
         assert mismatches == []
 
+    def test_seu_rate_alone_replays_bitwise(self):
+        # No model draws SEUs, so a positive seu_rate must not send the
+        # cell to the DES.
+        spec = replace(
+            fault_cell_spec(0.0), faults=FaultConfig(seu_rate=1.0)
+        )
+        assert all(verdicts(spec).values())
+        for h in (0.0, 0.5, 0.9):
+            trace = trace_with_hit_ratio(h, 12, 0.1)
+            frtr, prtr = simulate(spec, trace)
+            assert replay_cell(spec, trace) == (
+                frtr.total_time, prtr.total_time, prtr.n_configs
+            )
+
 
 class TestReplayBuildsNoNode:
     @pytest.fixture

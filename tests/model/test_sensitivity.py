@@ -1,20 +1,10 @@
-"""Unit tests for :mod:`repro.model.sensitivity` (closed forms vs FD)."""
+"""Unit tests for :mod:`repro.model.sensitivity` (closed form vs FD)."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.model import (
-    ModelParameters,
-    dS_dH,
-    dS_dx_control,
-    dS_dx_decision,
-    dS_dx_prtr,
-    dS_dx_task,
-    finite_difference,
-    gradient,
-)
+from repro.model import ModelParameters, dS_dx_prtr, finite_difference
 
 
 def params(**kw) -> ModelParameters:
@@ -37,16 +27,7 @@ SMOOTH_POINTS = [
 
 class TestFiniteDifferenceAgreement:
     @pytest.mark.parametrize("point", SMOOTH_POINTS)
-    @pytest.mark.parametrize(
-        "field,fn",
-        [
-            ("hit_ratio", dS_dH),
-            ("x_prtr", dS_dx_prtr),
-            ("x_task", dS_dx_task),
-            ("x_control", dS_dx_control),
-            ("x_decision", dS_dx_decision),
-        ],
-    )
+    @pytest.mark.parametrize("field,fn", [("x_prtr", dS_dx_prtr)])
     def test_partial_matches_fd(self, point, field, fn):
         p = params(**point)
         analytic = float(fn(p))
@@ -55,48 +36,8 @@ class TestFiniteDifferenceAgreement:
 
 
 class TestSigns:
-    def test_hit_ratio_never_hurts(self):
-        rng = np.random.default_rng(1)
-        for _ in range(100):
-            p = params(
-                x_task=float(rng.uniform(0.001, 5.0)),
-                x_prtr=float(rng.uniform(0.01, 1.0)),
-                hit_ratio=float(rng.uniform(0.0, 1.0)),
-                x_control=float(rng.uniform(0.0, 0.1)),
-                x_decision=float(rng.uniform(0.0, 0.1)),
-            )
-            assert float(dS_dH(p)) >= -1e-15
-
-    def test_hit_ratio_useless_on_right_branch(self):
-        """'Prefetch efficiency only matters for small tasks' — formally."""
-        p = params(x_task=0.5, x_prtr=0.1)  # task > config
-        assert float(dS_dH(p)) == 0.0
-
     def test_shrinking_prtr_helps_only_left_branch(self):
         left = params(x_task=0.02, x_prtr=0.3, hit_ratio=0.2)
         right = params(x_task=0.5, x_prtr=0.1)
         assert float(dS_dx_prtr(left)) < 0.0
         assert float(dS_dx_prtr(right)) == 0.0
-
-    def test_control_hurts_when_winning(self):
-        p = params(x_task=0.1, x_prtr=0.1, hit_ratio=0.0)
-        assert float(dS_dx_control(p)) < 0.0
-
-    def test_decision_hurts(self):
-        # Left branch with H > 0, or right branch: always <= 0.
-        for point in SMOOTH_POINTS:
-            assert float(dS_dx_decision(params(**point))) <= 0.0
-
-
-class TestGradient:
-    def test_contains_all_fields(self):
-        g = gradient(params())
-        assert set(g) == {
-            "hit_ratio", "x_prtr", "x_task", "x_control", "x_decision"
-        }
-
-    def test_vectorized(self):
-        p = params(x_task=np.logspace(-2, 1, 20))
-        g = gradient(p)
-        for v in g.values():
-            assert v.shape == (20,)

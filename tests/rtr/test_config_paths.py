@@ -4,7 +4,8 @@ Each case drives one way a configuration attempt is fetched, timed and
 fault-drawn: cluster bitstream-server fetches under corruption with port
 and chunk aborts (fallback, degrade and redistribution), the wire-only
 (``estimated``) path's span aborts, the per-chunk ICAP stream under link
-contention, the single-PRR serial path and both multitask executors.  Its
+contention, the single-PRR serial path and both halves of
+``compare_multitask`` (the FRTR executor and the service run).  Its
 outcome is written as canonical JSON: totals and every time as
 ``float.hex()``, call records, timeline spans, notes, node and port
 counters, and each fault injector's stats and stream state.  The test

@@ -1,22 +1,49 @@
-"""Unit tests for the multi-tasking / hardware-virtualization executors."""
+"""Unit tests for multi-tasking / hardware virtualization on shared PRRs.
+
+The FRTR half is :class:`MultitaskFrtrExecutor`; the PRTR half is
+:func:`compare_multitask`'s service run, tested through that function.
+"""
 
 from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
 
 import pytest
 
 from repro.hardware import PUBLISHED_TABLE2, uniform_prr_floorplan
+from repro.obs import metrics as obsm
 from repro.rtr import (
     AppResult,
     AppSpec,
     MultitaskFrtrExecutor,
-    MultitaskPrtrExecutor,
     MultitaskResult,
     compare_multitask,
     make_node,
+    runner,
 )
+from repro.sim.trace import Phase
 from repro.workloads import CallTrace, HardwareTask
 
 DUAL_BYTES = PUBLISHED_TABLE2["dual_prr"].bitstream_bytes
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
+
+#: ``obsm.snapshot()`` of :func:`compare_multitask` on the
+#: ``examples/multitasking.py`` mix, recorded while the PRTR half still
+#: ran on its own executor; the service adds only ``repro_service_*``.
+EXAMPLE_METRICS = {
+    "repro_icap_busy_seconds_total": {
+        "kind": "counter", "unit": "seconds",
+        "series": {"": 0.6725277307515878},
+    },
+    "repro_icap_bytes_total": {
+        "kind": "counter", "unit": "bytes", "series": {"": 13741712.0},
+    },
+    "repro_icap_configurations_total": {
+        "kind": "counter", "unit": "configurations",
+        "series": {"": 34.0},
+    },
+}
 
 
 def lib(k: int = 6, time: float = 0.03) -> dict[str, HardwareTask]:
@@ -34,6 +61,24 @@ def app(name, mods, n, library=None, arrival=0.0) -> AppSpec:
 
 def two_apps() -> list[AppSpec]:
     return [app("A", ["m0", "m1"], 10), app("B", ["m2", "m3"], 10)]
+
+
+def prtr(apps: list[AppSpec], **options) -> MultitaskResult:
+    """The PRTR half of :func:`compare_multitask`."""
+    return compare_multitask(apps, **options)[1]
+
+
+def assert_time_shared(result: MultitaskResult) -> None:
+    """Every app's first task starts before any app's last task ends."""
+    first: dict[str, float] = {}
+    last: dict[str, float] = {}
+    for span in result.timeline:
+        if span.phase == Phase.TASK:
+            first[span.note] = min(first.get(span.note, span.start),
+                                   span.start)
+            last[span.note] = max(last.get(span.note, span.end), span.end)
+    assert set(first) == {a.name for a in result.apps}
+    assert max(first.values()) < min(last.values()), (first, last)
 
 
 class TestSpecs:
@@ -56,7 +101,7 @@ class TestSpecs:
         with pytest.raises(ValueError):
             MultitaskFrtrExecutor(make_node()).run([])
         with pytest.raises(ValueError):
-            MultitaskPrtrExecutor(make_node()).run([])
+            compare_multitask([])
 
 
 class TestFrtrMultitask:
@@ -95,9 +140,7 @@ class TestPrtrMultitask:
             app("A", ["m0"], 20, library),
             app("B", ["m1"], 20, library),
         ]
-        result = MultitaskPrtrExecutor(
-            make_node(), control_time=0.0, bitstream_bytes=DUAL_BYTES
-        ).run(apps)
+        result = prtr(apps, control_time=0.0, bitstream_bytes=DUAL_BYTES)
         serial_tasks = 2 * 20 * 0.1
         startup = result.notes["t_config_full"]
         # Concurrency: makespan ~ startup + configs + 20*0.1, well under
@@ -111,9 +154,7 @@ class TestPrtrMultitask:
             app("A", ["m0"], 15, library),
             app("B", ["m0"], 15, library),
         ]
-        result = MultitaskPrtrExecutor(
-            make_node(), bitstream_bytes=DUAL_BYTES
-        ).run(apps)
+        result = prtr(apps, bitstream_bytes=DUAL_BYTES)
         assert result.total_configs == 1
         assert result.notes["hit_ratio"] > 0.9
 
@@ -123,38 +164,48 @@ class TestPrtrMultitask:
             app("B", ["m3", "m4"], 12),
             app("C", ["m5"], 5),
         ]
-        result = MultitaskPrtrExecutor(
-            make_node(floorplan=uniform_prr_floorplan(4, 6)),
+        result = prtr(
+            apps,
+            floorplan=uniform_prr_floorplan(4, 6),
             bitstream_bytes=DUAL_BYTES,
-        ).run(apps)
+        )
         assert result.total_calls == 8 * 3 + 12 * 2 + 5
         by_name = {a.name: a for a in result.apps}
         assert by_name["A"].n_calls == 24
 
     def test_more_apps_than_prrs_no_deadlock(self):
-        """3 concurrent apps on 2 PRRs: the pin-wait path must engage
-        and the run must still complete."""
+        """3 concurrent apps on 2 PRRs: the grant queue time-shares the
+        PRRs call by call instead of running the apps one after another,
+        and the run completes."""
         library = lib(3, time=0.05)
         apps = [
             app("A", ["m0"], 6, library),
             app("B", ["m1"], 6, library),
             app("C", ["m2"], 6, library),
         ]
-        result = MultitaskPrtrExecutor(
-            make_node(), bitstream_bytes=DUAL_BYTES
-        ).run(apps)
+        result = prtr(apps, bitstream_bytes=DUAL_BYTES)
         assert result.total_calls == 18
         assert result.makespan > 0
+        assert_time_shared(result)
 
-    def test_icap_serializes_configs(self):
+    def test_icap_serializes_configs(self, monkeypatch):
         apps = [
             app("A", ["m0", "m1"], 6),
             app("B", ["m2", "m3"], 6),
         ]
-        node = make_node(floorplan=uniform_prr_floorplan(4, 6))
-        result = MultitaskPrtrExecutor(
-            node, bitstream_bytes=DUAL_BYTES
-        ).run(apps)
+        nodes = []
+
+        def make(*args, **kwargs):
+            nodes.append(make_node(*args, **kwargs))
+            return nodes[-1]
+
+        monkeypatch.setattr(runner, "make_node", make)
+        result = prtr(
+            apps,
+            floorplan=uniform_prr_floorplan(4, 6),
+            bitstream_bytes=DUAL_BYTES,
+        )
+        node = nodes[-1]  # the PRTR half's
         # The CONFIG timeline spans include mutex-wait time and may
         # overlap on the wall clock; actual ICAP occupancy must not.
         node.icap.icap_mutex.assert_no_overlap()
@@ -169,19 +220,13 @@ class TestPrtrMultitask:
         from repro.hardware import single_prr_floorplan
 
         apps = [app("A", ["m0"], 3), app("B", ["m1"], 3)]
-        result = MultitaskPrtrExecutor(
-            make_node(floorplan=single_prr_floorplan()),
+        result = prtr(
+            apps,
+            floorplan=single_prr_floorplan(),
             bitstream_bytes=PUBLISHED_TABLE2["single_prr"].bitstream_bytes,
-        ).run(apps)
+        )
         assert result.total_calls == 6
-
-    def test_cache_slot_mismatch(self):
-        from repro.caching import ConfigCache, LruPolicy
-
-        with pytest.raises(ValueError, match="slots"):
-            MultitaskPrtrExecutor(
-                make_node(), cache=ConfigCache(9, LruPolicy())
-            )
+        assert_time_shared(result)
 
 
 class TestCompareMultitask:
@@ -210,6 +255,24 @@ class TestCompareMultitask:
             assert result.mean_turnaround <= result.max_turnaround
             assert result.unfairness() >= 1.0
             assert result.total_calls == 40
+
+    def test_hardware_metrics_pinned(self):
+        path = EXAMPLES / "multitasking.py"
+        spec = importlib.util.spec_from_file_location("_multitasking", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        with obsm.observed():
+            compare_multitask(
+                module.build_apps(),
+                floorplan=uniform_prr_floorplan(4, 6),
+                bitstream_bytes=DUAL_BYTES,
+                control_time=1e-5,
+            )
+            snapshot = obsm.snapshot()
+        assert {
+            name: value for name, value in snapshot.items()
+            if not name.startswith("repro_service_")
+        } == EXAMPLE_METRICS
 
     def test_deterministic(self):
         apps = [app("A", ["m0", "m1", "m2"], 5), app("B", ["m2", "m0"], 5)]

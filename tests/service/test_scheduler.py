@@ -1,21 +1,24 @@
-"""Scheduler tests: reduction identity, determinism, overload, faults."""
+"""Scheduler tests: node cell, tenant start, determinism, overload, faults."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.faults import FallbackPolicy
 from repro.faults.injector import FaultConfig
-from repro.obs import metrics as obsm
-from repro.rtr.multitask import AppSpec, MultitaskPrtrExecutor
-from repro.rtr.runner import make_node
+from repro.hardware import uniform_prr_floorplan
+from repro.rtr.runner import CellSpec
 from repro.runtime.invariants import audit_service
 from repro.service import (
     ServiceConfig,
+    ServiceExecutor,
     TaskMix,
     TenantSpec,
     run_service,
 )
 from repro.service.slo import report_json, slo_report
+from repro.service.tenants import tenant_from_dict
+from repro.sim.trace import Phase
 from repro.workloads.task import CallTrace, HardwareTask
 
 LIB = {
@@ -41,69 +44,76 @@ def closed_tenant(name="app", **kw):
     )
 
 
-def reduction_config(**kw):
+def closed_loop_config(**kw):
     return ServiceConfig(
         horizon=10.0, admission=False, preemption=False, **kw
     )
 
 
-def spans(timeline):
-    return [
-        (s.phase, s.start, s.end, s.task, s.lane)
-        for s in timeline.merged()
-    ]
+class TestServiceCell:
+    """An optional :class:`CellSpec` sets the node; nothing is ignored."""
 
+    @pytest.mark.parametrize(
+        "cell,config",
+        [
+            (CellSpec(faults=FaultConfig(chunk_abort_rate=0.1)),
+             ServiceConfig()),
+            (CellSpec(recovery=FallbackPolicy()), ServiceConfig()),
+            (CellSpec(force_miss=True), ServiceConfig()),
+            (CellSpec(), ServiceConfig(prrs=3)),
+        ],
+        ids=["faults", "recovery", "force_miss", "prrs"],
+    )
+    def test_unused_fields_rejected(self, cell, config):
+        with pytest.raises(ValueError, match="service cell"):
+            ServiceExecutor([closed_tenant()], config, cell=cell)
 
-class TestReductionIdentity:
-    """Service with everything off == the multitask PRTR executor."""
-
-    def test_single_closed_tenant_bit_identical(self):
-        prtr = MultitaskPrtrExecutor(make_node()).run(
-            [AppSpec(name="app",
-                     trace=CallTrace([LIB[n] for n in SEQ], name="app"))]
+    def test_cell_sets_node_and_timing(self):
+        cell = CellSpec(
+            floorplan=uniform_prr_floorplan(3, 12), estimated=True,
+            control_time=0.0, bitstream_bytes=1 << 16,
         )
-        svc = run_service([closed_tenant()], reduction_config(), seed=0)
-        assert svc.makespan == prtr.makespan
-        assert spans(svc.timeline) == spans(prtr.timeline)
-        assert svc.tenants[0].configs == prtr.apps[0].n_configs
-        assert svc.tenants[0].completed == len(SEQ)
-
-    def test_two_closed_tenants_bit_identical(self):
-        # Two closed loops on two PRRs: grants never queue, so the event
-        # stream still reduces exactly to the multitask executor's.
-        traces = {
-            "a": CallTrace([LIB[n] for n in SEQ], name="a"),
-            "b": CallTrace([LIB[n] for n in reversed(SEQ)], name="b"),
-        }
-        prtr = MultitaskPrtrExecutor(make_node()).run(
-            [AppSpec(name=k, trace=t) for k, t in traces.items()]
+        ex = ServiceExecutor(
+            [closed_tenant()], closed_loop_config(), cell=cell
         )
-        svc = run_service(
-            [
-                TenantSpec(name=k, arrival="closed", trace=t)
-                for k, t in traces.items()
-            ],
-            reduction_config(),
-            seed=0,
+        assert ex.node.floorplan.n_prrs == 3
+        assert ex.control_time == 0.0
+        result = ex.run()
+        assert result.notes["t_config_full"] == (
+            ex.node.full_config_time(estimated=True)
         )
-        assert svc.makespan == prtr.makespan
-        assert spans(svc.timeline) == spans(prtr.timeline)
+        assert ex.node.icap.configurations == 0  # wire-only partials
+        assert result.fills == 3
 
-    def test_hardware_metrics_identical_to_multitask(self):
-        trace = CallTrace([LIB[n] for n in SEQ], name="app")
-        with obsm.observed():
-            MultitaskPrtrExecutor(make_node()).run(
-                [AppSpec(name="app", trace=trace)]
-            )
-            base = obsm.snapshot()
-        with obsm.observed():
-            run_service([closed_tenant()], reduction_config(), seed=0)
-            ours = obsm.snapshot()
-        ours = {
-            k: v for k, v in ours.items()
-            if not k.startswith("repro_service_")
-        }
-        assert ours == base
+
+class TestTenantStart:
+    def test_negative_start_rejected(self):
+        with pytest.raises(ValueError, match="start must be >= 0"):
+            closed_tenant(start=-1.0)
+
+    def test_open_tenant_start_rejected(self):
+        with pytest.raises(ValueError, match="starts at boot"):
+            TenantSpec(name="t", tasks=MIX, start=1.0)
+        assert TenantSpec(name="t", tasks=MIX, start=0.0).start == 0.0
+
+    def test_from_dict_and_as_dict(self):
+        tenant = tenant_from_dict(
+            {"name": "late", "arrival": "closed",
+             "trace": [["median", 0.05]], "start": 2.5}
+        )
+        assert tenant.start == 2.5
+        assert tenant.as_dict()["start"] == 2.5
+        # At 0 the key is omitted, so journal meta keeps its bytes.
+        assert "start" not in closed_tenant().as_dict()
+
+    def test_closed_tenant_waits_for_start(self):
+        on_time = run_service([closed_tenant()], closed_loop_config())
+        late = run_service([closed_tenant(start=3.0)], closed_loop_config())
+        assert late.makespan == pytest.approx(on_time.makespan + 3.0)
+        first = min(
+            s.start for s in late.timeline if s.phase == Phase.TASK
+        )
+        assert first >= late.notes["t_config_full"] + 3.0
 
 
 class TestDeterminism:
