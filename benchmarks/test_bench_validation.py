@@ -8,72 +8,14 @@ averaged Eq. (3) model to well under 1%.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.analysis import validate_frtr, validate_prtr
 from repro.experiments import fig9
-from repro.hardware import PUBLISHED_TABLE2, US
-from repro.rtr import FrtrExecutor, PrtrExecutor, make_node
-from repro.workloads import CallTrace, HardwareTask
 
 from conftest import record
 
 
-def _run_grid(n_calls: int = 60) -> dict[str, float]:
-    dual = PUBLISHED_TABLE2["dual_prr"]
-    out = {"max_pipeline_err": 0.0, "max_model_err": 0.0,
-           "max_frtr_err": 0.0}
-    for which in ("estimated", "measured"):
-        p = fig9.panel(which)
-        for x_task in np.logspace(-2, 0.5, 6):
-            t_task = x_task * p.t_frtr
-            lib = {n: HardwareTask(n, t_task)
-                   for n in ("median", "sobel", "smoothing")}
-            trace = CallTrace(
-                [lib[n] for n in ("median", "sobel", "smoothing")
-                 * (n_calls // 3)],
-                name="val",
-            )
-            frtr = FrtrExecutor(
-                make_node(), estimated=p.estimated, control_time=p.t_control
-            ).run(trace)
-            # Validate against the executor's *actual* platform times (the
-            # run notes); published Table 2 values carry ~0.05%
-            # calibration residuals that are not the simulator's error.
-            rep_f = validate_frtr(
-                frtr,
-                t_frtr=frtr.notes["t_config_full"],
-                t_control=p.t_control,
-                t_task=t_task,
-            )
-            out["max_frtr_err"] = max(
-                out["max_frtr_err"], rep_f.model_rel_error
-            )
-            prtr = PrtrExecutor(
-                make_node(),
-                estimated=p.estimated,
-                control_time=p.t_control,
-                force_miss=True,
-                bitstream_bytes=dual.bitstream_bytes,
-            ).run(trace)
-            rep_p = validate_prtr(
-                prtr,
-                t_frtr=prtr.notes["t_config_full"],
-                t_prtr=prtr.notes["t_config_partial"],
-                t_control=p.t_control,
-            )
-            out["max_pipeline_err"] = max(
-                out["max_pipeline_err"], rep_p.pipeline_rel_error or 0.0
-            )
-            out["max_model_err"] = max(
-                out["max_model_err"], rep_p.model_rel_error
-            )
-    return out
-
-
 def test_bench_validation(benchmark) -> None:
     n_calls = 60
-    errs = benchmark(_run_grid, n_calls)
+    errs = benchmark(fig9.validation_grid, 6, n_calls)
     print()
     print(f"max FRTR vs Eq.(1) rel error     : {errs['max_frtr_err']:.3e}")
     print(f"max PRTR vs pipeline rel error   : "

@@ -9,8 +9,8 @@ Package map
 :mod:`repro.sim`
     Deterministic discrete-event simulation kernel.
 :mod:`repro.hardware`
-    The Cray XD1 blade model: FPGA, PRR floorplans, bitstreams,
-    configuration ports, ICAP controller, link, memory.
+    The Cray XD1 blade model: FPGA resources, PRR floorplans,
+    bitstreams, configuration ports, ICAP controller, link.
 :mod:`repro.workloads`
     Hardware-function library (Table 1), call-trace generators, image
     kernels.

@@ -1,10 +1,13 @@
 """One-shot reproduction report: every artifact, one markdown document.
 
-:func:`generate_report` regenerates Tables 1-2, checks every Figure 5/9
-shape claim, runs the sim-vs-model validation, and summarizes the
-ablations into a single markdown string (``python -m repro report`` writes
-it to disk).  The report is *evidence*, not prose: every number in it was
-computed by the call that produced the document.
+:func:`generate_report` regenerates Tables 1-2 with the Table 2
+calibration's out-of-sample check (:func:`~repro.analysis.calibration
+.cross_validate`), checks every Figure 5/9 shape claim, and summarizes
+the ablations into a single markdown string (``python -m repro report``
+writes it to disk).  The sim-vs-model validation is ``python -m repro
+validate`` (:func:`repro.experiments.fig9.validation_grid`).  The report
+is *evidence*, not prose: every number in it was computed by the call
+that produced the document.
 """
 
 from __future__ import annotations

@@ -660,52 +660,18 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    import numpy as np
-
-    from .analysis import validate_frtr, validate_prtr
     from .experiments import fig9
-    from .hardware import PUBLISHED_TABLE2
-    from .rtr import FrtrExecutor, PrtrExecutor, make_node
-    from .workloads import CallTrace, HardwareTask
 
-    worst_pipe = worst_model = worst_frtr = 0.0
-    for which in ("estimated", "measured"):
-        p = fig9.panel(which)
-        for x_task in np.logspace(-2, 0.5, 5):
-            t_task = float(x_task) * p.t_frtr
-            lib = {
-                n: HardwareTask(n, t_task)
-                for n in ("median", "sobel", "smoothing")
-            }
-            trace = CallTrace(
-                [lib[n] for n in ("median", "sobel", "smoothing") * 20],
-                name="val",
-            )
-            frtr = FrtrExecutor(
-                make_node(), estimated=p.estimated,
-                control_time=p.t_control,
-            ).run(trace)
-            rep = validate_frtr(
-                frtr, t_frtr=frtr.notes["t_config_full"],
-                t_control=p.t_control, t_task=t_task,
-            )
-            worst_frtr = max(worst_frtr, rep.model_rel_error)
-            prtr = PrtrExecutor(
-                make_node(), estimated=p.estimated,
-                control_time=p.t_control, force_miss=True,
-                bitstream_bytes=PUBLISHED_TABLE2["dual_prr"].bitstream_bytes,
-            ).run(trace)
-            rep = validate_prtr(
-                prtr, t_frtr=prtr.notes["t_config_full"],
-                t_prtr=prtr.notes["t_config_partial"],
-                t_control=p.t_control,
-            )
-            worst_pipe = max(worst_pipe, rep.pipeline_rel_error or 0.0)
-            worst_model = max(worst_model, rep.model_rel_error)
-    print(f"max FRTR vs Eq.(1) rel error   : {worst_frtr:.3e}")
-    print(f"max PRTR vs pipeline rel error : {worst_pipe:.3e}")
-    print(f"max PRTR vs Eq.(3) rel error   : {worst_model:.3e}")
-    ok = worst_frtr < 1e-9 and worst_pipe < 1e-9 and worst_model < 0.05
+    errs = fig9.validation_grid(n_points=5, n_calls=60)
+    print(f"max FRTR vs Eq.(1) rel error   : {errs['max_frtr_err']:.3e}")
+    print(f"max PRTR vs pipeline rel error : "
+          f"{errs['max_pipeline_err']:.3e}")
+    print(f"max PRTR vs Eq.(3) rel error   : {errs['max_model_err']:.3e}")
+    ok = (
+        errs["max_frtr_err"] < 1e-9
+        and errs["max_pipeline_err"] < 1e-9
+        and errs["max_model_err"] < 0.05
+    )
     print("VALIDATION", "PASS" if ok else "FAIL")
     return 0 if ok else 1
 

@@ -26,17 +26,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..analysis.plotting import ascii_plot, series_to_csv
+from ..analysis.validate import validate_frtr, validate_prtr
 from ..hardware.catalog import PUBLISHED_TABLE2, US
 from ..model.hybrid import HybridMode, cell_modes, replay_cell, route, verdicts
 from ..model.parameters import ModelParameters
 from ..model.speedup import asymptotic_speedup, speedup
 from ..model.sweep import log_task_axis
-from ..rtr.runner import CellSpec, compare
+from ..rtr.frtr import FrtrExecutor
+from ..rtr.prtr import PrtrExecutor
+from ..rtr.runner import CellSpec, compare, make_node
 from ..runtime.parallel import parallel_map
 from ..workloads.task import CallTrace, HardwareTask
 
-__all__ = ["Fig9Panel", "panel", "simulate_points", "render", "to_csv",
-           "shape_claims", "CYCLE_CORES"]
+__all__ = ["Fig9Panel", "panel", "simulate_points", "validation_grid",
+           "render", "to_csv", "shape_claims", "CYCLE_CORES"]
 
 #: The paper's three image cores, called cyclically so that the dual-PRR
 #: lookahead always finds the next module absent (a natural M = 1 even
@@ -172,6 +175,56 @@ def simulate_points(
     modes = cell_modes(xs, hybrid, 0, lambda x: spec)
     speedups = parallel_map(one_point, list(zip(xs, modes)), workers=workers)
     return x_values, np.asarray(speedups)
+
+
+def validation_grid(n_points: int, n_calls: int) -> dict[str, float]:
+    """The DES against Eqs. (1) and (3) across both panels.
+
+    ``n_points`` task sizes from ``10**-2`` to ``10**0.5`` times each
+    panel's ``T_FRTR``; at each, one FRTR and one PRTR run (every call
+    reconfigures, published dual-PRR bitstream) of a cyclic
+    ``n_calls``-call trace.  Each run is checked against its own
+    configuration times (its run notes): the published Table 2 values
+    carry ~0.05% calibration residuals that are not the simulator's
+    error.  Returns the worst relative errors against Eq. (1)
+    (``max_frtr_err``), the exact PRTR pipeline formula
+    (``max_pipeline_err``) and the averaged Eq. (3) (``max_model_err``);
+    each caller applies its own thresholds.
+    """
+    out = {"max_pipeline_err": 0.0, "max_model_err": 0.0,
+           "max_frtr_err": 0.0}
+    for which in ("estimated", "measured"):
+        p = panel(which)
+        for x_task in np.logspace(-2, 0.5, n_points):
+            t_task = float(x_task) * p.t_frtr
+            trace = _cyclic_trace(t_task, n_calls)
+            frtr = FrtrExecutor(
+                make_node(), estimated=p.estimated, control_time=p.t_control
+            ).run(trace)
+            rep_f = validate_frtr(
+                frtr, t_frtr=frtr.notes["t_config_full"],
+                t_control=p.t_control, t_task=t_task,
+            )
+            out["max_frtr_err"] = max(
+                out["max_frtr_err"], rep_f.model_rel_error
+            )
+            prtr = PrtrExecutor(
+                make_node(), estimated=p.estimated,
+                control_time=p.t_control, force_miss=True,
+                bitstream_bytes=PUBLISHED_TABLE2["dual_prr"].bitstream_bytes,
+            ).run(trace)
+            rep_p = validate_prtr(
+                prtr, t_frtr=prtr.notes["t_config_full"],
+                t_prtr=prtr.notes["t_config_partial"],
+                t_control=p.t_control,
+            )
+            out["max_pipeline_err"] = max(
+                out["max_pipeline_err"], rep_p.pipeline_rel_error or 0.0
+            )
+            out["max_model_err"] = max(
+                out["max_model_err"], rep_p.model_rel_error
+            )
+    return out
 
 
 def render(

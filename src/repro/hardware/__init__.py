@@ -1,13 +1,13 @@
 """Simulated HPRC hardware substrate (Cray XD1 blade model).
 
 The paper's testbed, rebuilt as a parameterized discrete-event model:
-device catalog (:mod:`repro.hardware.catalog`), fabric and floorplans
-(:mod:`repro.hardware.fpga`, :mod:`repro.hardware.prr`), bitstream sizing
+device catalog (:mod:`repro.hardware.catalog`), fabric resources and
+column regions (:mod:`repro.hardware.fpga`), floorplans
+(:mod:`repro.hardware.prr`), bitstream sizing
 (:mod:`repro.hardware.bitstream`), configuration ports and the ICAP
 controller (:mod:`repro.hardware.config_port`,
 :mod:`repro.hardware.icap_controller`), the dual-channel link
-(:mod:`repro.hardware.interconnect`), on-board memory
-(:mod:`repro.hardware.memory`), and the assembled node
+(:mod:`repro.hardware.interconnect`), and the assembled node
 (:mod:`repro.hardware.node`).  The ports are pure time models; the node
 performs every configuration attempt
 (:meth:`~repro.hardware.node.XD1Node.configure_full`,
@@ -56,13 +56,11 @@ from .config_port import (
     jtag_port,
     selectmap_port,
 )
-from .fpga import Fpga, PlacementError, Region, Resources
+from .fpga import PlacementError, Region, Resources
 from .icap_controller import DEFAULT_ICAP_TIMINGS, IcapController, IcapTimings
 from .interconnect import DualChannelLink
-from .memory import Fifo, MemorySystem, SramBank
 from .node import XD1Node
 from .prr import (
-    BusMacro,
     Floorplan,
     dual_prr_floorplan,
     single_prr_floorplan,
@@ -72,7 +70,6 @@ from .prr import (
 __all__ = [
     "BitfileError",
     "Bitstream",
-    "BusMacro",
     "CRAY_API_OVERHEAD",
     "ConfigPort",
     "CatalogEntry",
@@ -82,15 +79,12 @@ __all__ = [
     "DomainTopology",
     "DualChannelLink",
     "FailureDomain",
-    "Fifo",
     "Floorplan",
-    "Fpga",
     "FpgaDevice",
     "IcapController",
     "IcapTimings",
     "MB",
     "MS",
-    "MemorySystem",
     "NodeParameters",
     "PUBLISHED_TABLE2",
     "PlacementError",
@@ -98,7 +92,6 @@ __all__ = [
     "Region",
     "Resources",
     "SYNC_WORD",
-    "SramBank",
     "Table2Row",
     "US",
     "VendorApiOverhead",

@@ -5,8 +5,8 @@ one place, so experiments can cite them and tests can pin them:
 
 * the Xilinx Virtex-II Pro **XC2VP50** FPGA that serves as the Cray XD1
   Application Accelerator Processor (AAP);
-* the XD1 node parameters (RapidArray/HyperTransport link, QDR-II SRAM
-  banks, I/O bandwidth);
+* the XD1 node parameters (RapidArray/HyperTransport link, configuration
+  ports, the ICAP controller's BRAM buffer, I/O bandwidth);
 * the published Table 2 measurements, used both as calibration targets and
   as ground truth in EXPERIMENTS.md comparisons.
 
@@ -134,11 +134,8 @@ class NodeParameters:
     icap_bandwidth: float
     #: JTAG configuration throughput (serial, ~33 Mbit/s)
     jtag_bandwidth: float
-    #: number of QDR-II SRAM banks attached to the FPGA
-    sram_banks: int
-    #: bytes per SRAM bank (16 MB total / 4 banks)
-    sram_bank_bytes: int
-    #: BRAM buffer inside the PR controller (8 x 18 Kb BRAMs ~ 16 KiB usable)
+    #: BRAM buffer inside the PR controller (8 x 18 Kb BRAMs ~ 16 KiB
+    #: usable): the ICAP controller's chunk size
     icap_buffer_bytes: int
     #: measured transfer-of-control time (paper: ~10 us)
     control_time: float
@@ -153,8 +150,6 @@ class NodeParameters:
         ):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.sram_banks <= 0 or self.sram_bank_bytes <= 0:
-            raise ValueError("SRAM geometry must be positive")
 
 
 XD1_NODE = NodeParameters(
@@ -163,8 +158,6 @@ XD1_NODE = NodeParameters(
     selectmap_bandwidth=66 * MB,
     icap_bandwidth=66 * MB,
     jtag_bandwidth=33e6 / 8,
-    sram_banks=4,
-    sram_bank_bytes=4 * 1024 * 1024,
     icap_buffer_bytes=16 * 1024,
     control_time=10 * US,
 )

@@ -1,26 +1,23 @@
-"""FPGA fabric model: resource vectors, regions and placement accounting.
+"""FPGA fabric vocabulary: resource vectors and column regions.
 
-The model captures what matters for the paper's experiments:
-
-* a device exposes a finite resource vector (LUTs, FFs, BRAMs);
-* the floorplan splits the CLB column range into a *static region* and one
-  or more *partially reconfigurable regions* (PRRs);
-* a hardware module fits in a region iff its resource demand fits in the
-  region's share of the fabric, and the region spans whole columns
-  (Virtex-II frames are full-height, so reconfiguration is column-wise).
+* a device exposes a finite resource vector (LUTs, FFs, BRAMs), and a
+  hardware module's demand is one too (:mod:`repro.workloads.library`);
+* a :class:`Region` is a span of whole CLB columns (Virtex-II frames are
+  full-height, so reconfiguration is column-wise), which is what sizes a
+  module-based partial bitstream (:mod:`repro.hardware.bitstream`);
+* a :class:`~repro.hardware.prr.Floorplan` that needs more columns than
+  its device has raises :class:`PlacementError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .catalog import FpgaDevice
-
-__all__ = ["Resources", "Region", "Fpga", "PlacementError"]
+__all__ = ["Resources", "Region", "PlacementError"]
 
 
 class PlacementError(ValueError):
-    """A module does not fit in a region, or regions overlap."""
+    """A floorplan needs more CLB columns than its device has."""
 
 
 @dataclass(frozen=True)
@@ -92,128 +89,3 @@ class Region:
     @property
     def columns(self) -> int:
         return self.col_end - self.col_start
-
-    def overlaps(self, other: "Region") -> bool:
-        return self.col_start < other.col_end and other.col_start < self.col_end
-
-
-class Fpga:
-    """A device instance with a floorplan and per-region capacity tracking."""
-
-    def __init__(self, device: FpgaDevice) -> None:
-        self.device = device
-        self._regions: dict[str, Region] = {}
-        self._placed: dict[str, dict[str, Resources]] = {}
-
-    # -- floorplanning ---------------------------------------------------
-
-    def add_region(self, region: Region) -> Region:
-        if region.col_end > self.device.clb_columns:
-            raise PlacementError(
-                f"region {region.name!r} exceeds device width "
-                f"({region.col_end} > {self.device.clb_columns})"
-            )
-        if region.name in self._regions:
-            raise PlacementError(f"duplicate region name {region.name!r}")
-        for existing in self._regions.values():
-            if region.overlaps(existing):
-                raise PlacementError(
-                    f"region {region.name!r} overlaps {existing.name!r}"
-                )
-        self._regions[region.name] = region
-        self._placed[region.name] = {}
-        return region
-
-    @property
-    def regions(self) -> dict[str, Region]:
-        return dict(self._regions)
-
-    def region(self, name: str) -> Region:
-        try:
-            return self._regions[name]
-        except KeyError:
-            raise PlacementError(f"unknown region {name!r}") from None
-
-    def region_capacity(self, name: str) -> Resources:
-        """Column-proportional share of the device resources.
-
-        The two PPC hard cores consume fabric area but no LUT/FF/BRAM
-        totals; the uniform-share model is the standard first-order
-        approximation for column-wise floorplans.
-        """
-        region = self.region(name)
-        share = region.columns / self.device.clb_columns
-        return Resources(
-            self.device.luts, self.device.ffs, self.device.brams
-        ).scale(share)
-
-    # -- placement -------------------------------------------------------
-
-    def place(self, region_name: str, module: str, demand: Resources) -> None:
-        """Place (or replace after :meth:`unplace`) a module in a region."""
-        region = self.region(region_name)
-        placed = self._placed[region_name]
-        if module in placed:
-            raise PlacementError(
-                f"module {module!r} already placed in {region_name!r}"
-            )
-        used = self.region_used(region_name) + demand
-        if not used.fits_in(self.region_capacity(region_name)):
-            raise PlacementError(
-                f"module {module!r} ({demand}) does not fit in region "
-                f"{region_name!r} (capacity {self.region_capacity(region_name)}, "
-                f"already used {self.region_used(region_name)})"
-            )
-        if not region.reconfigurable and placed:
-            # The static region hosts many blocks; this is fine.  The check
-            # below applies to PRRs, which hold exactly one module at a time
-            # under the module-based PR flow.
-            pass
-        if region.reconfigurable and placed:
-            raise PlacementError(
-                f"PRR {region_name!r} already hosts {next(iter(placed))!r}; "
-                "unplace it first (module-based PR swaps whole regions)"
-            )
-        placed[module] = demand
-
-    def unplace(self, region_name: str, module: str) -> Resources:
-        placed = self._placed[self.region(region_name).name]
-        try:
-            return placed.pop(module)
-        except KeyError:
-            raise PlacementError(
-                f"module {module!r} not placed in {region_name!r}"
-            ) from None
-
-    def region_used(self, name: str) -> Resources:
-        total = Resources()
-        for demand in self._placed[self.region(name).name].values():
-            total = total + demand
-        return total
-
-    def modules_in(self, name: str) -> list[str]:
-        return list(self._placed[self.region(name).name])
-
-    def occupant(self, name: str) -> str | None:
-        """The single module hosted by a PRR, or ``None`` if empty."""
-        mods = self.modules_in(name)
-        if len(mods) > 1:
-            raise PlacementError(
-                f"region {name!r} hosts {len(mods)} modules; not a PRR"
-            )
-        return mods[0] if mods else None
-
-    # -- reporting -------------------------------------------------------
-
-    def utilization_row(self, module: str, demand: Resources) -> dict[str, object]:
-        """A Table 1-style row: counts plus floor percentages."""
-        dev = self.device
-        return {
-            "module": module,
-            "luts": demand.luts,
-            "luts_pct": dev.utilization_pct(demand.luts, dev.luts),
-            "ffs": demand.ffs,
-            "ffs_pct": dev.utilization_pct(demand.ffs, dev.ffs),
-            "brams": demand.brams,
-            "brams_pct": dev.utilization_pct(demand.brams, dev.brams),
-        }

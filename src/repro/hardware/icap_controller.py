@@ -33,7 +33,7 @@ from ..obs import metrics as obsm
 from ..sim.engine import AllOf, Delay, Simulator, WaitUntil, left_sum
 from ..sim.resources import BandwidthChannel, MutexResource
 from .bitstream import Bitstream
-from .catalog import MB, MS
+from .catalog import MB, MS, XD1_NODE
 
 __all__ = ["IcapController", "IcapTimings", "DEFAULT_ICAP_TIMINGS"]
 
@@ -174,23 +174,23 @@ def _calibrated_handshake() -> float:
     """Per-chunk handshake solved from the published single-PRR row.
 
     43.48 ms total = first-chunk link fill (negligible) +
-    n_chunks * handshake + bytes / 66 MB/s.  The fill is timed at the
-    raw 1.6 GB/s link rate; the DES and the replay fill over the 1.4 GB/s
-    inbound channel, 1.463 us later per configuration (``docs/MODEL.md``
-    section 7).
+    n_chunks * handshake + bytes / 66 MB/s, with the chunk the node's
+    BRAM buffer.  The fill is timed at the node's raw 1.6 GB/s link
+    rate; the DES and the replay fill over the 1.4 GB/s inbound channel,
+    1.463 us later per configuration (``docs/MODEL.md`` section 7).
     """
     nbytes = 887_784
     measured = 43.48 * MS
-    chunk = 16 * 1024
+    chunk = XD1_NODE.icap_buffer_bytes
     n = max(1, math.ceil(nbytes / chunk))
     wire = nbytes / (66 * MB)
-    first_fill = chunk / (1600 * MB)
+    first_fill = chunk / XD1_NODE.link_raw_bandwidth
     return (measured - wire - first_fill) / n
 
 
 DEFAULT_ICAP_TIMINGS = IcapTimings(
     icap_bandwidth=66 * MB,
-    chunk_bytes=16 * 1024,
+    chunk_bytes=XD1_NODE.icap_buffer_bytes,
     chunk_handshake=_calibrated_handshake(),
 )
 

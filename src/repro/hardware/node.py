@@ -1,10 +1,12 @@
 """The assembled HPRC node: one Cray XD1 blade's acceleration subsystem.
 
-:class:`XD1Node` wires together everything Section 4 of the paper
-describes — the FPGA with its floorplan, the dual-channel link, the SRAM
-banks with their per-PRR assignment and FIFOs, the vendor (SelectMap)
-configuration path for full bitstreams, and the ICAP controller path for
-partial bitstreams — on top of one shared :class:`repro.sim.Simulator`.
+:class:`XD1Node` wires together the parts of Section 4's platform that
+configuration times depend on — the FPGA's floorplan, the dual-channel
+link, the vendor (SelectMap) configuration path for full bitstreams, and
+the ICAP controller path for partial bitstreams — on top of one shared
+:class:`repro.sim.Simulator`.  The Section 4.2 SRAM banks, their FIFOs
+and the bus macros are not modeled: the paper's Eqs. (1)-(7) depend only
+on configuration and task times and their overlap.
 
 The node is also the only code that performs a configuration attempt.
 :meth:`XD1Node.configure_full` and :meth:`XD1Node.configure_partial` own
@@ -32,10 +34,8 @@ from .config_port import (
     jtag_port,
     selectmap_port,
 )
-from .fpga import Fpga
 from .icap_controller import DEFAULT_ICAP_TIMINGS, IcapController, IcapTimings
 from .interconnect import DualChannelLink
-from .memory import Fifo, MemorySystem
 from .prr import Floorplan, dual_prr_floorplan
 
 __all__ = ["XD1Node"]
@@ -83,7 +83,6 @@ class XD1Node:
         if self.floorplan is None:
             self.floorplan = dual_prr_floorplan()
         self.device: FpgaDevice = self.floorplan.device
-        self.fpga: Fpga = self.floorplan.build()
         self.link = DualChannelLink(
             self.sim,
             io_bandwidth=self.params.io_bandwidth,
@@ -107,39 +106,8 @@ class XD1Node:
             injector=self.fault_injector,
             crc=self.crc,
         )
-        self.memory = MemorySystem(
-            self.sim,
-            n_banks=self.params.sram_banks,
-            bank_bytes=self.params.sram_bank_bytes,
-        )
-        self.fifos: dict[str, list[Fifo]] = {}
-        self._assign_banks()
         self.full_image: Bitstream = full_bitstream(self.device)
         self._bitstreams: dict[tuple[int, str, int | None], Bitstream] = {}
-
-    # -- construction helpers ---------------------------------------------
-
-    def _assign_banks(self) -> None:
-        """Distribute SRAM banks across PRRs as in Section 4.2.
-
-        Single PRR: all four banks.  Dual PRR: two banks each.  For the
-        parametric layouts banks are dealt round-robin; a PRR may end up
-        with zero banks if there are more PRRs than banks (legal — such a
-        region streams directly over the link).
-        """
-        prrs = self.floorplan.prr_names()
-        if not prrs:
-            return
-        per_region: dict[str, list[int]] = {name: [] for name in prrs}
-        for bank_idx in range(self.params.sram_banks):
-            per_region[prrs[bank_idx % len(prrs)]].append(bank_idx)
-        for name, banks in per_region.items():
-            if banks:
-                self.memory.assign(name, banks)
-            self.fifos[name] = [
-                Fifo(name=f"{name}.fifo{i}", depth_words=512)
-                for i in range(max(1, len(banks)))
-            ]
 
     # -- configuration time models ------------------------------------------
 

@@ -1,10 +1,9 @@
 """PRR floorplans: the paper's single- and dual-PRR Cray XD1 layouts.
 
 A :class:`Floorplan` carves the device's CLB columns into one static region
-(RT core, ICAP controller, FIFOs — Fig. 8) and ``n`` partially
-reconfigurable regions.  Bus macros anchor the wires crossing each PRR
-boundary; we count them (2 per crossing direction per data bus) because
-their fixed placement is what motivates the FIFOs.
+(RT core, ICAP controller — Fig. 8) and ``n`` partially reconfigurable
+regions.  Only the column widths enter the model: a PRR's width sizes its
+module-based partial bitstream, and so its configuration time.
 
 Column widths for the XD1 layouts are chosen so the geometric
 partial-bitstream model lands on the published Table 2 sizes:
@@ -19,15 +18,14 @@ sizes as ground truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from .bitstream import Bitstream, module_based_bitstreams
 from .catalog import FpgaDevice, XC2VP50
-from .fpga import Fpga, PlacementError, Region
+from .fpga import PlacementError, Region
 
 __all__ = [
-    "BusMacro",
     "Floorplan",
     "single_prr_floorplan",
     "dual_prr_floorplan",
@@ -35,31 +33,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BusMacro:
-    """A fixed LUT-pair routing bridge across a PRR boundary."""
-
-    name: str
-    src_region: str
-    dst_region: str
-    width_bits: int = 8
-
-    def __post_init__(self) -> None:
-        if self.width_bits <= 0:
-            raise ValueError("bus macro width must be positive")
-        if self.src_region == self.dst_region:
-            raise ValueError("bus macro must cross a region boundary")
-
-
 @dataclass
 class Floorplan:
-    """A named floorplan: device + static region + PRRs + bus macros."""
+    """A named floorplan: device + static region + PRR column widths."""
 
     name: str
     device: FpgaDevice
     static_columns: int
     prr_columns: list[int]
-    bus_macros: list[BusMacro] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.static_columns <= 0:
@@ -76,24 +57,6 @@ class Floorplan:
     @property
     def n_prrs(self) -> int:
         return len(self.prr_columns)
-
-    def prr_names(self) -> list[str]:
-        return [f"prr{i}" for i in range(self.n_prrs)]
-
-    def build(self) -> Fpga:
-        """Instantiate an :class:`Fpga` with the regions laid out left to
-        right: static first (as in the paper's Fig. 1), then each PRR."""
-        fpga = Fpga(self.device)
-        fpga.add_region(
-            Region("static", 0, self.static_columns, reconfigurable=False)
-        )
-        col = self.static_columns
-        for i, width in enumerate(self.prr_columns):
-            fpga.add_region(
-                Region(f"prr{i}", col, col + width, reconfigurable=True)
-            )
-            col += width
-        return fpga
 
     def partial_bitstream_bytes(self, prr_index: int) -> int:
         """Geometry-derived size of a partial bitstream for one PRR."""
@@ -119,42 +82,25 @@ class Floorplan:
         )
         return module_based_bitstreams(self.device, region, modules)
 
-    def default_bus_macros(self, buses_per_prr: int = 2) -> list[BusMacro]:
-        """Standard macro set: one in/out pair per PRR<->static crossing."""
-        macros = []
-        for prr in self.prr_names():
-            for b in range(buses_per_prr):
-                macros.append(
-                    BusMacro(f"{prr}_in{b}", "static", prr, width_bits=8)
-                )
-                macros.append(
-                    BusMacro(f"{prr}_out{b}", prr, "static", width_bits=8)
-                )
-        return macros
-
 
 def single_prr_floorplan(device: FpgaDevice = XC2VP50) -> Floorplan:
-    """The paper's single-PRR layout (all four SRAM banks to one PRR)."""
-    plan = Floorplan(
+    """The paper's single-PRR layout: one 26-column PRR."""
+    return Floorplan(
         name="single_prr",
         device=device,
         static_columns=device.clb_columns - 26,
         prr_columns=[26],
     )
-    plan.bus_macros = plan.default_bus_macros()
-    return plan
 
 
 def dual_prr_floorplan(device: FpgaDevice = XC2VP50) -> Floorplan:
-    """The paper's dual-PRR layout (Fig. 8; two SRAM banks per PRR)."""
-    plan = Floorplan(
+    """The paper's dual-PRR layout (Fig. 8): two 12-column PRRs."""
+    return Floorplan(
         name="dual_prr",
         device=device,
         static_columns=device.clb_columns - 24,
         prr_columns=[12, 12],
     )
-    plan.bus_macros = plan.default_bus_macros()
-    return plan
 
 
 def uniform_prr_floorplan(
@@ -174,11 +120,9 @@ def uniform_prr_floorplan(
     used = n_prrs * columns_each
     if static_columns is None:
         static_columns = device.clb_columns - used
-    plan = Floorplan(
+    return Floorplan(
         name=f"uniform_{n_prrs}x{columns_each}",
         device=device,
         static_columns=static_columns,
         prr_columns=[columns_each] * n_prrs,
     )
-    plan.bus_macros = plan.default_bus_macros()
-    return plan

@@ -110,14 +110,6 @@ EXACTNESS_PREDICATES: dict[str, str] = {
         "paper's max(task, config) stage law; the single-PRR serial "
         "fallback path is not replayed"
     ),
-    "uniform-io": (
-        "detailed_io disabled: tasks are one Delay, not data-in/compute/"
-        "data-out legs contending for the link channels"
-    ),
-    "local-bitstreams": (
-        "no bitstream_source backplane: configuration never queues on a "
-        "shared fetch channel"
-    ),
     "recovery-inert": (
         "with no faults to recover from, any recovery policy is a "
         "pass-through (implied by fault-free; kept separate because it "
@@ -249,17 +241,14 @@ def verdicts(spec: "CellSpec") -> dict[str, bool]:
 
     ``fault-free`` and ``recovery-inert`` read ``faults`` and
     ``recovery``; ``overlap-applicable`` reads the floorplan's PRR count.
-    ``uniform-io`` and ``local-bitstreams`` hold for every spec, because
-    :func:`repro.rtr.runner.simulate` builds neither staged task I/O nor
-    a bitstream server.  The other fields change the replay's
-    arithmetic, never its exactness.
+    The other fields change the replay's arithmetic, never its
+    exactness.  Cluster and ``detailed_io`` runs never reach
+    :func:`route`: no spec builds staged task I/O or a bitstream server.
     """
     fault_free = spec.faults is None or spec.faults.fault_free
     return {
         "fault-free": fault_free,
         "overlap-applicable": spec.floorplan.n_prrs > 1,
-        "uniform-io": True,
-        "local-bitstreams": True,
         "recovery-inert": fault_free or spec.recovery is None,
     }
 

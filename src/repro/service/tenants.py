@@ -293,9 +293,12 @@ class ServiceConfig:
     ----------
     horizon:
         Simulated seconds of open arrivals, measured from service boot
-        (the initial full configuration).  At the horizon arrivals stop
-        and no new grants are issued; running work drains, queued work
-        is reported as in-flight.
+        (the initial full configuration).  At the horizon open arrivals
+        stop; nothing else reads it.  Every admitted request, queued or
+        running, is still granted and runs to completion, so the
+        makespan may pass the horizon and ``in_flight`` is 0 unless the
+        run is interrupted.  Closed tenants replay their whole trace
+        regardless of it.
     admission:
         Master switch for the admission controller; off means every
         arrival is admitted (pass-through, as

@@ -84,10 +84,6 @@ class TestXD1Node:
         assert XD1_NODE.selectmap_bandwidth == pytest.approx(66 * MB)
         assert XD1_NODE.icap_bandwidth == pytest.approx(66 * MB)
 
-    def test_memory_geometry(self):
-        assert XD1_NODE.sram_banks == 4
-        assert XD1_NODE.sram_banks * XD1_NODE.sram_bank_bytes == 16 * 1024**2
-
     def test_control_time_is_10us(self):
         assert XD1_NODE.control_time == pytest.approx(10e-6)
 
@@ -96,7 +92,7 @@ class TestXD1Node:
         with pytest.raises(ValueError):
             NodeParameters(**dict(base, io_bandwidth=0.0))
         with pytest.raises(ValueError):
-            NodeParameters(**dict(base, sram_banks=0))
+            NodeParameters(**dict(base, link_raw_bandwidth=0.0))
 
 
 class TestPublishedTable2:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.hardware import Fpga, PlacementError, Region, Resources, XC2VP50
+from repro.hardware import Region, Resources, XC2VP50, dual_prr_floorplan
 
 
 class TestResources:
@@ -49,109 +49,23 @@ class TestRegion:
         with pytest.raises(ValueError):
             Region("bad", -1, 5, reconfigurable=True)
 
-    def test_overlap(self):
-        a = Region("a", 0, 10, reconfigurable=False)
-        b = Region("b", 10, 20, reconfigurable=True)
-        c = Region("c", 5, 15, reconfigurable=True)
-        assert not a.overlaps(b)
-        assert a.overlaps(c) and c.overlaps(b)
-
 
 class TestFpga:
-    def make(self) -> Fpga:
-        fpga = Fpga(XC2VP50)
-        fpga.add_region(Region("static", 0, 46, reconfigurable=False))
-        fpga.add_region(Region("prr0", 46, 58, reconfigurable=True))
-        fpga.add_region(Region("prr1", 58, 70, reconfigurable=True))
-        return fpga
-
-    def test_region_bookkeeping(self):
-        fpga = self.make()
-        assert set(fpga.regions) == {"static", "prr0", "prr1"}
-        assert fpga.region("prr0").columns == 12
-
-    def test_overlapping_region_rejected(self):
-        fpga = self.make()
-        with pytest.raises(PlacementError, match="overlaps"):
-            fpga.add_region(Region("x", 40, 50, reconfigurable=True))
-
-    def test_region_beyond_device_rejected(self):
-        fpga = Fpga(XC2VP50)
-        with pytest.raises(PlacementError, match="exceeds device width"):
-            fpga.add_region(Region("x", 0, 71, reconfigurable=False))
-
-    def test_duplicate_name_rejected(self):
-        fpga = self.make()
-        with pytest.raises(PlacementError, match="duplicate"):
-            fpga.add_region(Region("prr0", 68, 70, reconfigurable=True))
-
-    def test_unknown_region(self):
-        with pytest.raises(PlacementError, match="unknown region"):
-            self.make().region("nope")
-
-    def test_capacity_proportional_to_columns(self):
-        fpga = self.make()
-        cap = fpga.region_capacity("prr0")
-        share = 12 / 70
-        assert cap.luts == int(XC2VP50.luts * share)
-        assert cap.brams == int(XC2VP50.brams * share)
-
-    def test_place_and_unplace(self):
-        fpga = self.make()
-        demand = Resources(3141, 3270, 0)  # the median filter
-        fpga.place("prr0", "median", demand)
-        assert fpga.occupant("prr0") == "median"
-        assert fpga.region_used("prr0") == demand
-        returned = fpga.unplace("prr0", "median")
-        assert returned == demand
-        assert fpga.occupant("prr0") is None
-
-    def test_prr_holds_one_module(self):
-        fpga = self.make()
-        fpga.place("prr0", "median", Resources(100, 100, 0))
-        with pytest.raises(PlacementError, match="already hosts"):
-            fpga.place("prr0", "sobel", Resources(100, 100, 0))
-
-    def test_static_region_holds_many(self):
-        fpga = self.make()
-        fpga.place("static", "rt_core", Resources(3372, 5503, 25))
-        fpga.place("static", "pr_controller", Resources(418, 432, 8))
-        assert sorted(fpga.modules_in("static")) == [
-            "pr_controller", "rt_core"
-        ]
-
-    def test_overflow_rejected(self):
-        fpga = self.make()
-        cap = fpga.region_capacity("prr0")
-        too_big = Resources(cap.luts + 1, 0, 0)
-        with pytest.raises(PlacementError, match="does not fit"):
-            fpga.place("prr0", "huge", too_big)
-
-    def test_double_place_same_module_rejected(self):
-        fpga = self.make()
-        fpga.place("prr0", "m", Resources(1, 1, 0))
-        with pytest.raises(PlacementError, match="already placed"):
-            fpga.place("prr0", "m", Resources(1, 1, 0))
-
-    def test_unplace_missing_module(self):
-        fpga = self.make()
-        with pytest.raises(PlacementError, match="not placed"):
-            fpga.unplace("prr0", "ghost")
-
-    def test_utilization_row_matches_paper_format(self):
-        fpga = self.make()
-        row = fpga.utilization_row("median", Resources(3141, 3270, 0))
-        assert row["luts_pct"] == 6
-        assert row["ffs_pct"] == 6
-        assert row["brams_pct"] == 0
-
     def test_table1_cores_fit_their_prrs(self):
-        """Each Table 1 core fits a 12-column dual-layout PRR."""
-        fpga = self.make()
+        """Each Table 1 core fits a 12-column dual-layout PRR.
+
+        A PRR's capacity is its column share of the device totals (the
+        two PPC hard cores take fabric area but no LUT/FF/BRAM counts).
+        """
+        plan = dual_prr_floorplan()
+        assert plan.prr_columns[0] == 12
+        device = Resources(XC2VP50.luts, XC2VP50.ffs, XC2VP50.brams)
+        capacity = device.scale(plan.prr_columns[0] / XC2VP50.clb_columns)
+        assert capacity == Resources(8096, 8096, 39)
         for name, (luts, ffs) in {
             "median": (3141, 3270),
             "sobel": (1159, 1060),
             "smoothing": (2053, 1601),
         }.items():
             demand = Resources(luts, ffs, 0)
-            assert demand.fits_in(fpga.region_capacity("prr0")), name
+            assert demand.fits_in(capacity), name

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
 
 from repro.hardware import (
     Bitstream,
-    BusMacro,
     Floorplan,
     MS,
     PUBLISHED_TABLE2,
@@ -22,23 +22,9 @@ from repro.hardware import (
 )
 from repro.rtr.runner import make_node
 from repro.sim import Simulator
-from repro.sim.resources import BandwidthChannel
+from repro.sim.resources import BandwidthChannel, MutexResource
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
-
-
-class TestBusMacro:
-    def test_valid(self):
-        bm = BusMacro("m", "static", "prr0")
-        assert bm.width_bits == 8
-
-    def test_same_region_rejected(self):
-        with pytest.raises(ValueError, match="boundary"):
-            BusMacro("m", "prr0", "prr0")
-
-    def test_width_positive(self):
-        with pytest.raises(ValueError):
-            BusMacro("m", "a", "b", width_bits=0)
 
 
 class TestFloorplans:
@@ -65,12 +51,6 @@ class TestFloorplans:
         assert plan.n_prrs == 0
         assert plan.static_columns == XC2VP50.clb_columns
 
-    def test_build_lays_out_regions(self):
-        fpga = dual_prr_floorplan().build()
-        assert set(fpga.regions) == {"static", "prr0", "prr1"}
-        assert fpga.region("static").reconfigurable is False
-        assert fpga.region("prr0").columns == 12
-
     def test_overcommitted_floorplan_rejected(self):
         with pytest.raises(PlacementError, match="columns"):
             Floorplan("bad", XC2VP50, static_columns=60,
@@ -85,21 +65,11 @@ class TestFloorplans:
     def test_uniform_floorplan(self):
         plan = uniform_prr_floorplan(4, 6)
         assert plan.n_prrs == 4
-        assert plan.prr_names() == ["prr0", "prr1", "prr2", "prr3"]
         assert plan.static_columns == XC2VP50.clb_columns - 24
 
     def test_uniform_requires_prrs(self):
         with pytest.raises(ValueError):
             uniform_prr_floorplan(0, 6)
-
-    def test_default_bus_macros_pairs_per_prr(self):
-        plan = dual_prr_floorplan()
-        macros = plan.default_bus_macros(buses_per_prr=2)
-        # 2 PRRs x 2 buses x 2 directions
-        assert len(macros) == 8
-        assert all(
-            "static" in (m.src_region, m.dst_region) for m in macros
-        )
 
     def test_bitstreams_for_modules(self):
         plan = dual_prr_floorplan()
@@ -113,17 +83,6 @@ class TestXD1Node:
         node = XD1Node(Simulator())
         assert node.floorplan.name == "dual_prr"
         assert node.device is XC2VP50
-        assert node.memory.n_banks == 4
-
-    def test_bank_assignment_dual(self):
-        node = XD1Node(Simulator())
-        assert len(node.memory.banks_of("prr0")) == 2
-        assert len(node.memory.banks_of("prr1")) == 2
-        assert "prr0" in node.fifos and "prr1" in node.fifos
-
-    def test_bank_assignment_single(self):
-        node = XD1Node(Simulator(), floorplan=single_prr_floorplan())
-        assert len(node.memory.banks_of("prr0")) == 4
 
     def test_full_config_times_match_table2(self):
         node = XD1Node(Simulator())
@@ -163,17 +122,6 @@ class TestXD1Node:
         bs = node.prr_bitstream(0, "median")
         assert node.selectmap.configure_time(bs) > 0
 
-    def test_more_prrs_than_banks(self):
-        node = XD1Node(Simulator(), floorplan=uniform_prr_floorplan(6, 4))
-        total_assigned = sum(
-            len(node.memory.banks_of(f"prr{i}"))
-            for i in range(4)  # only the first 4 PRRs get a bank
-        )
-        assert total_assigned == 4
-        with pytest.raises(KeyError):
-            node.memory.banks_of("prr5")
-        assert len(node.fifos["prr5"]) == 1  # link-streaming FIFO
-
 
 def _icap_configure(call: ast.Call) -> bool:
     """``<...>.icap.configure(...)`` or ``icap.configure(...)``."""
@@ -201,6 +149,26 @@ class TestOneConfigurationPath:
         node = make_node()
         assert sorted(built) == ["link.in", "link.out"]
         assert node.link.config_stream is node.link.inbound
+
+    def test_node_builds_only_what_a_run_reads(self, monkeypatch):
+        """One mutex of its own, the ICAP's; a floorplan is column widths.
+
+        The two link channels each own a mutex too; no SRAM bank, FIFO,
+        placement model or bus macro is built.
+        """
+        built = []
+        init = MutexResource.__init__
+
+        def counting(self, sim, name):
+            built.append(name)
+            init(self, sim, name)
+
+        monkeypatch.setattr(MutexResource, "__init__", counting)
+        make_node()
+        assert sorted(built) == ["icap", "link.in.mutex", "link.out.mutex"]
+        assert [f.name for f in dataclasses.fields(Floorplan)] == [
+            "name", "device", "static_columns", "prr_columns",
+        ]
 
     def test_only_the_node_draws_aborts_or_streams(self):
         callers = set()

@@ -67,8 +67,6 @@ class TestExactnessPredicates:
         assert set(EXACTNESS_PREDICATES) == {
             "fault-free",
             "overlap-applicable",
-            "uniform-io",
-            "local-bitstreams",
             "recovery-inert",
         }
 

@@ -116,6 +116,38 @@ class TestTenantStart:
         assert first >= late.notes["t_config_full"] + 3.0
 
 
+class TestHorizon:
+    """The horizon stops open arrivals; admitted work drains past it."""
+
+    def test_open_tenant_drains_past_the_horizon(self):
+        tenant = TenantSpec(
+            name="open", rate=200.0, tasks=(TaskMix("median", 0.01),)
+        )
+        result = run_service([tenant], ServiceConfig(horizon=1.0), seed=1)
+        stats = result.tenants[0]
+        boot = result.notes["t_config_full"]
+        assert result.interrupted is None
+        assert result.makespan == pytest.approx(3.3257067850018047)
+        assert stats.in_flight == 0
+        assert stats.completed + stats.shed_total == stats.arrived
+        # Grants go on after the horizon: a task starts past it.
+        last_start = max(
+            s.start for s in result.timeline if s.phase == Phase.TASK
+        )
+        assert last_start > boot + 1.0
+
+    def test_closed_tenant_ignores_the_horizon(self):
+        tenant = TenantSpec(
+            name="closed", arrival="closed",
+            trace=CallTrace([HardwareTask("median", 0.5)] * 10, name="c"),
+        )
+        result = run_service([tenant], ServiceConfig(horizon=1.0), seed=1)
+        stats = result.tenants[0]
+        assert result.interrupted is None
+        assert stats.completed == 10 and stats.in_flight == 0
+        assert result.makespan == pytest.approx(6.697999333435635)
+
+
 class TestDeterminism:
     def test_same_seed_byte_identical_report(self):
         def report(seed):

@@ -27,7 +27,7 @@ from pathlib import Path
 
 #: Function/method coverage floor, percent (modules and classes are
 #: pinned at 100).  Raise when coverage improves; never lower to merge.
-DEFAULT_MIN_FUNCTIONS = 77.0
+DEFAULT_MIN_FUNCTIONS = 80.0
 
 
 def iter_public_nodes(tree: ast.Module):
