@@ -15,10 +15,9 @@ prediction error on those (the dual-PRR row is predicted to ~0.05%).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from ..hardware.catalog import MB, PUBLISHED_TABLE2, Table2Row
+from ..hardware.catalog import PUBLISHED_TABLE2, XD1_NODE, Table2Row
 from ..hardware.config_port import VendorApiOverhead
 from ..hardware.icap_controller import IcapTimings
 
@@ -31,7 +30,8 @@ __all__ = [
 
 
 def fit_vendor_api(
-    row: Table2Row | None = None, selectmap_bandwidth: float = 66 * MB
+    row: Table2Row | None = None,
+    selectmap_bandwidth: float = XD1_NODE.selectmap_bandwidth,
 ) -> VendorApiOverhead:
     """Solve the per-byte API overhead from a full-configuration row.
 
@@ -52,29 +52,22 @@ def fit_vendor_api(
 def fit_icap_handshake(
     row: Table2Row | None = None,
     *,
-    icap_bandwidth: float = 66 * MB,
-    chunk_bytes: int = 16 * 1024,
-    link_bandwidth: float = 1600 * MB,
+    icap_bandwidth: float = XD1_NODE.icap_bandwidth,
+    chunk_bytes: int = XD1_NODE.icap_buffer_bytes,
+    link_bandwidth: float = XD1_NODE.link_raw_bandwidth,
 ) -> IcapTimings:
     """Solve the per-chunk handshake from a partial-configuration row.
 
     The chunked double-buffered pipeline gives
-    ``measured = first_chunk_fill + n_chunks * handshake + bytes / icap``.
+    ``measured = first_chunk_fill + n_chunks * handshake + bytes / icap``
+    (:meth:`repro.hardware.icap_controller.IcapTimings.solved`, the solve
+    behind the node's own timings).
     """
-    row = row or PUBLISHED_TABLE2["single_prr"]
-    n_chunks = max(1, math.ceil(row.bitstream_bytes / chunk_bytes))
-    wire = row.bitstream_bytes / icap_bandwidth
-    first_fill = min(chunk_bytes, row.bitstream_bytes) / link_bandwidth
-    handshake = (row.measured_time_s - wire - first_fill) / n_chunks
-    if handshake < 0:
-        raise ValueError(
-            "measured partial time is below the wire time; the chunked "
-            "model cannot explain it with a non-negative handshake"
-        )
-    return IcapTimings(
+    return IcapTimings.solved(
+        row or PUBLISHED_TABLE2["single_prr"],
         icap_bandwidth=icap_bandwidth,
         chunk_bytes=chunk_bytes,
-        chunk_handshake=handshake,
+        link_bandwidth=link_bandwidth,
     )
 
 
@@ -94,7 +87,7 @@ class CalibrationCheck:
 def cross_validate(
     timings: IcapTimings | None = None,
     *,
-    link_bandwidth: float = 1600 * MB,
+    link_bandwidth: float = XD1_NODE.link_raw_bandwidth,
 ) -> list[CalibrationCheck]:
     """Predict every partial row NOT used for fitting and compare.
 

@@ -27,7 +27,8 @@ fallback-full reconfigurations while FRTR is unaffected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from ..faults.injector import FaultConfig
@@ -35,13 +36,14 @@ from ..faults.recovery import FallbackPolicy, RecoveryPolicy
 from ..model.hybrid import (
     HybridMode,
     cell_modes,
+    closed_form_exact,
     config_times,
     replay_cell,
     route,
     verdicts,
 )
 from ..rtr.events import RunResult
-from ..rtr.runner import CellSpec, simulate
+from ..rtr.runner import REGIMES, CellSpec, simulate
 from ..workloads.task import CallTrace, HardwareTask
 
 __all__ = [
@@ -188,38 +190,61 @@ def effective_speedup_under_faults(
 ) -> FaultSweepPoint:
     """Measure one grid cell: same trace, FRTR vs PRTR, shared fault law.
 
-    The cell is :func:`fault_cell_spec`'s.  ``hybrid`` routes it through
-    :func:`repro.model.hybrid.route`; only the ``fault_rate == 0`` cells
-    pass the exactness predicates.
+    The cell is :func:`fault_cell_spec`'s.  ``hybrid`` routes each run
+    through :func:`repro.model.hybrid.route` on its own verdicts: a cell
+    whose seeded draws all come up clean replays whole, and one whose
+    PRTR run faults replays FRTR and simulates PRTR alone.
     """
     spec = fault_cell_spec(fault_rate, seed, recovery)
     trace = trace_with_hit_ratio(hit_ratio, n_calls, task_time)
+    # The fault-free replay: the verdicts count its configurations, and
+    # a cleared cell's answer reuses it.
+    schedule = functools.cache(
+        lambda: replay_cell(replace(spec, faults=None), trace)
+    )
+    frtr_ok, prtr_ok = (
+        verdicts(spec, trace, regime, schedule) for regime in REGIMES
+    )
     cell = (spec, trace, fault_rate, hit_ratio, task_time)
+    label = f"faults:rate={fault_rate!r},H={hit_ratio!r}"
+    if closed_form_exact(frtr_ok) and not closed_form_exact(prtr_ok):
+        return _simulated_fault_point(*cell, frtr_time=route(
+            hybrid,
+            frtr_ok,
+            lambda: schedule()[0],
+            lambda: simulate(spec, trace, ("frtr",))[0].total_time,
+            f"{label}:frtr",
+        ))
     return route(
         hybrid,
-        verdicts(spec),
-        lambda: _replayed_fault_point(*cell),
+        {name: ok and prtr_ok[name] for name, ok in frtr_ok.items()},
+        lambda: _replayed_fault_point(*cell, schedule()),
         lambda: _simulated_fault_point(*cell),
-        f"faults:rate={fault_rate!r},H={hit_ratio!r}",
+        label,
     )
 
 
 def _simulated_fault_point(
     spec: CellSpec, trace: CallTrace,
     fault_rate: float, hit_ratio: float, task_time: float,
+    frtr_time: float | None = None,
 ) -> FaultSweepPoint:
-    """The pure-DES cell measurement (the ``hybrid=off`` path)."""
-    frtr, prtr = simulate(spec, trace)
+    """The DES cell measurement; given ``frtr_time``, only PRTR runs."""
+    if frtr_time is None:
+        frtr, prtr = simulate(spec, trace)
+        frtr_time = frtr.total_time
+    else:
+        (prtr,) = simulate(spec, trace, ("prtr",))
     t_full = prtr.notes["t_config_full"]
     t_part = prtr.notes.get("t_config_partial", float("nan"))
     return FaultSweepPoint(
         fault_rate=fault_rate,
         target_hit_ratio=hit_ratio,
         hit_ratio=prtr.hit_ratio,
-        frtr_time=frtr.total_time,
+        frtr_time=frtr_time,
         prtr_time=prtr.total_time,
         speedup=(
-            frtr.total_time / prtr.total_time if prtr.total_time > 0 else 0.0
+            frtr_time / prtr.total_time if prtr.total_time > 0 else 0.0
         ),
         prtr_retries=prtr.n_retries,
         prtr_fallbacks=prtr.n_fallbacks,
@@ -234,13 +259,15 @@ def _simulated_fault_point(
 def _replayed_fault_point(
     spec: CellSpec, trace: CallTrace,
     fault_rate: float, hit_ratio: float, task_time: float,
+    replayed: tuple[float, float, int],
 ) -> FaultSweepPoint:
-    """One fault-free cell by exact replay, field for field the DES one.
+    """A cell that draws no fault, from its fault-free ``replayed``
+    tuple: field for field the DES one.
 
     Retries, fallbacks and recovery time are zero by construction, so
     MTTR and availability are their fault-free constants.
     """
-    frtr_time, prtr_time, n_configs = replay_cell(spec, trace)
+    frtr_time, prtr_time, n_configs = replayed
     t_full, t_part = config_times(spec)
     return FaultSweepPoint(
         fault_rate=fault_rate,
@@ -291,6 +318,7 @@ def sweep_fault_hit_grid(
     modes = cell_modes(
         grid, hybrid, seed,
         lambda cell: fault_cell_spec(cell[1], seed, recovery),
+        lambda cell: trace_with_hit_ratio(cell[0], n_calls, task_time),
     )
     return parallel_map(
         lambda item: effective_speedup_under_faults(

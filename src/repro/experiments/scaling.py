@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..analysis.calibration import fit_icap_handshake, fit_vendor_api
-from ..hardware.catalog import MB
+from ..hardware.catalog import XD1_NODE
 from ..hardware.devices import DEVICES, CatalogEntry
 from ..hardware.prr import Floorplan
 from ..model.parameters import ModelParameters
@@ -108,7 +108,10 @@ def run(
             timings.n_chunks(partial_bytes) * timings.chunk_handshake
             + partial_bytes / entry.ports.icap_bandwidth
         )
-        first_fill = min(timings.chunk_bytes, partial_bytes) / (1600 * MB)
+        first_fill = (
+            min(timings.chunk_bytes, partial_bytes)
+            / XD1_NODE.link_raw_bandwidth
+        )
         t_prtr = first_fill + drain
         for scenario in scenarios:
             if scenario == "wire":

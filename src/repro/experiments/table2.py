@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from ..analysis.calibration import fit_icap_handshake, fit_vendor_api
 from ..analysis.tables import render_table
-from ..hardware.catalog import MB, PUBLISHED_TABLE2, XC2VP50, FpgaDevice
+from ..hardware.catalog import PUBLISHED_TABLE2, XC2VP50, XD1_NODE, FpgaDevice
 from ..hardware.prr import dual_prr_floorplan, single_prr_floorplan
 from ..runtime.parallel import parallel_map
 
@@ -28,7 +28,7 @@ __all__ = ["table2_rows", "render", "verify_against_published"]
 
 def _predicted_partial_measured(nbytes: int) -> float:
     timings = fit_icap_handshake()
-    first_fill = min(timings.chunk_bytes, nbytes) / (1600 * MB)
+    first_fill = min(timings.chunk_bytes, nbytes) / XD1_NODE.link_raw_bandwidth
     return first_fill + timings.drain_time(nbytes)
 
 
@@ -45,7 +45,7 @@ def table2_rows(
     After the shared calibration prelude, rows are independent —
     ``workers > 1`` evaluates them via fork workers, identical output.
     """
-    selectmap_bw = 66 * MB
+    selectmap_bw = XD1_NODE.selectmap_bandwidth
     api = fit_vendor_api()
     single = single_prr_floorplan(device)
     dual = dual_prr_floorplan(device)

@@ -94,6 +94,15 @@ class FaultConfig:
             and self.port_abort_rate == 0.0
         )
 
+    def span_abort_probability(self, n_chunks: int) -> float:
+        """``1 - (1 - chunk_abort_rate)^n``: an ``n_chunks`` write aborts."""
+        p_chunk = self.chunk_abort_rate
+        if p_chunk <= 0.0 or n_chunks <= 0:
+            return 0.0
+        if p_chunk >= 1.0:
+            return 1.0
+        return -math.expm1(n_chunks * math.log1p(-p_chunk))
+
     def transfer_corruption_probability(self, nbytes: float) -> float:
         """``1 - (1 - ber)^n``, evaluated stably for tiny ``ber``."""
         if nbytes < 0:
@@ -201,13 +210,9 @@ class FaultInjector:
         """Abort draw for an ``n_chunks``-chunk write collapsed into one
         draw — used by the wire-only ("estimated") configuration path,
         which does not simulate individual chunks."""
-        p_chunk = self.config.chunk_abort_rate
-        if p_chunk <= 0.0 or n_chunks <= 0:
+        p = self.config.span_abort_probability(n_chunks)
+        if p <= 0.0:
             return False
-        if p_chunk >= 1.0:
-            p = 1.0
-        else:
-            p = -math.expm1(n_chunks * math.log1p(-p_chunk))
         hit = bool(self._stream("span_aborted").random() < p)
         if hit:
             self.stats.chunk_aborts += 1

@@ -33,7 +33,7 @@ from ..obs import metrics as obsm
 from ..sim.engine import AllOf, Delay, Simulator, WaitUntil, left_sum
 from ..sim.resources import BandwidthChannel, MutexResource
 from .bitstream import Bitstream
-from .catalog import MB, MS, XD1_NODE
+from .catalog import PUBLISHED_TABLE2, XD1_NODE, Table2Row
 
 __all__ = ["IcapController", "IcapTimings", "DEFAULT_ICAP_TIMINGS"]
 
@@ -67,6 +67,34 @@ class IcapTimings:
             raise ValueError("chunk_bytes must be positive")
         if self.chunk_handshake < 0:
             raise ValueError("chunk_handshake must be >= 0")
+
+    @classmethod
+    def solved(
+        cls,
+        row: Table2Row,
+        *,
+        icap_bandwidth: float = XD1_NODE.icap_bandwidth,
+        chunk_bytes: int = XD1_NODE.icap_buffer_bytes,
+        link_bandwidth: float = XD1_NODE.link_raw_bandwidth,
+    ) -> "IcapTimings":
+        """The timings whose handshake explains a measured partial ``row``.
+
+        ``measured = first_chunk_fill + n_chunks * handshake + bytes /
+        icap``, the fill timed at the raw link rate.  The DES and the
+        replay fill over the 1.4 GB/s inbound channel, 1.463 us later per
+        configuration (``docs/MODEL.md`` section 7).
+        """
+        nbytes = row.bitstream_bytes
+        n_chunks = max(1, math.ceil(nbytes / chunk_bytes))
+        wire = nbytes / icap_bandwidth
+        first_fill = min(chunk_bytes, nbytes) / link_bandwidth
+        handshake = (row.measured_time_s - wire - first_fill) / n_chunks
+        if handshake < 0:
+            raise ValueError(
+                "measured partial time is below the wire time; the chunked "
+                "model cannot explain it with a non-negative handshake"
+            )
+        return cls(icap_bandwidth, chunk_bytes, handshake)
 
     def n_chunks(self, nbytes: int) -> int:
         return max(1, math.ceil(nbytes / self.chunk_bytes))
@@ -170,29 +198,9 @@ class IcapTimings:
         return t
 
 
-def _calibrated_handshake() -> float:
-    """Per-chunk handshake solved from the published single-PRR row.
-
-    43.48 ms total = first-chunk link fill (negligible) +
-    n_chunks * handshake + bytes / 66 MB/s, with the chunk the node's
-    BRAM buffer.  The fill is timed at the node's raw 1.6 GB/s link
-    rate; the DES and the replay fill over the 1.4 GB/s inbound channel,
-    1.463 us later per configuration (``docs/MODEL.md`` section 7).
-    """
-    nbytes = 887_784
-    measured = 43.48 * MS
-    chunk = XD1_NODE.icap_buffer_bytes
-    n = max(1, math.ceil(nbytes / chunk))
-    wire = nbytes / (66 * MB)
-    first_fill = chunk / XD1_NODE.link_raw_bandwidth
-    return (measured - wire - first_fill) / n
-
-
-DEFAULT_ICAP_TIMINGS = IcapTimings(
-    icap_bandwidth=66 * MB,
-    chunk_bytes=XD1_NODE.icap_buffer_bytes,
-    chunk_handshake=_calibrated_handshake(),
-)
+#: the node's controller, its handshake solved from the published
+#: single-PRR row
+DEFAULT_ICAP_TIMINGS = IcapTimings.solved(PUBLISHED_TABLE2["single_prr"])
 
 
 class IcapController:

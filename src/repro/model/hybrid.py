@@ -8,7 +8,8 @@ for one grid cell, described by a :class:`repro.rtr.runner.CellSpec`:
 * :data:`EXACTNESS_PREDICATES` names the conditions under which a cell's
   DES makespan is provably equal (bit-for-bit, not just close) to a
   straight-line float replay of the executor's event arithmetic, and
-  :func:`verdicts` reads each of them from the cell's spec;
+  :func:`verdicts` reads each of them from the cell's spec, for the
+  whole cell or one regime's run;
 * :func:`replay_cell` performs that replay for the two runs
   :func:`repro.rtr.runner.simulate` would make, folding the exact same
   float additions the DES would perform, in the exact same order — so
@@ -25,9 +26,13 @@ for one grid cell, described by a :class:`repro.rtr.runner.CellSpec`:
 Why the replay is exact and not merely accurate: every branch of the
 executors accumulates absolute event times as a left fold of float sums
 (``sim.now + duration`` at each dispatch), a stage join resolves to
-the max of its branch end times, the fault-free recovery wrapper adds
-zero events, a zero-rate injector consumes no RNG draws, and uncontended
-mutexes grant in zero time.  The replay takes every duration from the
+the max of its branch end times, the recovery wrapper adds zero events
+to an attempt that does not fault, a zero-rate injector consumes no RNG
+draws, and uncontended mutexes grant in zero time.  A run with positive
+rates draws what its fault-free schedule draws, in order, until its
+first fault, from a stream seeded by the spec alone; when all those
+seeded draws come up clean (redrawn before either path runs) it *is*
+the fault-free run.  The replay takes every duration from the
 code the node runs (the ports' time models, the ICAP chunking and fold
 on :class:`~repro.hardware.icap_controller.IcapTimings`, the link's
 :class:`~repro.sim.resources.ChannelTiming`), so replaying the same
@@ -39,7 +44,7 @@ else the caller must fall back to the DES.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Callable, Sequence, TypeVar
 
 from ..caching.base import ConfigCache
@@ -48,10 +53,11 @@ from ..hardware.bitstream import full_bitstream
 from ..hardware.catalog import XD1_NODE
 from ..hardware.config_port import icap_raw_port, selectmap_port
 from ..hardware.icap_controller import DEFAULT_ICAP_TIMINGS
+from ..rtr.runner import REGIMES
 from ..sim.resources import ChannelTiming
 from .stochastic import resolve_rng
 
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
+if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..rtr.runner import CellSpec
     from ..workloads.task import CallTrace
 
@@ -102,8 +108,10 @@ def parse_hybrid_mode(text: str) -> str:
 #: pinned by docs/PERFORMANCE.md and MODEL.md §13.
 EXACTNESS_PREDICATES: dict[str, str] = {
     "fault-free": (
-        "no injector, or every fault rate exactly zero — zero-rate draws "
-        "consume no RNG and the resilient() wrapper adds zero events"
+        "the run draws no fault (draws-clean): every rate zero, or each "
+        "seeded draw of its fault-free schedule at least its rate, so "
+        "the resilient() wrapper adds zero events; a positive "
+        "transfer_ber is never cleared"
     ),
     "overlap-applicable": (
         "more than one PRR slot, so the prefetch branch follows the "
@@ -111,7 +119,7 @@ EXACTNESS_PREDICATES: dict[str, str] = {
         "fallback path is not replayed"
     ),
     "recovery-inert": (
-        "with no faults to recover from, any recovery policy is a "
+        "with no fault drawn, any recovery policy is a "
         "pass-through (implied by fault-free; kept separate because it "
         "is the predicate that breaks first if new recovery hooks gain "
         "unconditional events)"
@@ -174,15 +182,17 @@ def cell_modes(
     hybrid: str,
     seed: int,
     spec_of: Callable[[Any], "CellSpec"],
+    trace_of: Callable[[Any], "CallTrace"] | None = None,
 ) -> list[str]:
     """The per-cell hybrid mode of a sweep grid.
 
     ``"verify"`` does not shadow-run *every* analytic cell — that would
     cost more than ``off`` — but a seeded sample
-    (:func:`verification_sample`) of the cells whose specs
-    (``spec_of(cell)``) :func:`verdicts` clears; the rest run ``"on"``.
-    The result is a pure function of ``(grid, hybrid, seed)``, so
-    sharded and resumed walks pick identical samples.
+    (:func:`verification_sample`) of the cells :func:`verdicts` clears
+    whole from ``spec_of(cell)`` and ``trace_of(cell)`` (a spec that
+    draws needs the trace); the rest run ``"on"``.  The result is a
+    pure function of ``(grid, hybrid, seed)``, so sharded and resumed
+    walks pick identical samples.
     """
     mode = parse_hybrid_mode(hybrid)
     if mode != HybridMode.VERIFY:
@@ -190,7 +200,9 @@ def cell_modes(
     exact_cells = [
         i
         for i, cell in enumerate(grid)
-        if closed_form_exact(verdicts(spec_of(cell)))
+        if closed_form_exact(verdicts(
+            spec_of(cell), None if trace_of is None else trace_of(cell)
+        ))
     ]
     sampled = {
         exact_cells[j]
@@ -236,24 +248,95 @@ def route(
 # -- predicate evaluation ---------------------------------------------------
 
 
-def verdicts(spec: "CellSpec") -> dict[str, bool]:
-    """The exactness verdicts of one cell, each read from its spec.
+def verdicts(
+    spec: "CellSpec",
+    trace: "CallTrace | None" = None,
+    regime: str | None = None,
+    schedule: Callable[[], tuple[float, float, int]] | None = None,
+) -> dict[str, bool]:
+    """The exactness verdicts of one cell, or of its ``regime`` run.
 
-    ``fault-free`` and ``recovery-inert`` read ``faults`` and
-    ``recovery``; ``overlap-applicable`` reads the floorplan's PRR count.
-    The other fields change the replay's arithmetic, never its
-    exactness.  Cluster and ``detailed_io`` runs never reach
-    :func:`route`: no spec builds staged task I/O or a bitstream server.
+    ``fault-free`` is :func:`_draws_clean` for the ``"frtr"`` or
+    ``"prtr"`` run, or both when ``regime`` is None; ``schedule()`` (the
+    spec's fault-free :func:`replay_cell`; pass a cached one to reuse
+    it) runs only if a count is needed.  ``recovery-inert`` also holds
+    without a ``recovery`` policy; ``overlap-applicable`` reads the PRR
+    count.  Other fields change the replay's arithmetic, never its
+    exactness; cluster and ``detailed_io`` runs never reach
+    :func:`route`.
     """
-    fault_free = spec.faults is None or spec.faults.fault_free
+    schedule = schedule or (
+        lambda: replay_cell(replace(spec, faults=None), trace)
+    )
+    overlap = spec.floorplan.n_prrs > 1
+    # The replay counts configurations only where it applies.
+    fault_free = all(
+        _draws_clean(spec, trace if overlap else None, name, schedule)
+        for name in (REGIMES if regime is None else (regime,))
+    )
     return {
         "fault-free": fault_free,
-        "overlap-applicable": spec.floorplan.n_prrs > 1,
+        "overlap-applicable": overlap,
         "recovery-inert": fault_free or spec.recovery is None,
     }
 
 
+def _draws_clean(
+    spec: "CellSpec",
+    trace: "CallTrace | None",
+    regime: str,
+    schedule: Callable[[], tuple[float, float, int]],
+) -> bool:
+    """Does ``regime``'s run of ``spec`` over ``trace`` draw no fault?
+
+    With a positive rate a run draws, in order, what its fault-free
+    schedule draws until its first fault, from a fresh
+    ``resolve_rng(faults.seed)``: the port once per full configuration,
+    the ICAP once per drained chunk of each partial (per write when
+    ``estimated``).  It is clean iff each uniform is at least its rate.
+    The partial count is read only once the first partial's draws pass.
+    ``transfer_ber`` draws depend on link contention: never cleared.
+    """
+    faults = spec.faults
+    if faults is None or faults.fault_free:
+        return True
+    if faults.transfer_ber > 0.0 or trace is None:
+        return False
+    rng = None
+
+    def clean(rate: float, n: int) -> bool:
+        nonlocal rng
+        if rate <= 0.0 or n <= 0:
+            return True
+        if rng is None:
+            rng = resolve_rng(faults.seed)
+        return not (rng.random(n) < rate).any()
+
+    if regime == "frtr":
+        return clean(faults.port_abort_rate, len(trace))
+    n_chunks = DEFAULT_ICAP_TIMINGS.n_chunks(_partial_bytes(spec))
+    rate, per_write = faults.chunk_abort_rate, n_chunks
+    if spec.estimated:
+        rate, per_write = faults.span_abort_probability(n_chunks), 1
+    # A second module, or force_miss, makes a first partial certain.
+    certain = trace.n_distinct > 1 or (spec.force_miss and len(trace) > 1)
+    first = per_write if certain else 0
+    if not (clean(faults.port_abort_rate, 1) and clean(rate, first)):
+        return False
+    if rate <= 0.0 or not certain:
+        return True
+    partials = schedule()[2] - int(spec.force_miss)
+    return clean(rate, per_write * (partials - 1))
+
+
 # -- exact float replay -----------------------------------------------------
+
+
+def _partial_bytes(spec: "CellSpec") -> int:
+    """The partial bitstream size a spec's PRTR run configures."""
+    if spec.bitstream_bytes is None:
+        return spec.floorplan.partial_bitstream_bytes(0)
+    return spec.bitstream_bytes
 
 
 def _spec_timing(
@@ -268,11 +351,7 @@ def _spec_timing(
     params = XD1_NODE
     image = full_bitstream(spec.floorplan.device)
     selectmap = selectmap_port(params.selectmap_bandwidth)
-    nbytes = (
-        spec.floorplan.partial_bitstream_bytes(0)
-        if spec.bitstream_bytes is None
-        else spec.bitstream_bytes
-    )
+    nbytes = _partial_bytes(spec)
     if spec.estimated:
         wire = icap_raw_port(params.icap_bandwidth).wire_time(nbytes)
         return selectmap.wire_time(image.nbytes), wire, lambda t: t + wire
@@ -304,10 +383,13 @@ def replay_cell(
 
     Bit-identical to the ``total_time`` of both runs
     :func:`repro.rtr.runner.simulate` makes and the PRTR run's
-    ``n_configs``, wherever :func:`verdicts` clears ``spec``; any other
-    spec raises :class:`ValueError` naming the failed predicates.
+    ``n_configs``, wherever :func:`verdicts` clears ``spec`` over
+    ``trace``; any other spec raises :class:`ValueError` naming the
+    failed predicates.  The arithmetic never reads ``faults``.
     """
-    failed = sorted(name for name, ok in verdicts(spec).items() if not ok)
+    failed = sorted(
+        name for name, ok in verdicts(spec, trace).items() if not ok
+    )
     if failed:
         raise ValueError(
             f"cell is not analytically exact (failed predicates: "

@@ -24,7 +24,11 @@ from .events import RunResult
 from .frtr import FrtrExecutor
 from .prtr import PrtrExecutor
 
-__all__ = ["CellSpec", "ComparisonResult", "compare", "make_node", "simulate"]
+__all__ = ["CellSpec", "ComparisonResult", "REGIMES", "compare", "make_node",
+           "simulate"]
+
+#: the runs of a cell, in the order :func:`simulate` makes them
+REGIMES: tuple[str, ...] = ("frtr", "prtr")
 
 
 def make_node(
@@ -63,12 +67,15 @@ class CellSpec:
     bitstream_bytes: int | None = None
 
 
-def simulate(spec: CellSpec, trace: CallTrace) -> tuple[RunResult, RunResult]:
-    """Run ``trace`` under FRTR, then PRTR, each on a fresh node.
+def simulate(
+    spec: CellSpec, trace: CallTrace, regimes: tuple[str, ...] = REGIMES
+) -> tuple[RunResult, ...]:
+    """Run ``trace`` under each of ``regimes`` in order, each on a fresh node.
 
-    The only code that builds a cell's nodes; each regime gets its own
-    node, simulator and fault injector, so clocks, resource histories
-    and random streams stay independent.
+    The only code that builds a cell's nodes, and it builds one per
+    regime asked for (of :data:`REGIMES`): each gets its own node,
+    simulator and fault injector, so clocks, resource histories and
+    random streams stay independent.
     """
 
     def node() -> XD1Node:
@@ -80,14 +87,16 @@ def simulate(spec: CellSpec, trace: CallTrace) -> tuple[RunResult, RunResult]:
         control_time=spec.control_time,
         recovery=spec.recovery,
     )
-    frtr = FrtrExecutor(node(), **options).run(trace)
-    prtr = PrtrExecutor(
-        node(),
-        force_miss=spec.force_miss,
-        bitstream_bytes=spec.bitstream_bytes,
-        **options,
-    ).run(trace)
-    return frtr, prtr
+    runs = {
+        "frtr": lambda: FrtrExecutor(node(), **options).run(trace),
+        "prtr": lambda: PrtrExecutor(
+            node(),
+            force_miss=spec.force_miss,
+            bitstream_bytes=spec.bitstream_bytes,
+            **options,
+        ).run(trace),
+    }
+    return tuple(runs[regime]() for regime in regimes)
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,7 @@ from ..analysis.reliability import (
     FaultSweepPoint,
     effective_speedup_under_faults,
     fault_cell_spec,
+    trace_with_hit_ratio,
 )
 from ..obs import metrics as obsm
 from .invariants import AuditReport, audit_sweep_points
@@ -297,7 +298,9 @@ def crash_safe_fault_sweep(
     }
     grid = [(h, rate) for h in hit_ratios for rate in fault_rates]
     modes = dict(zip(grid, cell_modes(
-        grid, hybrid, seed, lambda cell: fault_cell_spec(cell[1], seed)
+        grid, hybrid, seed,
+        lambda cell: fault_cell_spec(cell[1], seed),
+        lambda cell: trace_with_hit_ratio(cell[0], n_calls, task_time),
     )))
     return run_journaled(
         run_dir,

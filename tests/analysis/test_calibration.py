@@ -10,6 +10,7 @@ from repro.analysis import (
     fit_vendor_api,
 )
 from repro.hardware import MB, MS, PUBLISHED_TABLE2, Table2Row
+from repro.hardware.icap_controller import DEFAULT_ICAP_TIMINGS
 
 
 class TestFitVendorApi:
@@ -40,6 +41,13 @@ class TestFitVendorApi:
 
 
 class TestFitIcapHandshake:
+    def test_node_and_fit_share_one_solve(self):
+        # The node's controller and the fit solve the single-PRR row
+        # once, in hardware, from XD1_NODE's ICAP constants.
+        handshake = DEFAULT_ICAP_TIMINGS.chunk_handshake
+        assert handshake.hex() == "0x1.1e26c8e3945e4p-11"
+        assert fit_icap_handshake().chunk_handshake.hex() == handshake.hex()
+
     def test_closes_on_single_prr_row(self):
         t = fit_icap_handshake()
         row = PUBLISHED_TABLE2["single_prr"]

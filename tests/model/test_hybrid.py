@@ -276,7 +276,7 @@ class TestGridIdentity:
 
         modes = cell_modes(grid, "verify", 0, spec_of)
         assert len(modes) == len(grid)
-        # faulty cells can never be verify-sampled (they are not exact)
+        # without their traces, faulty cells are never verify-sampled
         for (h, rate), mode in zip(grid, modes):
             if rate > 0.0:
                 assert mode != HybridMode.VERIFY
