@@ -59,9 +59,8 @@ def fit_icap_handshake(
     """Solve the per-chunk handshake from a partial-configuration row.
 
     The chunked double-buffered pipeline gives
-    ``measured = first_chunk_fill + n_chunks * handshake + bytes / icap``
-    (:meth:`repro.hardware.icap_controller.IcapTimings.solved`, the solve
-    behind the node's own timings).
+    ``measured = first_chunk_fill + n_chunks * handshake + bytes / icap``,
+    solved by :meth:`~repro.hardware.icap_controller.IcapTimings.solved`.
     """
     return IcapTimings.solved(
         row or PUBLISHED_TABLE2["single_prr"],
@@ -100,12 +99,12 @@ def cross_validate(
     checks = []
     for key in ("dual_prr",):
         row = PUBLISHED_TABLE2[key]
-        first_fill = min(timings.chunk_bytes, row.bitstream_bytes) / link_bandwidth
-        predicted = first_fill + timings.drain_time(row.bitstream_bytes)
         checks.append(
             CalibrationCheck(
                 layout=row.layout,
-                predicted_s=predicted,
+                predicted_s=timings.measured_time(
+                    row.bitstream_bytes, link_bandwidth
+                ),
                 published_s=row.measured_time_s,
             )
         )

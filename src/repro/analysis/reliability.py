@@ -36,14 +36,13 @@ from ..faults.recovery import FallbackPolicy, RecoveryPolicy
 from ..model.hybrid import (
     HybridMode,
     cell_modes,
-    closed_form_exact,
     config_times,
     replay_cell,
     route,
     verdicts,
 )
 from ..rtr.events import RunResult
-from ..rtr.runner import REGIMES, CellSpec, simulate
+from ..rtr.runner import CellSpec, simulate
 from ..workloads.task import CallTrace, HardwareTask
 
 __all__ = [
@@ -190,36 +189,31 @@ def effective_speedup_under_faults(
 ) -> FaultSweepPoint:
     """Measure one grid cell: same trace, FRTR vs PRTR, shared fault law.
 
-    The cell is :func:`fault_cell_spec`'s.  ``hybrid`` routes each run
-    through :func:`repro.model.hybrid.route` on its own verdicts: a cell
-    whose seeded draws all come up clean replays whole, and one whose
-    PRTR run faults replays FRTR and simulates PRTR alone.
+    The cell is :func:`fault_cell_spec`'s.  ``hybrid`` routes its FRTR
+    run, then its PRTR run, through :func:`repro.model.hybrid.route`,
+    each on its own verdicts: a run whose seeded draws all come up clean
+    is replayed, and only a run that draws a fault is simulated.  One
+    fault-free replay counts the configurations and answers both.
     """
     spec = fault_cell_spec(fault_rate, seed, recovery)
     trace = trace_with_hit_ratio(hit_ratio, n_calls, task_time)
-    # The fault-free replay: the verdicts count its configurations, and
-    # a cleared cell's answer reuses it.
     schedule = functools.cache(
         lambda: replay_cell(replace(spec, faults=None), trace)
     )
-    frtr_ok, prtr_ok = (
-        verdicts(spec, trace, regime, schedule) for regime in REGIMES
-    )
     cell = (spec, trace, fault_rate, hit_ratio, task_time)
     label = f"faults:rate={fault_rate!r},H={hit_ratio!r}"
-    if closed_form_exact(frtr_ok) and not closed_form_exact(prtr_ok):
-        return _simulated_fault_point(*cell, frtr_time=route(
-            hybrid,
-            frtr_ok,
-            lambda: schedule()[0],
-            lambda: simulate(spec, trace, ("frtr",))[0].total_time,
-            f"{label}:frtr",
-        ))
+    frtr_time = route(
+        hybrid,
+        lambda: verdicts(spec, trace, "frtr", schedule),
+        lambda: schedule()[0],
+        lambda: simulate(spec, trace, ("frtr",))[0].total_time,
+        f"{label}:frtr",
+    )
     return route(
         hybrid,
-        {name: ok and prtr_ok[name] for name, ok in frtr_ok.items()},
-        lambda: _replayed_fault_point(*cell, schedule()),
-        lambda: _simulated_fault_point(*cell),
+        lambda: verdicts(spec, trace, "prtr", schedule),
+        lambda: _replayed_fault_point(*cell, frtr_time, schedule()),
+        lambda: _simulated_fault_point(*cell, frtr_time),
         label,
     )
 
@@ -227,14 +221,10 @@ def effective_speedup_under_faults(
 def _simulated_fault_point(
     spec: CellSpec, trace: CallTrace,
     fault_rate: float, hit_ratio: float, task_time: float,
-    frtr_time: float | None = None,
+    frtr_time: float,
 ) -> FaultSweepPoint:
-    """The DES cell measurement; given ``frtr_time``, only PRTR runs."""
-    if frtr_time is None:
-        frtr, prtr = simulate(spec, trace)
-        frtr_time = frtr.total_time
-    else:
-        (prtr,) = simulate(spec, trace, ("prtr",))
+    """The cell's PRTR run on the DES, beside its FRTR ``frtr_time``."""
+    (prtr,) = simulate(spec, trace, ("prtr",))
     t_full = prtr.notes["t_config_full"]
     t_part = prtr.notes.get("t_config_partial", float("nan"))
     return FaultSweepPoint(
@@ -259,15 +249,15 @@ def _simulated_fault_point(
 def _replayed_fault_point(
     spec: CellSpec, trace: CallTrace,
     fault_rate: float, hit_ratio: float, task_time: float,
-    replayed: tuple[float, float, int],
+    frtr_time: float, replayed: tuple[float, float, int],
 ) -> FaultSweepPoint:
-    """A cell that draws no fault, from its fault-free ``replayed``
-    tuple: field for field the DES one.
+    """A cell from ``frtr_time`` and its clean PRTR run's fault-free
+    ``replayed`` tuple: field for field the DES one.
 
     Retries, fallbacks and recovery time are zero by construction, so
     MTTR and availability are their fault-free constants.
     """
-    frtr_time, prtr_time, n_configs = replayed
+    _, prtr_time, n_configs = replayed
     t_full, t_part = config_times(spec)
     return FaultSweepPoint(
         fault_rate=fault_rate,

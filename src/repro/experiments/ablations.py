@@ -26,7 +26,7 @@ from ..caching.base import ConfigCache
 from ..caching.policies import BeladyPolicy, make_policy
 from ..caching.prefetch import OraclePrefetcher, Prefetcher, make_prefetcher
 from ..caching.replay import ReplayResult, replay
-from ..hardware.catalog import PUBLISHED_TABLE2, XC2VP50, XD1_NODE
+from ..hardware.catalog import PUBLISHED_TABLE2, XC2VP50
 from ..hardware.prr import uniform_prr_floorplan
 from ..model.parameters import ModelParameters
 from ..model.speedup import asymptotic_speedup
@@ -184,10 +184,7 @@ def granularity_ablation(
             static_columns=device.clb_columns - n * columns_each,
         )
         nbytes = plan.partial_bitstream_bytes(0)
-        first_fill = (
-            min(timings.chunk_bytes, nbytes) / XD1_NODE.link_raw_bandwidth
-        )
-        t_prtr = first_fill + timings.drain_time(nbytes)
+        t_prtr = timings.measured_time(nbytes)
         x_prtr = t_prtr / full.measured_time_s
         speeds = tuple(
             float(

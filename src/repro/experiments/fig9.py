@@ -154,7 +154,9 @@ def simulate_points(
         bitstream_bytes=PUBLISHED_TABLE2["dual_prr"].bitstream_bytes,
     )
     spec = CellSpec(**options)
-    exact = verdicts(spec)
+
+    def trace_of(x: float) -> CallTrace:
+        return _cyclic_trace(task_time=x * p.t_frtr, n_calls=n_calls)
 
     def replayed_speedup(trace: CallTrace) -> float:
         frtr_total, prtr_total, _ = replay_cell(spec, trace)
@@ -162,17 +164,17 @@ def simulate_points(
 
     def one_point(item: tuple[float, str]) -> float:
         x, mode = item
-        trace = _cyclic_trace(task_time=x * p.t_frtr, n_calls=n_calls)
+        trace = trace_of(x)
         return route(
             mode,
-            exact,
+            lambda: verdicts(spec, trace),
             lambda: replayed_speedup(trace),
             lambda: compare(trace, **options).speedup,
             f"fig9:{p.name}:x_task={float(x)!r}",
         )
 
     xs = list(x_values)
-    modes = cell_modes(xs, hybrid, 0, lambda x: spec)
+    modes = cell_modes(xs, hybrid, 0, lambda x: spec, trace_of)
     speedups = parallel_map(one_point, list(zip(xs, modes)), workers=workers)
     return x_values, np.asarray(speedups)
 

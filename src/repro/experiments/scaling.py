@@ -22,10 +22,9 @@ device — "what if the vendor API never improves").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..analysis.calibration import fit_icap_handshake, fit_vendor_api
-from ..hardware.catalog import XD1_NODE
 from ..hardware.devices import DEVICES, CatalogEntry
 from ..hardware.prr import Floorplan
 from ..model.parameters import ModelParameters
@@ -103,16 +102,9 @@ def run(
         wire_full = device.full_bitstream_bytes / entry.ports.selectmap_bandwidth
         # ICAP-controller model at the device's own ICAP rate; the BRAM
         # handshake is fabric logic, assumed constant per chunk.
-        timings = fit_icap_handshake()
-        drain = (
-            timings.n_chunks(partial_bytes) * timings.chunk_handshake
-            + partial_bytes / entry.ports.icap_bandwidth
-        )
-        first_fill = (
-            min(timings.chunk_bytes, partial_bytes)
-            / XD1_NODE.link_raw_bandwidth
-        )
-        t_prtr = first_fill + drain
+        t_prtr = replace(
+            fit_icap_handshake(), icap_bandwidth=entry.ports.icap_bandwidth
+        ).measured_time(partial_bytes)
         for scenario in scenarios:
             if scenario == "wire":
                 t_frtr = wire_full

@@ -26,12 +26,6 @@ from ..runtime.parallel import parallel_map
 __all__ = ["table2_rows", "render", "verify_against_published"]
 
 
-def _predicted_partial_measured(nbytes: int) -> float:
-    timings = fit_icap_handshake()
-    first_fill = min(timings.chunk_bytes, nbytes) / XD1_NODE.link_raw_bandwidth
-    return first_fill + timings.drain_time(nbytes)
-
-
 def table2_rows(
     device: FpgaDevice = XC2VP50,
     use_published_sizes: bool = False,
@@ -47,6 +41,7 @@ def table2_rows(
     """
     selectmap_bw = XD1_NODE.selectmap_bandwidth
     api = fit_vendor_api()
+    timings = fit_icap_handshake()
     single = single_prr_floorplan(device)
     dual = dual_prr_floorplan(device)
 
@@ -70,7 +65,7 @@ def table2_rows(
         key, layout = cell
         nbytes = sizes[key]
         est = nbytes / selectmap_bw
-        meas = full_meas if key == "full" else _predicted_partial_measured(nbytes)
+        meas = full_meas if key == "full" else timings.measured_time(nbytes)
         return {
             "key": key,
             "layout": layout,

@@ -77,12 +77,9 @@ class IcapTimings:
         chunk_bytes: int = XD1_NODE.icap_buffer_bytes,
         link_bandwidth: float = XD1_NODE.link_raw_bandwidth,
     ) -> "IcapTimings":
-        """The timings whose handshake explains a measured partial ``row``.
-
-        ``measured = first_chunk_fill + n_chunks * handshake + bytes /
-        icap``, the fill timed at the raw link rate.  The DES and the
-        replay fill over the 1.4 GB/s inbound channel, 1.463 us later per
-        configuration (``docs/MODEL.md`` section 7).
+        """The timings whose handshake explains a measured partial ``row``
+        (:meth:`measured_time`).  The DES and the replay fill over the
+        1.4 GB/s inbound channel, 1.463 us later (``docs/MODEL.md`` §7).
         """
         nbytes = row.bitstream_bytes
         n_chunks = max(1, math.ceil(nbytes / chunk_bytes))
@@ -124,6 +121,13 @@ class IcapTimings:
         """Unloaded time over a link: first chunk fill + pipelined drain."""
         first = min(self.chunk_bytes, nbytes)
         return transfer_time(first) + self.drain_time(nbytes)
+
+    def measured_time(
+        self, nbytes: int, link_bandwidth: float = XD1_NODE.link_raw_bandwidth
+    ) -> float:
+        """``first_chunk_fill + n_chunks * handshake + bytes / icap``:
+        the Table 2 time :meth:`solved` explains, filled over the link."""
+        return self.configure_time(nbytes, lambda n: n / link_bandwidth)
 
     def _chunk_drains(self, sizes: list[int]) -> tuple[float, ...]:
         """Each chunk's BRAM->ICAP drain time, for :meth:`chunk_sizes` chunks.

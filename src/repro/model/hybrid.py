@@ -28,11 +28,11 @@ executors accumulates absolute event times as a left fold of float sums
 (``sim.now + duration`` at each dispatch), a stage join resolves to
 the max of its branch end times, the recovery wrapper adds zero events
 to an attempt that does not fault, a zero-rate injector consumes no RNG
-draws, and uncontended mutexes grant in zero time.  A run with positive
-rates draws what its fault-free schedule draws, in order, until its
-first fault, from a stream seeded by the spec alone; when all those
-seeded draws come up clean (redrawn before either path runs) it *is*
-the fault-free run.  The replay takes every duration from the
+draws, and uncontended mutexes grant in zero time.  A faulty run draws
+what its fault-free schedule draws, in order, until its first fault,
+from a stream seeded by the spec alone: when those draws, redrawn
+before either path runs, all come up clean, it *is* the fault-free
+run.  The replay takes every duration from the
 code the node runs (the ports' time models, the ICAP chunking and fold
 on :class:`~repro.hardware.icap_controller.IcapTimings`, the link's
 :class:`~repro.sim.resources.ChannelTiming`), so replaying the same
@@ -44,6 +44,7 @@ else the caller must fall back to the DES.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Callable, Sequence, TypeVar
 
@@ -108,10 +109,9 @@ def parse_hybrid_mode(text: str) -> str:
 #: pinned by docs/PERFORMANCE.md and MODEL.md §13.
 EXACTNESS_PREDICATES: dict[str, str] = {
     "fault-free": (
-        "the run draws no fault (draws-clean): every rate zero, or each "
-        "seeded draw of its fault-free schedule at least its rate, so "
-        "the resilient() wrapper adds zero events; a positive "
-        "transfer_ber is never cleared"
+        "the run draws no fault: every rate zero, or each seeded draw of "
+        "its fault-free schedule at least its rate (never with a positive "
+        "transfer_ber), so the resilient() wrapper adds zero events"
     ),
     "overlap-applicable": (
         "more than one PRR slot, so the prefetch branch follows the "
@@ -182,27 +182,27 @@ def cell_modes(
     hybrid: str,
     seed: int,
     spec_of: Callable[[Any], "CellSpec"],
-    trace_of: Callable[[Any], "CallTrace"] | None = None,
+    trace_of: Callable[[Any], "CallTrace"],
 ) -> list[str]:
     """The per-cell hybrid mode of a sweep grid.
 
     ``"verify"`` does not shadow-run *every* analytic cell — that would
     cost more than ``off`` — but a seeded sample
-    (:func:`verification_sample`) of the cells :func:`verdicts` clears
-    whole from ``spec_of(cell)`` and ``trace_of(cell)`` (a spec that
-    draws needs the trace); the rest run ``"on"``.  The result is a
-    pure function of ``(grid, hybrid, seed)``, so sharded and resumed
-    walks pick identical samples.
+    (:func:`verification_sample`) of the cells whose
+    ``(spec_of(cell), trace_of(cell))`` :func:`verdicts` clear at least
+    one run; the rest run ``"on"``.  The result is a pure function of
+    ``(grid, hybrid, seed)``, so sharded and resumed walks pick
+    identical samples.
     """
     mode = parse_hybrid_mode(hybrid)
     if mode != HybridMode.VERIFY:
         return [mode] * len(grid)
     exact_cells = [
         i
-        for i, cell in enumerate(grid)
-        if closed_form_exact(verdicts(
-            spec_of(cell), None if trace_of is None else trace_of(cell)
-        ))
+        for i, (spec, trace) in enumerate(
+            (spec_of(cell), trace_of(cell)) for cell in grid
+        )
+        if any(closed_form_exact(verdicts(spec, trace, r)) for r in REGIMES)
     ]
     sampled = {
         exact_cells[j]
@@ -216,24 +216,25 @@ def cell_modes(
 
 def route(
     mode: str,
-    predicates: dict[str, bool],
+    predicates: Callable[[], dict[str, bool]],
     replay: Callable[[], T],
     simulate: Callable[[], T],
     label: str,
 ) -> T:
     """Answer one grid cell by replay or by DES: the hybrid router.
 
-    The only code that acts on a hybrid mode.  ``off``, or any failed
-    predicate in ``predicates`` (a cell's :func:`verdicts`), runs
-    ``simulate`` alone; ``on`` runs
-    ``replay`` alone; ``verify`` runs both and audits the pair as the
+    The only code that acts on a hybrid mode.  ``off`` runs
+    ``simulate`` alone without calling ``predicates``; ``on`` and
+    ``verify`` call it (a cell's :func:`verdicts`) and run ``simulate``
+    alone on any failed predicate.  Otherwise ``on`` runs ``replay``
+    alone, and ``verify`` runs both and audits the pair as the
     ``hybrid-exactness`` invariant, raising
     :class:`~repro.runtime.invariants.InvariantError` (its message names
     ``label``) unless they are equal.  Every path returns the same value
     wherever the predicates are sound.
     """
     mode = parse_hybrid_mode(mode)
-    if mode == HybridMode.OFF or not closed_form_exact(predicates):
+    if mode == HybridMode.OFF or not closed_form_exact(predicates()):
         return simulate()
     analytic = replay()
     if mode == HybridMode.VERIFY:
@@ -249,68 +250,54 @@ def route(
 
 
 def verdicts(
-    spec: "CellSpec",
-    trace: "CallTrace | None" = None,
-    regime: str | None = None,
+    spec: "CellSpec", trace: "CallTrace", regime: str | None = None,
     schedule: Callable[[], tuple[float, float, int]] | None = None,
 ) -> dict[str, bool]:
-    """The exactness verdicts of one cell, or of its ``regime`` run.
+    """The exactness verdicts of ``spec`` over ``trace``, for its
+    ``regime`` run or (None) both.
 
-    ``fault-free`` is :func:`_draws_clean` for the ``"frtr"`` or
-    ``"prtr"`` run, or both when ``regime`` is None; ``schedule()`` (the
-    spec's fault-free :func:`replay_cell`; pass a cached one to reuse
-    it) runs only if a count is needed.  ``recovery-inert`` also holds
-    without a ``recovery`` policy; ``overlap-applicable`` reads the PRR
-    count.  Other fields change the replay's arithmetic, never its
-    exactness; cluster and ``detailed_io`` runs never reach
-    :func:`route`.
+    ``fault-free`` is :func:`_draws_clean`, which calls ``schedule()``
+    (the fault-free :func:`replay_cell`; pass a cached one to reuse it)
+    only to count partials.  Other fields change the replay's
+    arithmetic, never its exactness; cluster and ``detailed_io`` runs
+    never reach :func:`route`.
     """
     schedule = schedule or (
         lambda: replay_cell(replace(spec, faults=None), trace)
     )
-    overlap = spec.floorplan.n_prrs > 1
-    # The replay counts configurations only where it applies.
     fault_free = all(
-        _draws_clean(spec, trace if overlap else None, name, schedule)
+        _draws_clean(spec, trace, name, schedule)
         for name in (REGIMES if regime is None else (regime,))
     )
     return {
         "fault-free": fault_free,
-        "overlap-applicable": overlap,
+        "overlap-applicable": spec.floorplan.n_prrs > 1,
         "recovery-inert": fault_free or spec.recovery is None,
     }
 
 
 def _draws_clean(
-    spec: "CellSpec",
-    trace: "CallTrace | None",
-    regime: str,
+    spec: "CellSpec", trace: "CallTrace", regime: str,
     schedule: Callable[[], tuple[float, float, int]],
 ) -> bool:
     """Does ``regime``'s run of ``spec`` over ``trace`` draw no fault?
 
-    With a positive rate a run draws, in order, what its fault-free
-    schedule draws until its first fault, from a fresh
-    ``resolve_rng(faults.seed)``: the port once per full configuration,
-    the ICAP once per drained chunk of each partial (per write when
-    ``estimated``).  It is clean iff each uniform is at least its rate.
-    The partial count is read only once the first partial's draws pass.
-    ``transfer_ber`` draws depend on link contention: never cleared.
+    A run draws what its fault-free schedule draws, in order, until its
+    first fault, from a fresh ``resolve_rng(faults.seed)``: the port
+    once per full configuration, the ICAP once per drained chunk of each
+    partial (per write when ``estimated``).  It is clean iff each
+    uniform is at least its rate.  ``transfer_ber`` draws depend on link
+    contention, and a single-PRR run is never replayed: neither clears.
     """
     faults = spec.faults
     if faults is None or faults.fault_free:
         return True
-    if faults.transfer_ber > 0.0 or trace is None:
+    if faults.transfer_ber > 0.0 or spec.floorplan.n_prrs < 2:
         return False
-    rng = None
+    rng = functools.cache(lambda: resolve_rng(faults.seed))
 
     def clean(rate: float, n: int) -> bool:
-        nonlocal rng
-        if rate <= 0.0 or n <= 0:
-            return True
-        if rng is None:
-            rng = resolve_rng(faults.seed)
-        return not (rng.random(n) < rate).any()
+        return rate <= 0.0 or n <= 0 or not (rng().random(n) < rate).any()
 
     if regime == "frtr":
         return clean(faults.port_abort_rate, len(trace))
@@ -318,7 +305,8 @@ def _draws_clean(
     rate, per_write = faults.chunk_abort_rate, n_chunks
     if spec.estimated:
         rate, per_write = faults.span_abort_probability(n_chunks), 1
-    # A second module, or force_miss, makes a first partial certain.
+    # A second module, or force_miss, makes a first partial certain;
+    # the partial count is read only once its draws pass.
     certain = trace.n_distinct > 1 or (spec.force_miss and len(trace) > 1)
     first = per_write if certain else 0
     if not (clean(faults.port_abort_rate, 1) and clean(rate, first)):
@@ -387,9 +375,7 @@ def replay_cell(
     ``trace``; any other spec raises :class:`ValueError` naming the
     failed predicates.  The arithmetic never reads ``faults``.
     """
-    failed = sorted(
-        name for name, ok in verdicts(spec, trace).items() if not ok
-    )
+    failed = [name for name, ok in verdicts(spec, trace).items() if not ok]
     if failed:
         raise ValueError(
             f"cell is not analytically exact (failed predicates: "

@@ -129,7 +129,7 @@ def measure_power_point(
     cell = (spec, trace, hit_ratio, model)
     return route(
         hybrid,
-        verdicts(spec),
+        lambda: verdicts(spec, trace),
         lambda: _replayed_power_point(*cell),
         lambda: _simulated_power_point(*cell),
         f"power:prrs={n_prrs!r},H={hit_ratio!r}",
@@ -315,7 +315,9 @@ def crash_safe_power_sweep(
     }
     grid = [(p, h) for p in prr_counts for h in hit_ratios]
     modes = dict(zip(grid, cell_modes(
-        grid, hybrid, seed, lambda cell: _power_cell_spec(cell[0])
+        grid, hybrid, seed,
+        lambda cell: _power_cell_spec(cell[0]),
+        lambda cell: trace_with_hit_ratio(cell[1], n_calls, task_time),
     )))
     return run_journaled(
         run_dir,

@@ -70,12 +70,11 @@ class CellSpec:
 def simulate(
     spec: CellSpec, trace: CallTrace, regimes: tuple[str, ...] = REGIMES
 ) -> tuple[RunResult, ...]:
-    """Run ``trace`` under each of ``regimes`` in order, each on a fresh node.
+    """Run ``trace`` under each of ``regimes`` (:data:`REGIMES`), in order.
 
-    The only code that builds a cell's nodes, and it builds one per
-    regime asked for (of :data:`REGIMES`): each gets its own node,
-    simulator and fault injector, so clocks, resource histories and
-    random streams stay independent.
+    The only code that builds a cell's nodes: each regime asked for gets
+    its own node, simulator and fault injector, so clocks, resource
+    histories and random streams stay independent.
     """
 
     def node() -> XD1Node:

@@ -56,6 +56,16 @@ class TestFitIcapHandshake:
             row.measured_time_s, rel=1e-12
         )
 
+    def test_measured_time_is_the_fill_plus_drain(self):
+        # One forward model for table2, the ablations, scaling and the
+        # cross-check: the first chunk at the raw 1.6 GB/s link, then the
+        # drain, bit for bit.
+        t = fit_icap_handshake()
+        for row in PUBLISHED_TABLE2.values():
+            n = row.bitstream_bytes
+            inline = min(t.chunk_bytes, n) / (1600 * MB) + t.drain_time(n)
+            assert t.measured_time(n).hex() == inline.hex()
+
     def test_handshake_positive_and_sub_millisecond(self):
         t = fit_icap_handshake()
         assert 0.0 < t.chunk_handshake < 1 * MS

@@ -27,6 +27,7 @@ from repro.analysis.reliability import (
 from repro.experiments import fig9
 from repro.faults.injector import FaultConfig
 from repro.faults.recovery import FallbackPolicy
+from repro.hardware.prr import single_prr_floorplan
 from repro.model import hybrid
 from repro.model.hybrid import (
     HybridMode,
@@ -38,6 +39,7 @@ from repro.model.hybrid import (
 from repro.power import pareto
 from repro.rtr import runner
 from repro.rtr.runner import REGIMES, CellSpec, simulate
+from repro.runtime.crashsafe import crash_safe_fault_sweep
 from repro.runtime.invariants import InvariantError
 
 
@@ -172,9 +174,16 @@ class TestVerdictEdges:
             outcomes.add(clean(spec, TRACE, regime))
         assert outcomes == {True, False}
 
-    def test_port_abort_cells_route_each_regime(self, monkeypatch, simulated):
-        # Fault cells whose vendor port aborts too: FRTR is replayed
-        # exactly when its draws come up clean.
+    @pytest.mark.parametrize("hit_ratio, outcomes_seen", [
+        (0.5, {(True, False), (False, False)}),
+        (1.0, {(True, True), (False, True)}),
+    ])
+    def test_port_abort_cells_route_each_regime(
+        self, monkeypatch, simulated, hit_ratio, outcomes_seen
+    ):
+        # Fault cells whose vendor port aborts too: each run is replayed
+        # exactly when its own draws come up clean.  An all-hit trace
+        # makes PRTR draw once, so its FRTR run faults alone.
         specs = seeded_specs(
             FaultConfig(port_abort_rate=0.05, chunk_abort_rate=0.02)
         )
@@ -182,27 +191,27 @@ class TestVerdictEdges:
             reliability, "fault_cell_spec",
             lambda rate, seed, recovery: specs[seed],
         )
+        trace = trace_with_hit_ratio(hit_ratio, 12, 0.1)
         outcomes = set()
         for seed, spec in enumerate(specs):
-            frtr_ok, prtr_ok = (
-                clean(spec, TRACE, regime) for regime in REGIMES
-            )
+            ok = [clean(spec, trace, regime) for regime in REGIMES]
             simulated.clear()
             on = effective_speedup_under_faults(
-                0.02, 0.5, n_calls=12, seed=seed, hybrid="on"
+                0.02, hit_ratio, n_calls=12, seed=seed, hybrid="on"
             )
-            if frtr_ok:
-                assert simulated == ([] if prtr_ok else [("prtr",)])
-            else:
-                assert simulated == [REGIMES]
-                (frtr,) = simulate(spec, TRACE, ("frtr",))
+            assert simulated == [
+                (regime,) for regime, cleared in zip(REGIMES, ok)
+                if not cleared
+            ]
+            if not ok[0]:
+                (frtr,) = simulate(spec, trace, ("frtr",))
                 assert frtr.n_retries >= 1
             off = effective_speedup_under_faults(
-                0.02, 0.5, n_calls=12, seed=seed
+                0.02, hit_ratio, n_calls=12, seed=seed
             )
             assert hexed(on) == hexed(off)
-            outcomes.add((frtr_ok, prtr_ok))
-        assert {(True, False), (False, False)} <= outcomes
+            outcomes.add(tuple(ok))
+        assert outcomes_seen <= outcomes
 
     def test_estimated_draws_once_per_partial_write(self, monkeypatch):
         drawn: list[int] = []
@@ -240,7 +249,7 @@ class TestVerdictEdges:
         assert fault_free_replay(spec, trace)[2] == 0
         assert clean(spec, trace)
         on = effective_speedup_under_faults(1.0, 1.0, n_calls=12)
-        assert simulated == [REGIMES]
+        assert simulated == [("frtr",), ("prtr",)]
         simulated.clear()
         fast = effective_speedup_under_faults(
             1.0, 1.0, n_calls=12, hybrid="on"
@@ -271,8 +280,13 @@ class TestVerdictEdges:
         spec = fault_cell_spec(0.5)
         assert not clean(spec, TRACE, "prtr")
 
-    def test_without_a_trace_a_drawing_spec_is_refused(self, no_generator):
-        assert not clean(fault_cell_spec(1e-9), None)
+    def test_single_prr_run_is_refused_without_drawing(self, no_generator):
+        # The replay folds the dual-PRR pipeline only.
+        spec = replace(
+            fault_cell_spec(1e-9), floorplan=single_prr_floorplan()
+        )
+        for regime in (*REGIMES, None):
+            assert not clean(spec, TRACE, regime)
 
 
 class TestPerRegimeRouting:
@@ -331,4 +345,46 @@ class TestPerRegimeRouting:
             lambda cell: trace_with_hit_ratio(cell[0], 30, 0.1),
         )
         assert modes.count(HybridMode.VERIFY) == 2
-        assert cell_modes(grid, "verify", 0, spec_of) == ["on"] * len(grid)
+
+    #: seed 0 at rate 0.01: every PRTR run faults, so no cell replays
+    #: whole, and every FRTR run replays
+    SWEEP = dict(fault_rates=(0.01,), hit_ratios=(0.0, 0.5), n_calls=12)
+
+    @pytest.fixture
+    def perturbed_frtr_replay(self, monkeypatch):
+        real = reliability.replay_cell
+
+        def perturbed(*args, **kwargs):
+            frtr, prtr, n_configs = real(*args, **kwargs)
+            return frtr * (1.0 + 1e-12), prtr, n_configs
+
+        monkeypatch.setattr(reliability, "replay_cell", perturbed)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_verify_sweeps_check_the_frtr_replays(
+        self, perturbed_frtr_replay, workers, tmp_path
+    ):
+        for h in self.SWEEP["hit_ratios"]:
+            spec = fault_cell_spec(0.01)
+            trace = trace_with_hit_ratio(h, 12, 0.1)
+            assert not closed_form_exact(verdicts(spec, trace))
+            assert closed_form_exact(verdicts(spec, trace, "frtr"))
+        with pytest.raises(InvariantError, match=":frtr"):
+            reliability.sweep_fault_hit_grid(
+                **self.SWEEP, hybrid="verify", workers=workers
+            )
+        with pytest.raises(InvariantError, match=":frtr"):
+            crash_safe_fault_sweep(
+                str(tmp_path), **self.SWEEP, hybrid="verify",
+                workers=workers,
+            )
+
+    def test_off_reads_no_verdict(self, monkeypatch):
+        def unread(*args, **kwargs):
+            raise AssertionError("off read a verdict")
+
+        monkeypatch.setattr(reliability, "verdicts", unread)
+        monkeypatch.setattr(hybrid, "verdicts", unread)
+        point = effective_speedup_under_faults(**self.MIXED)
+        assert point.prtr_retries >= 1
+        reliability.sweep_fault_hit_grid(**self.SWEEP)

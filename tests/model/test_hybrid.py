@@ -47,6 +47,9 @@ from repro.runtime.invariants import InvariantError, audit_hybrid
 from repro.sim.engine import Simulator
 from repro.sim.resources import BandwidthChannel
 
+#: a short dual-PRR trace with six partial configurations
+TRACE = trace_with_hit_ratio(0.5, 12, 0.1)
+
 
 class TestModeParsing:
     def test_all_modes_round_trip(self):
@@ -71,13 +74,13 @@ class TestExactnessPredicates:
         }
 
     def test_default_comparison_is_exact(self):
-        default = verdicts(CellSpec())
+        default = verdicts(CellSpec(), TRACE)
         assert all(default.values())
         assert closed_form_exact(default)
 
     def test_faulty_rate_is_not_exact(self):
-        assert not closed_form_exact(verdicts(fault_cell_spec(0.25)))
-        assert closed_form_exact(verdicts(fault_cell_spec(0.0)))
+        assert not closed_form_exact(verdicts(fault_cell_spec(0.25), TRACE))
+        assert closed_form_exact(verdicts(fault_cell_spec(0.0), TRACE))
 
     def test_unknown_verdict_key_rejected(self):
         verdicts = dict.fromkeys(EXACTNESS_PREDICATES, True)
@@ -108,7 +111,7 @@ FIELD_FLIPS = {
 
 
 def failed_predicates(spec: CellSpec) -> set[str]:
-    return {name for name, ok in verdicts(spec).items() if not ok}
+    return {name for name, ok in verdicts(spec, TRACE).items() if not ok}
 
 
 class TestVerdictsReadTheSpec:
@@ -129,7 +132,7 @@ class TestVerdictsReadTheSpec:
         assert failed_predicates(spec) == {"fault-free", "recovery-inert"}
 
     def test_verdicts_name_every_predicate(self):
-        assert set(verdicts(CellSpec())) == set(EXACTNESS_PREDICATES)
+        assert set(verdicts(CellSpec(), TRACE)) == set(EXACTNESS_PREDICATES)
 
 
 class TestReplayCellIsTheDes:
@@ -156,7 +159,7 @@ class TestReplayCellIsTheDes:
         traces += [fig9._cyclic_trace(t, 9) for t in (1e-3, 0.02)]
         mismatches = []
         for spec, trace in itertools.product(specs, traces):
-            assert closed_form_exact(verdicts(spec))
+            assert closed_form_exact(verdicts(spec, trace))
             frtr, prtr = simulate(spec, trace)
             des = (frtr.total_time, prtr.total_time, prtr.n_configs)
             if replay_cell(spec, trace) != des:
@@ -170,7 +173,7 @@ class TestReplayCellIsTheDes:
         spec = replace(
             fault_cell_spec(0.0), faults=FaultConfig(seu_rate=1.0)
         )
-        assert all(verdicts(spec).values())
+        assert all(verdicts(spec, TRACE).values())
         for h in (0.0, 0.5, 0.9):
             trace = trace_with_hit_ratio(h, 12, 0.1)
             frtr, prtr = simulate(spec, trace)
@@ -274,13 +277,20 @@ class TestGridIdentity:
         def spec_of(cell):
             return fault_cell_spec(cell[1])
 
-        modes = cell_modes(grid, "verify", 0, spec_of)
+        def trace_of(cell):
+            return trace_with_hit_ratio(cell[0], 30, 0.1)
+
+        modes = cell_modes(grid, "verify", 0, spec_of, trace_of)
         assert len(modes) == len(grid)
-        # without their traces, faulty cells are never verify-sampled
-        for (h, rate), mode in zip(grid, modes):
-            if rate > 0.0:
-                assert mode != HybridMode.VERIFY
-        assert cell_modes(grid, "off", 0, spec_of) == ["off"] * len(grid)
+        # every cell replays its FRTR run (a chunk-abort rate draws
+        # nothing there), so every cell is in the verify pool
+        assert [i for i, m in enumerate(modes) if m == "verify"] == (
+            verification_sample(len(grid))
+        )
+        assert set(modes) == {HybridMode.VERIFY, HybridMode.ON}
+        assert cell_modes(grid, "off", 0, spec_of, trace_of) == (
+            ["off"] * len(grid)
+        )
 
     def test_fig5_result_reuse_identical(self):
         shared = fig5.run((0.17,), fig5.DEFAULT_HIT_RATIOS)
@@ -327,6 +337,9 @@ class TestRouter:
 
     EXACT = dict.fromkeys(EXACTNESS_PREDICATES, True)
 
+    def exact(self):
+        return self.EXACT
+
     @staticmethod
     def stubs(analytic, simulated):
         calls = {"replay": 0, "simulate": 0}
@@ -343,7 +356,15 @@ class TestRouter:
 
     def test_off_runs_only_the_des(self):
         calls, replay, simulate = self.stubs(1.0, 2.0)
-        assert route("off", self.EXACT, replay, simulate, "cell") == 2.0
+        assert route("off", self.exact, replay, simulate, "cell") == 2.0
+        assert calls == {"replay": 0, "simulate": 1}
+
+    def test_off_reads_no_predicate(self):
+        def unread():
+            raise AssertionError("off read the predicates")
+
+        calls, replay, simulate = self.stubs(1.0, 2.0)
+        assert route("off", unread, replay, simulate, "cell") == 2.0
         assert calls == {"replay": 0, "simulate": 1}
 
     @pytest.mark.parametrize("mode", ["on", "verify"])
@@ -351,18 +372,18 @@ class TestRouter:
     def test_any_failed_predicate_runs_only_the_des(self, mode, failed):
         verdicts = {**self.EXACT, failed: False}
         calls, replay, simulate = self.stubs(1.0, 2.0)
-        assert route(mode, verdicts, replay, simulate, "cell") == 2.0
+        assert route(mode, lambda: verdicts, replay, simulate, "cell") == 2.0
         assert calls == {"replay": 0, "simulate": 1}
 
     def test_on_runs_only_the_replay(self):
         calls, replay, simulate = self.stubs(1.0, 2.0)
-        assert route("on", self.EXACT, replay, simulate, "cell") == 1.0
+        assert route("on", self.exact, replay, simulate, "cell") == 1.0
         assert calls == {"replay": 1, "simulate": 0}
 
     def test_verify_runs_both_and_returns_the_replay(self):
         analytic, simulated = [1.5], [1.5]  # equal, but distinguishable
         calls, replay, simulate = self.stubs(analytic, simulated)
-        assert route("verify", self.EXACT, replay, simulate, "cell") is (
+        assert route("verify", self.exact, replay, simulate, "cell") is (
             analytic
         )
         assert calls == {"replay": 1, "simulate": 1}
@@ -370,12 +391,12 @@ class TestRouter:
     def test_verify_mismatch_raises_naming_the_label(self):
         _, replay, simulate = self.stubs(1.25, 1.2500000001)
         with pytest.raises(InvariantError, match="hybrid-exactness.*cell-7"):
-            route("verify", self.EXACT, replay, simulate, "cell-7")
+            route("verify", self.exact, replay, simulate, "cell-7")
 
     def test_rejects_unknown_mode(self):
         _, replay, simulate = self.stubs(1.0, 1.0)
         with pytest.raises(ValueError, match="hybrid"):
-            route("fast", self.EXACT, replay, simulate, "cell")
+            route("fast", self.exact, replay, simulate, "cell")
 
 
 def nudged(value: float) -> float:
@@ -440,7 +461,9 @@ class TestCellsCatchMismatches:
         assert simulated == [
             x[i] * p.t_frtr for i in verification_sample(8)
         ]
-        modes = cell_modes(list(x), "verify", 0, lambda _: CellSpec())
+        modes = cell_modes(
+            list(x), "verify", 0, lambda _: CellSpec(), lambda _: TRACE
+        )
         assert [i for i, m in enumerate(modes) if m == "verify"] == (
             verification_sample(8)
         )
