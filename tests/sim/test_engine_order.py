@@ -34,6 +34,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.reliability import fault_cell_spec, trace_with_hit_ratio
+from repro.chaos import build_scenario
 from repro.experiments import fig9
 from repro.faults import FallbackPolicy, FaultConfig
 from repro.hardware import PUBLISHED_TABLE2
@@ -427,8 +428,8 @@ def _whole_run_log(case, patch):
     return log.digest()
 
 
-def _serve_log(seed, patch):
-    """A short ``serve`` run, logged through its own watchdog's hook."""
+def _serve_log(config, seed, patch):
+    """A short service run, logged through its own watchdog's hook."""
     log = HookLog()
     real = Watchdog.after_event
 
@@ -438,19 +439,32 @@ def _serve_log(seed, patch):
 
     with patch.context() as inner:
         inner.setattr(Watchdog, "after_event", after_event)
-        result = run_service(
-            default_tenants(), ServiceConfig(horizon=2.0), seed=seed
-        )
+        result = run_service(default_tenants(), config, seed=seed)
     assert result.interrupted is None
     return log.digest()
 
 
+#: chunk aborts under the ``icap-flap`` scenario: the configuration
+#: path's breaker counts real faults, refuses attempts while open and
+#: sheds requests with reason ``fault``
+_FAULTS_BREAKER = ServiceConfig(
+    horizon=5.0,
+    prrs=4,
+    fault=FaultConfig(chunk_abort_rate=0.1, seed=3),
+    chaos=build_scenario("icap-flap", seed=1, horizon=5.0, prrs=4, blades=2),
+)
+
 HOOK_LOGS = {
     **{case: functools.partial(_whole_run_log, case) for case in WHOLE_RUNS},
     **{
-        f"serve-seed{seed}": functools.partial(_serve_log, seed)
+        f"serve-seed{seed}": functools.partial(
+            _serve_log, ServiceConfig(horizon=2.0), seed
+        )
         for seed in range(3)
     },
+    "serve-faults-breaker": functools.partial(
+        _serve_log, _FAULTS_BREAKER, 1
+    ),
 }
 
 
@@ -459,7 +473,10 @@ def test_hook_log_is_pinned(case, monkeypatch):
     """The hook sees every event once, with that event's clock and count.
 
     ``tests/golden/hook_log/logs.json`` was recorded on a kernel that
-    resumed no process in place while a hook was installed.
+    resumed no process in place while a hook was installed, except
+    ``serve-faults-breaker``, which pins the configuration path's
+    circuit breaker under real chunk aborts: at recording it saw 31
+    failed attempts, 169 refusals and 64 requests shed for ``fault``.
     """
     golden = json.loads(HOOK_GOLDEN.read_text(encoding="utf-8"))
     assert HOOK_LOGS[case](monkeypatch) == golden[case]

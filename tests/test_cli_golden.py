@@ -1,18 +1,24 @@
-"""Golden output of the journaled CLI verbs: sweep, power, serve, chaos.
+"""Golden output of the CLI verbs.
 
-Each verb is driven through three lifecycles on a small grid — a fresh
-run, a ``--resume`` that replays the finished journal, and a
-``--deadline 0`` run the watchdog interrupts — and its exact stdout,
-stderr and exit code are compared with ``tests/golden/journaled_cli/``.
-The only normalized text is the watchdog's measured elapsed time.
+Each journaled verb (sweep, power, serve, chaos) is driven through three
+lifecycles on a small grid — a fresh run, a ``--resume`` that replays
+the finished journal, and a ``--deadline 0`` run the watchdog
+interrupts — and its exact stdout, stderr and exit code are compared
+with ``tests/golden/journaled_cli/``.  The only normalized text is the
+watchdog's measured elapsed time.
+
+Nine more verbs run once at their defaults and are compared with
+``tests/golden/verbs/``, together with the SHA-256 of the file that
+``trace`` or ``report`` writes.
 
 To re-record after an intended output change, write
-``render_case(...)`` of every case over the files in that directory and
-review the diff.
+``render_case(...)`` or ``render_verb(...)`` of every case over the
+files in those directories and review the diff.
 """
 
 from __future__ import annotations
 
+import hashlib
 import re
 from pathlib import Path
 
@@ -21,6 +27,7 @@ import pytest
 from repro.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden" / "journaled_cli"
+VERB_GOLDEN_DIR = Path(__file__).parent / "golden" / "verbs"
 
 VERBS: dict[str, list[str]] = {
     "sweep": [
@@ -69,3 +76,36 @@ def test_journaled_verb_output_is_pinned(
         encoding="utf-8"
     )
     assert render_case(verb, phase, capsys) == expected
+
+
+#: verbs pinned at their defaults -> the file each writes in the cwd
+DEFAULT_VERBS: dict[str, str | None] = {
+    "table1": None,
+    "table2": None,
+    "profiles": None,
+    "ablation-prefetch": None,
+    "ablation-granularity": None,
+    "validate": None,
+    "trace": "trace.json",
+    "metrics": None,
+    "report": "REPORT.md",
+}
+
+
+def render_verb(verb: str, capsys) -> str:
+    """Run one verb at its defaults in the cwd; hash what it writes."""
+    rc = main([verb])
+    captured = capsys.readouterr()
+    text = f"exit: {rc}\n--- stdout\n{captured.out}--- stderr\n{captured.err}"
+    written = DEFAULT_VERBS[verb]
+    if written is not None:
+        digest = hashlib.sha256(Path(written).read_bytes()).hexdigest()
+        text += f"--- {written} sha256\n{digest}\n"
+    return text
+
+
+@pytest.mark.parametrize("verb", sorted(DEFAULT_VERBS))
+def test_default_verb_output_is_pinned(verb, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    expected = (VERB_GOLDEN_DIR / f"{verb}.txt").read_text(encoding="utf-8")
+    assert render_verb(verb, capsys) == expected
