@@ -52,7 +52,13 @@ def test_bench_lint_warm(benchmark, tmp_path, bench_json_dir) -> None:
     assert result.findings == cold.findings
     assert result.suppressed == cold.suppressed
 
-    warm_wall = benchmark.stats.stats.mean
+    if benchmark.stats is None:
+        # --benchmark-disable ran one untimed round: time a warm pass here.
+        t0 = time.perf_counter()
+        run_lint(SRC, REPO, cache_path=cache)
+        warm_wall = time.perf_counter() - t0
+    else:
+        warm_wall = benchmark.stats.stats.mean
     assert warm_wall < cold_wall, (
         f"warm lint ({warm_wall:.3f}s) not faster than cold "
         f"({cold_wall:.3f}s): the cache is not paying for itself"

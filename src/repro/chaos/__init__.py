@@ -25,7 +25,7 @@ bit-identical to plain ``repro serve``.
 from .breakers import CircuitBreaker
 from .brownout import BrownoutController
 from .scenarios import SCENARIOS, build_scenario, scenario_names
-from .spec import ChaosEvent, ChaosSpec, chaos_from_dict
+from .spec import ChaosEvent, ChaosSpec
 
 #: harness symbols resolved lazily via ``__getattr__`` — the harness
 #: imports the service layer, whose scheduler imports this package, so
@@ -50,7 +50,6 @@ __all__ = [
     "CircuitBreaker",
     "SCENARIOS",
     "build_scenario",
-    "chaos_from_dict",
     "crash_safe_chaos",
     "run_chaos",
     "scenario_names",

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["ChaosEvent", "ChaosSpec", "chaos_from_dict"]
+__all__ = ["ChaosEvent", "ChaosSpec"]
 
 
 @dataclass(frozen=True)
@@ -174,21 +174,3 @@ class ChaosSpec:
             "config_retry_backoff": self.config_retry_backoff,
             "seed": self.seed,
         }
-
-
-def chaos_from_dict(data: dict) -> ChaosSpec:
-    """Rebuild a :class:`ChaosSpec` from :meth:`ChaosSpec.as_dict` output.
-
-    Unknown keys raise so a stale journal meta cannot silently drop a
-    policy knob on resume.
-    """
-    payload = dict(data)
-    raw_events = payload.pop("events", [])
-    known = {f.name for f in ChaosSpec.__dataclass_fields__.values()}
-    unknown = set(payload) - known
-    if unknown:
-        raise ValueError(
-            f"unknown chaos spec keys: {sorted(unknown)}"
-        )
-    events = tuple(ChaosEvent(**e) for e in raw_events)
-    return ChaosSpec(events=events, **payload)

@@ -1,11 +1,14 @@
-"""Recovery-loop plumbing shared by the FRTR and PRTR executors.
+"""The one recovery loop: the FRTR and PRTR executors and the service.
 
 :func:`resilient` drives one logical configuration (fetch + write) through
 a :class:`~repro.faults.recovery.RecoveryPolicy`: it re-runs the attempt
 generator on every injected :class:`~repro.faults.errors
 .ReconfigurationFault`, pays the policy's deterministic backoff between
 attempts, and reports what happened as a :class:`ConfigOutcome` so the
-executor can account retries/fallbacks per call record.
+executor can account retries/fallbacks per call record.  The service
+scheduler retries each reconfiguration through it too, under a fixed
+budget and a constant backoff, with the chaos runtime's circuit breaker
+wrapped around the attempt.
 
 With ``recovery=None`` the first fault propagates unchanged — fail-fast —
 which also means the fault-free path adds *zero* events or draws and runs
@@ -21,16 +24,14 @@ from ..faults.errors import ReconfigurationFault
 from ..faults.recovery import RecoveryPolicy
 from ..sim.engine import Delay, Simulator
 
-__all__ = ["ConfigOutcome", "config_attempts", "resilient"]
+__all__ = ["ConfigOutcome", "resilient"]
 
 
 @dataclass
 class ConfigOutcome:
     """How one logical (re)configuration resolved."""
 
-    #: attempts actually driven (1 for a clean first-try success)
-    attempts: int = 1
-    #: failed attempts before resolution (``attempts - 1`` on success)
+    #: failed attempts before resolution
     retries: int = 0
     #: retries that re-fetched the bitstream from the server
     refetches: int = 0
@@ -46,61 +47,6 @@ class ConfigOutcome:
     @property
     def ok(self) -> bool:
         return not (self.fallback or self.degrade)
-
-
-def config_attempts(
-    sim: Simulator,
-    attempt: Callable[[], Generator[Any, Any, Any]],
-    *,
-    max_attempts: int,
-    backoff: float = 0.0,
-    breaker: Any = None,
-) -> Generator[Any, Any, tuple[bool, Any]]:
-    """Bounded retry driver for one service-mode configuration.
-
-    Drives ``attempt()`` (a generator returning the cache-hit flag) up
-    to ``max_attempts`` times, treating each
-    :class:`~repro.faults.errors.ReconfigurationFault` as one consumed
-    attempt.  Returns ``(True, result)`` on success, ``(False, None)``
-    once the budget is exhausted.
-
-    Two optional chaos-mode hooks, both inert by default so the plain
-    service path stays event-identical to the historical inline loop:
-
-    * ``breaker`` — a :class:`~repro.chaos.breakers.CircuitBreaker`-like
-      object.  An attempt the breaker refuses (``allow`` False) fails
-      fast *without* touching the hardware but still consumes an
-      attempt, so a held-open breaker cannot spin the caller forever at
-      one sim instant; outcomes are reported back via
-      ``record_failure`` / ``record_success``.
-    * ``backoff`` — deterministic delay paid between attempts (never
-      after the last), keeping retry storms off the ICAP mutex.
-    """
-    if max_attempts < 1:
-        raise ValueError(f"max_attempts must be >= 1: {max_attempts}")
-    attempts = 0
-    while True:
-        if breaker is not None and not breaker.allow(sim.now):
-            attempts += 1
-            if attempts >= max_attempts:
-                return False, None
-            if backoff > 0:
-                yield Delay(backoff)
-            continue
-        try:
-            result = yield from attempt()
-        except ReconfigurationFault:
-            if breaker is not None:
-                breaker.record_failure(sim.now)
-            attempts += 1
-            if attempts >= max_attempts:
-                return False, None
-            if backoff > 0:
-                yield Delay(backoff)
-            continue
-        if breaker is not None:
-            breaker.record_success(sim.now)
-        return True, result
 
 
 def resilient(
@@ -145,7 +91,6 @@ def resilient(
                 fetch = True
                 continue
             out = ConfigOutcome(
-                attempts=failures,
                 retries=failures,
                 refetches=refetches,
                 recovery_time=sim.now - t_start,
@@ -159,7 +104,6 @@ def resilient(
             raise fault  # "giveup"
         else:
             return ConfigOutcome(
-                attempts=failures + 1,
                 retries=failures,
                 refetches=refetches,
                 recovery_time=attempt_start - t_start,

@@ -12,9 +12,11 @@ stresses it open-loop — the reconfigurable node run as a *service*:
   stay cheap;
 * :mod:`repro.service.admission` — token-bucket rate limiting, bounded
   per-tenant queues, and explicit admit/queue/shed decisions;
+* :mod:`repro.service.fabric` — the shared PRR pool: residency,
+  pinning, reconfiguration, retired and blocked slots;
 * :mod:`repro.service.scheduler` — the preemptive scheduler
-  time-sharing the :class:`~repro.rtr.multitask.PrrFabric` pool with
-  checkpoint/evict/restore costs and priority aging;
+  time-sharing that pool with checkpoint/evict/restore costs and
+  priority aging;
 * :mod:`repro.service.slo` — per-tenant p50/p99/p999 latency, Jain
   fairness, shed and SLO-violation rates as a canonical report;
 * :mod:`repro.service.runner` — the journaled, kill-and-resume-safe
@@ -24,7 +26,7 @@ Determinism contract: one master seed drives per-tenant substreams via
 :func:`repro.model.stochastic.resolve_rng`; same seed, same spec ->
 byte-identical SLO report, under any worker count and across
 kill-and-resume.  The scheduler is the one loop that time-shares the
-:class:`~repro.rtr.multitask.PrrFabric`:
+:class:`~repro.service.fabric.PrrFabric`:
 :func:`~repro.rtr.multitask.compare_multitask` runs its PRTR half as one
 service run with admission and preemption off and one closed tenant per
 application.

@@ -1,7 +1,7 @@
 """Preemptive service scheduler time-sharing the PRR pool.
 
 The scheduler runs the service as a DES on one reconfigurable node,
-time-sharing its :class:`~repro.rtr.multitask.PrrFabric` — residency,
+time-sharing its :class:`~repro.service.fabric.PrrFabric` — residency,
 pinning, the ICAP serialization, eviction under pressure.  On top of it,
 service mode adds:
 
@@ -16,9 +16,11 @@ service mode adds:
   ``checkpoint_cost`` paid while the PRR is held), releases everything,
   and re-queues to restore later (``restore_cost`` on the next grant);
 * **graceful degradation** — scheduled blade degradations retire PRR
-  slots mid-run (:meth:`~repro.rtr.multitask.PrrFabric.retire_slot`),
-  shrinking capacity without deadlock; repeated reconfiguration faults
-  shed the request (reason ``fault``) instead of wedging a slot;
+  slots mid-run (:meth:`~repro.service.fabric.PrrFabric.retire_slot`),
+  shrinking capacity without deadlock; a request whose reconfiguration
+  fails ``max_config_attempts`` times under the executor's one
+  :class:`~repro.faults.recovery.RecoveryPolicy` is shed (reason
+  ``fault``) instead of wedging a slot;
 * **chaos resilience** (armed only by a non-inert
   :attr:`~repro.service.tenants.ServiceConfig.chaos` spec) — scripted
   failure-domain outages darken PRR slots and the configuration path
@@ -51,26 +53,28 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, Generator, Sequence
+from typing import Any, Callable, Generator, Sequence
 
 from ..caching.base import ConfigCache
 from ..caching.policies import LruPolicy
 from ..chaos.breakers import CircuitBreaker
 from ..chaos.brownout import BrownoutController
+from ..faults.errors import ReconfigurationFault
 from ..faults.injector import FaultInjector
+from ..faults.recovery import RecoveryPolicy
 from ..hardware.domains import DomainTopology
 from ..hardware.prr import dual_prr_floorplan, uniform_prr_floorplan
 from ..model.stochastic import resolve_rng
 from ..obs import metrics as obsm
 from ..power import current_model
 from ..rtr import runner
-from ..rtr.multitask import PrrFabric
-from ..rtr.resilience import config_attempts
+from ..rtr.resilience import resilient
 from ..runtime.watchdog import Watchdog, WatchdogExpired
 from ..sim.engine import Delay
 from ..sim.trace import Phase, Timeline
 from .admission import AdmissionController
 from .arrivals import request_stream, tenant_rng
+from .fabric import PrrFabric
 from .tenants import ServiceConfig, TenantSpec
 
 __all__ = [
@@ -271,6 +275,36 @@ class _ChaosRuntime:
             )
         return self._config_signal
 
+    def guard_config(
+        self, attempt: Callable[[bool], Generator[Any, Any, None]]
+    ) -> Callable[[bool], Generator[Any, Any, None]]:
+        """Wrap a configuration attempt in the configuration breaker.
+
+        An attempt the breaker refuses raises a plain
+        :class:`~repro.faults.errors.ReconfigurationFault` before it
+        touches the hardware, so it consumes an attempt and its backoff
+        like a real fault; each real attempt's outcome is reported back
+        to the breaker at the instant it resolves.
+        """
+        breaker = self.config_breaker
+        if breaker is None:
+            return attempt
+        sim = self.sim
+
+        def guarded(fetch: bool) -> Generator[Any, Any, None]:
+            if not breaker.allow(sim.now):
+                raise ReconfigurationFault(
+                    f"circuit breaker open: {breaker.domain}"
+                )
+            try:
+                yield from attempt(fetch)
+            except ReconfigurationFault:
+                breaker.record_failure(sim.now)
+                raise
+            breaker.record_success(sim.now)
+
+        return guarded
+
     # -- slot outage state -------------------------------------------------
 
     def _slot_fail(self, slot: int) -> None:
@@ -314,7 +348,7 @@ class _ChaosRuntime:
     ) -> Generator[Any, Any, None]:
         """Drain the darkened slot's resident (its state died with it).
 
-        Uses :meth:`~repro.rtr.multitask.PrrFabric.drain_slot`, the
+        Uses :meth:`~repro.service.fabric.PrrFabric.drain_slot`, the
         victim loop of slot retirement: granted requests migrate off the
         slot at their next quantum boundary, so the pins drop.  Fires
         the outage state's signal so migrated requests waiting to
@@ -492,6 +526,14 @@ class ServiceExecutor:
         self._chaos: _ChaosRuntime | None = None
         if config.chaos is not None and not config.chaos.inert:
             self._chaos = _ChaosRuntime(self, config.chaos)
+        #: every reconfiguration's retry policy: a fixed budget, a constant
+        #: backoff under chaos, and no wait after the last failure
+        chaos = self._chaos
+        self.recovery = RecoveryPolicy(
+            config.max_config_attempts,
+            backoff=0.0 if chaos is None else chaos.spec.config_retry_backoff,
+            factor=1.0,
+        )
 
     # -- grant machinery ---------------------------------------------------
 
@@ -641,6 +683,12 @@ class ServiceExecutor:
         owner = f"{req.tenant}#{req.seq}"
         fabric = self.fabric
         chaos = self._chaos
+        hit = False
+
+        def attempt(fetch: bool) -> Generator[Any, Any, None]:
+            nonlocal hit
+            hit = yield from fabric.ensure_resident(req.module, owner)
+
         fabric.pin(req.module)
         try:
             if chaos is not None:
@@ -650,20 +698,10 @@ class ServiceExecutor:
                     req.module
                 ):
                     yield chaos.config_wait()
-                ok, hit = yield from config_attempts(
-                    self.sim,
-                    lambda: fabric.ensure_resident(req.module, owner),
-                    max_attempts=self.config.max_config_attempts,
-                    backoff=chaos.spec.config_retry_backoff,
-                    breaker=chaos.config_breaker,
-                )
-            else:
-                ok, hit = yield from config_attempts(
-                    self.sim,
-                    lambda: fabric.ensure_resident(req.module, owner),
-                    max_attempts=self.config.max_config_attempts,
-                )
-            if not ok:
+                attempt = chaos.guard_config(attempt)
+            try:
+                yield from resilient(self.sim, attempt, self.recovery)
+            except ReconfigurationFault:
                 return "fault"
             if not hit:
                 self.stats[req.tenant].configs += 1

@@ -326,13 +326,14 @@ class ServiceConfig:
     degrade_at:
         Scheduled blade degradations: ``(time, slot)`` pairs; at each
         time the PRR slot is retired via
-        :meth:`~repro.rtr.multitask.PrrFabric.retire_slot`.
+        :meth:`~repro.service.fabric.PrrFabric.retire_slot`.
     fault:
         Optional fault rates forwarded to the node's
         :class:`~repro.faults.injector.FaultInjector`.
     max_config_attempts:
-        Reconfiguration attempts per request before it is shed with
-        reason ``fault``.
+        Reconfiguration attempts per request, the budget of the
+        executor's :class:`~repro.faults.recovery.RecoveryPolicy`,
+        before it is shed with reason ``fault``.
     prrs:
         PRR count of the node (uniform floorplan); ``0`` keeps the
         paper's dual-PRR layout.  It must stay 0 when the

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.chaos import build_scenario
 from repro.faults import FallbackPolicy
 from repro.faults.injector import FaultConfig
 from repro.hardware import uniform_prr_floorplan
+from repro.obs import metrics as obsm
 from repro.rtr.runner import CellSpec
 from repro.runtime.invariants import audit_service
 from repro.service import (
@@ -14,6 +16,7 @@ from repro.service import (
     ServiceExecutor,
     TaskMix,
     TenantSpec,
+    default_tenants,
     run_service,
 )
 from repro.service.slo import report_json, slo_report
@@ -261,6 +264,29 @@ class TestFaultShedding:
         # With a 40% per-chunk abort rate some request exhausts its
         # attempts and is shed with reason "fault".
         assert result.tenants[0].shed.get("fault", 0) > 0
+
+    def test_recovery_policy_counts_every_give_up(self):
+        """Each request shed for ``fault`` is one counted give-up.
+
+        Chunk aborts under ``icap-flap``: the configuration breaker's
+        refusals and the real faults both retry under the service's
+        recovery policy, so both are counted as its actions.
+        """
+        config = ServiceConfig(
+            horizon=5.0,
+            prrs=4,
+            fault=FaultConfig(chunk_abort_rate=0.1, seed=3),
+            chaos=build_scenario(
+                "icap-flap", seed=1, horizon=5.0, prrs=4, blades=2
+            ),
+        )
+        with obsm.observed():
+            result = run_service(default_tenants(), config, seed=1)
+            actions = obsm.snapshot()["repro_recovery_actions_total"]
+        shed = sum(t.shed.get("fault", 0) for t in result.tenants)
+        assert shed > 0
+        assert actions["series"]["action=giveup"] == shed
+        assert actions["series"]["action=retry"] > 0
 
 
 class TestFullRetirement:
