@@ -4,14 +4,17 @@ The paper's testbed, rebuilt as a parameterized discrete-event model:
 device catalog (:mod:`repro.hardware.catalog`), fabric resources and
 column regions (:mod:`repro.hardware.fpga`), floorplans
 (:mod:`repro.hardware.prr`), bitstream sizing
-(:mod:`repro.hardware.bitstream`), configuration ports and the ICAP
-controller (:mod:`repro.hardware.config_port`,
+(:mod:`repro.hardware.bitstream`) and the byte-level partial images that
+check it (:mod:`repro.hardware.bitfile`), configuration ports and the
+ICAP controller (:mod:`repro.hardware.config_port`,
 :mod:`repro.hardware.icap_controller`), the dual-channel link
 (:mod:`repro.hardware.interconnect`), and the assembled node
 (:mod:`repro.hardware.node`).  The ports are pure time models; the node
 performs every configuration attempt
 (:meth:`~repro.hardware.node.XD1Node.configure_full`,
-:meth:`~repro.hardware.node.XD1Node.configure_partial`).
+:meth:`~repro.hardware.node.XD1Node.configure_partial`), and the
+SelectMap port's ``supports_partial=False`` is the vendor API's refusal
+of partial bitstreams (Section 4.1).
 """
 
 from .bitstream import (
@@ -32,15 +35,7 @@ from .catalog import (
     XC2VP50,
     XD1_NODE,
 )
-from .bitfile import (
-    BitfileError,
-    ParsedBitfile,
-    SYNC_WORD,
-    VendorConfigApi,
-    build_full_bitfile,
-    build_partial_bitfile,
-    parse_bitfile,
-)
+from .bitfile import BitfileError, SYNC_WORD, build_partial_bitfile
 from .devices import (
     DEVICES,
     CatalogEntry,
@@ -88,7 +83,6 @@ __all__ = [
     "NodeParameters",
     "PUBLISHED_TABLE2",
     "PlacementError",
-    "ParsedBitfile",
     "Region",
     "Resources",
     "SYNC_WORD",
@@ -96,10 +90,8 @@ __all__ = [
     "US",
     "VendorApiOverhead",
     "XC2VP50",
-    "VendorConfigApi",
     "XD1Node",
     "XD1_NODE",
-    "build_full_bitfile",
     "build_partial_bitfile",
     "device_entry",
     "difference_based_bitstreams",
@@ -109,7 +101,6 @@ __all__ = [
     "icap_raw_port",
     "jtag_port",
     "module_based_bitstreams",
-    "parse_bitfile",
     "selectmap_port",
     "single_prr_floorplan",
     "uniform_prr_floorplan",

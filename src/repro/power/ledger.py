@@ -141,7 +141,8 @@ class EnergyLedger:
           burn their *measured* times, which include the failed
           attempts and backoff — recovery consumes energy, never
           creates it.  Failed records charge their ``recovery_time``
-          (their ``config_time`` is zero by convention).
+          (a degraded startup's record carries none: the
+          ``startup_config`` note holds it).
         """
         notes = result.notes
         task_s = 0.0

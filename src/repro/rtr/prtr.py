@@ -255,7 +255,11 @@ class PrtrExecutor:
             return sim.now - t_start, outcome
 
         def degrade_run(index: int, outcome: ConfigOutcome) -> None:
-            """Record the call that never ran and flag the run degraded."""
+            """Record the call that never ran and flag the run degraded.
+
+            The failed record carries the seconds its configuration
+            took, which contain its recovery.
+            """
             records.append(
                 CallRecord(
                     index=calls[index].index,
@@ -263,7 +267,7 @@ class PrtrExecutor:
                     hit=False,
                     start=sim.now,
                     end=sim.now,
-                    config_time=0.0,
+                    config_time=config_attr[index],
                     retries=outcome.retries,
                     refetches=outcome.refetches,
                     recovery_time=outcome.recovery_time,
@@ -285,7 +289,9 @@ class PrtrExecutor:
                     startup_outcome.recovery_time
                 )
             if startup_outcome.degrade:
-                degrade_run(0, startup_outcome)
+                # The startup notes already hold its retries and
+                # recovery, so call 0's failed record carries none.
+                degrade_run(0, ConfigOutcome())
                 return
 
             for i, call in enumerate(calls):

@@ -141,19 +141,18 @@ class PrrFabric:
 
         A hit is decided at the *first* check — if the module arrives
         while we wait (loaded by another application), the call still
-        counts as a miss but skips the redundant reconfiguration
-        (module sharing across applications).  A configuration fault
-        rolls the speculative residency back, wakes any waiters (they
-        re-enter the loop and may retry the fill themselves) and
-        re-raises for the caller's recovery policy.
+        returns a miss but skips the redundant reconfiguration
+        (module sharing across applications).  The cache's hit and miss
+        counts are the caller's: a retried attempt must not count its
+        request's lookup again.  A configuration fault rolls the
+        speculative residency back, wakes any waiters (they re-enter the
+        loop and may retry the fill themselves) and re-raises for the
+        caller's recovery policy.
         """
         sim = self.sim
-        was_hit = self.cache.contains(module)
-        if was_hit:
-            self.cache.stats.hits += 1
+        if self.cache.contains(module):
             self.cache.policy.on_access(module)
             return True
-        self.cache.stats.misses += 1
         while True:
             if self.cache.contains(module):
                 return False  # another app loaded it meanwhile

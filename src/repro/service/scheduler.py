@@ -684,9 +684,18 @@ class ServiceExecutor:
         fabric = self.fabric
         chaos = self._chaos
         hit = False
+        looked_up = False
 
         def attempt(fetch: bool) -> Generator[Any, Any, None]:
-            nonlocal hit
+            nonlocal hit, looked_up
+            if not looked_up:
+                # One hit or miss per slice: a retry repeats the
+                # configuration, not the request's lookup.
+                looked_up = True
+                if self.cache.contains(req.module):
+                    self.cache.stats.hits += 1
+                else:
+                    self.cache.stats.misses += 1
             hit = yield from fabric.ensure_resident(req.module, owner)
 
         fabric.pin(req.module)

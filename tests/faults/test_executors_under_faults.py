@@ -6,6 +6,7 @@ import pytest
 
 from repro.analysis.reliability import (
     DEFAULT_FAULT_RATES,
+    availability,
     fault_cell_spec,
     trace_with_hit_ratio,
 )
@@ -169,6 +170,40 @@ class TestDegradePolicy:
         assert result.records[-1].failed
         assert result.degraded_at == result.records[-1].index
         assert len(result.records) < len(make_trace())
+
+    def test_mid_run_degrade_passes_strict_audit(self, strict):
+        # The failed record carries the seconds its configuration took,
+        # so its recovery is contained in them.
+        result, _ = run_prtr(
+            FaultConfig(chunk_abort_rate=0.95, seed=7),
+            recovery=RecoveryPolicy(
+                2, backoff=1e-3, cap=0.1, exhausted="degrade"
+            ),
+        )
+        failed = result.records[-1]
+        assert result.degraded and result.degraded_at > 0
+        assert failed.recovery_time > 0.0
+        assert failed.config_time >= failed.recovery_time
+        assert result.notes["invariant_violations"] == 0.0
+
+    def test_startup_degrade_counts_recovery_once(self):
+        # At seed 0 both startup attempts abort, so the run degrades
+        # at call 0; only the startup notes carry its retries and
+        # recovery.
+        result, _ = run_prtr(
+            FaultConfig(port_abort_rate=0.9, seed=0),
+            recovery=RecoveryPolicy(
+                2, backoff=1e-3, cap=0.1, exhausted="degrade"
+            ),
+        )
+        assert result.degraded_at == 0 and result.n_failed == 1
+        startup = result.notes["startup_recovery_time"]
+        assert startup > 0.0
+        assert result.recovery_time == startup
+        assert result.n_retries == 0
+        assert result.notes["startup_retries"] == 2.0
+        assert 0.0 <= availability(result) <= 1.0
+        assert result.notes["invariant_violations"] == 0.0
 
     def test_frtr_degrade(self):
         trace = make_trace()

@@ -1,26 +1,18 @@
-"""Unit tests for the byte-level bitstream images (Section 4.1's checks)."""
+"""Unit tests for the byte-level partial bitstream images."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.hardware import PUBLISHED_TABLE2, XC2VP50
+from repro.hardware import XC2VP50
 from repro.hardware.bitfile import (
     SYNC_WORD,
     BitfileError,
-    VendorConfigApi,
-    build_full_bitfile,
     build_partial_bitfile,
-    parse_bitfile,
 )
 
 
 class TestBuild:
-    def test_full_image_exact_published_size(self):
-        image = build_full_bitfile()
-        assert len(image) == XC2VP50.full_bitstream_bytes
-        assert len(image) == PUBLISHED_TABLE2["full"].bitstream_bytes
-
     def test_partial_image_near_catalog_model(self):
         image = build_partial_bitfile(XC2VP50, "median", 46, 12)
         model = XC2VP50.partial_bitstream_bytes(12)
@@ -45,10 +37,8 @@ class TestBuild:
         b = build_partial_bitfile(XC2VP50, "sobel", 46, 12)
         assert a != b
         # Module-based flow: identical frame payload size regardless of
-        # the module inside (header length varies with the design name).
-        assert (
-            parse_bitfile(a).payload_bytes == parse_bitfile(b).payload_bytes
-        )
+        # the module inside; only the header's design name differs.
+        assert len(a) - len(b) == len("median") - len("sobel")
 
     def test_bad_geometry(self):
         with pytest.raises(BitfileError):
@@ -57,70 +47,3 @@ class TestBuild:
             build_partial_bitfile(XC2VP50, "m", 0, 0)
         with pytest.raises(BitfileError):
             build_partial_bitfile(XC2VP50, "m", 65, 10)
-
-
-class TestParse:
-    def test_roundtrip_full(self):
-        parsed = parse_bitfile(build_full_bitfile(design="static_full"))
-        assert parsed.design == "static_full"
-        assert parsed.part == "XC2VP50"
-        assert not parsed.is_partial
-        assert parsed.crc_ok
-
-    def test_roundtrip_partial(self):
-        image = build_partial_bitfile(XC2VP50, "median", 46, 12)
-        parsed = parse_bitfile(image)
-        assert parsed.is_partial
-        assert parsed.column_span == (46, 12)
-        assert parsed.crc_ok
-
-    def test_corruption_detected_by_crc(self):
-        image = bytearray(build_partial_bitfile(XC2VP50, "m", 0, 4))
-        image[len(image) // 2] ^= 0xFF  # flip a payload byte
-        parsed = parse_bitfile(bytes(image))
-        assert not parsed.crc_ok
-
-    def test_garbage_rejected(self):
-        with pytest.raises(BitfileError, match="magic"):
-            parse_bitfile(b"not a bitstream")
-
-    def test_truncation_rejected(self):
-        image = build_partial_bitfile(XC2VP50, "m", 0, 4)
-        with pytest.raises(BitfileError, match="truncated"):
-            parse_bitfile(image[: len(image) // 2])
-
-
-class TestVendorApi:
-    def test_accepts_full_on_unconfigured_device(self):
-        api = VendorConfigApi()
-        parsed = api.accept(build_full_bitfile(), done_pin_high=False)
-        assert not parsed.is_partial
-
-    def test_rejects_partial_by_size(self):
-        """The paper's first blocker: 'a simple check on the size'."""
-        api = VendorConfigApi()
-        partial = build_partial_bitfile(XC2VP50, "median", 46, 12)
-        with pytest.raises(BitfileError, match="size check"):
-            api.accept(partial, done_pin_high=False)
-
-    def test_rejects_reconfiguration_by_done_pin(self):
-        """The paper's second blocker: DONE 'will be always enabled
-        during the reconfiguration process'."""
-        api = VendorConfigApi()
-        with pytest.raises(BitfileError, match="DONE"):
-            api.accept(build_full_bitfile(), done_pin_high=True)
-
-    def test_modified_api_accepts_partials(self):
-        """The paper's fix: 'do not check the bitstream size; do not
-        check the DONE signal'."""
-        api = VendorConfigApi(check_size=False, check_done=False)
-        partial = build_partial_bitfile(XC2VP50, "median", 46, 12)
-        parsed = api.accept(partial, done_pin_high=True)
-        assert parsed.is_partial
-
-    def test_modified_api_still_rejects_corruption(self):
-        api = VendorConfigApi(check_size=False, check_done=False)
-        image = bytearray(build_partial_bitfile(XC2VP50, "m", 0, 4))
-        image[len(image) - 20] ^= 0x01
-        with pytest.raises(BitfileError, match="CRC"):
-            api.accept(bytes(image), done_pin_high=True)

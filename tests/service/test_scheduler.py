@@ -19,6 +19,7 @@ from repro.service import (
     default_tenants,
     run_service,
 )
+from repro.service.fabric import PrrFabric
 from repro.service.slo import report_json, slo_report
 from repro.service.tenants import tenant_from_dict
 from repro.sim.trace import Phase
@@ -37,6 +38,16 @@ MIX = (
     TaskMix("median", 0.05, 2.0),
     TaskMix("sobel", 0.05, 1.0),
     TaskMix("smoothing", 0.05, 1.0),
+)
+
+
+#: chunk aborts under ``icap-flap``: configurations retry, and the
+#: ``icap0`` breaker refuses some attempts
+BREAKER_RUN = ServiceConfig(
+    horizon=5.0,
+    prrs=4,
+    fault=FaultConfig(chunk_abort_rate=0.1, seed=3),
+    chaos=build_scenario("icap-flap", seed=1, horizon=5.0, prrs=4, blades=2),
 )
 
 
@@ -272,21 +283,42 @@ class TestFaultShedding:
         refusals and the real faults both retry under the service's
         recovery policy, so both are counted as its actions.
         """
-        config = ServiceConfig(
-            horizon=5.0,
-            prrs=4,
-            fault=FaultConfig(chunk_abort_rate=0.1, seed=3),
-            chaos=build_scenario(
-                "icap-flap", seed=1, horizon=5.0, prrs=4, blades=2
-            ),
-        )
         with obsm.observed():
-            result = run_service(default_tenants(), config, seed=1)
+            result = run_service(default_tenants(), BREAKER_RUN, seed=1)
             actions = obsm.snapshot()["repro_recovery_actions_total"]
         shed = sum(t.shed.get("fault", 0) for t in result.tenants)
         assert shed > 0
         assert actions["series"]["action=giveup"] == shed
         assert actions["series"]["action=retry"] > 0
+
+    def test_each_slice_counts_one_cache_lookup(self, monkeypatch):
+        """A retried configuration does not count its lookup again.
+
+        Each granted slice that reaches the fabric counts one hit or
+        miss, however often its configuration is retried.
+        """
+        slices: dict[str, int] = {}
+        reached: set[tuple[str, int]] = set()
+        calls = []
+        run_granted = ServiceExecutor._run_granted
+        ensure_resident = PrrFabric.ensure_resident
+
+        def granted(self, req):
+            owner = f"{req.tenant}#{req.seq}"
+            slices[owner] = slices.get(owner, 0) + 1
+            return run_granted(self, req)
+
+        def resident(self, module, owner):
+            calls.append(owner)
+            reached.add((owner, slices[owner]))
+            return ensure_resident(self, module, owner)
+
+        monkeypatch.setattr(ServiceExecutor, "_run_granted", granted)
+        monkeypatch.setattr(PrrFabric, "ensure_resident", resident)
+        result = run_service(default_tenants(), BREAKER_RUN, seed=1)
+        # The run retries: some slices reach the fabric more than once.
+        assert len(calls) > len(reached)
+        assert result.cache_hits + result.cache_misses == len(reached)
 
 
 class TestFullRetirement:
