@@ -1,16 +1,18 @@
 """Deterministic, seeded fault processes.
 
 The injector is the single source of randomness for the whole fault
-subsystem.  It owns one :class:`numpy.random.Generator` (resolved through
-:func:`repro.model.stochastic.resolve_rng`, so ``seed=None`` means seed 0,
-never OS entropy) and is consulted by the hardware models at well-defined
-points:
+subsystem.  It owns one :class:`numpy.random.Generator` on PCG64, built
+from a seed by :func:`repro.model.stochastic.resolve_rng` (so
+``seed=None`` means seed 0, never OS entropy), and is consulted by the
+hardware models at well-defined points:
 
 * :meth:`FaultInjector.transfer_corrupted` — once per
   :class:`~repro.sim.resources.BandwidthChannel` transfer carrying a
   bitstream (per-byte Bernoulli error rate, aggregated in closed form);
 * :meth:`FaultInjector.chunk_aborted` — once per BRAM chunk the ICAP
-  controller drains (state-machine write abort);
+  controller drains (state-machine write abort), or
+  :meth:`FaultInjector.chunk_abort_index` once for a folded stream's
+  chunks;
 * :meth:`FaultInjector.port_aborted` — once per full-device write
   (:meth:`~repro.hardware.node.XD1Node.configure_full`);
 * :meth:`FaultInjector.span_aborted` — once per wire-only partial write
@@ -24,8 +26,11 @@ realizations.  Rates that are exactly zero never consume a draw, so a
 zero-rate injector leaves the stream untouched and any run with it is
 bit-identical to a run with no injector at all.
 
-A folded ICAP stream makes its whole window's ``chunk_aborted`` /
-``abort_fraction`` draws at once, in the per-chunk path's order, and then
+A folded ICAP stream makes its whole window's draws at once: one vector
+of chunk-abort uniforms (:meth:`FaultInjector.chunk_abort_index`), whose
+uniforms past the first abort go back to the stream, then that abort's
+``abort_fraction``.  That leaves the stream where the per-chunk path's
+``chunk_aborted`` / ``abort_fraction`` draws leave it.  The fold then
 holds the injector until the window ends (:meth:`FaultInjector.reserve`):
 a draw by anyone else inside the window would have interleaved with the
 per-chunk draws, so it raises :class:`~repro.sim.engine.SimulationError`
@@ -149,12 +154,11 @@ class FaultStats:
 class FaultInjector:
     """Seeded fault oracle shared by one node's hardware models."""
 
-    def __init__(
-        self,
-        config: FaultConfig,
-        rng: np.random.Generator | int | None = None,
-    ) -> None:
+    def __init__(self, config: FaultConfig, rng: int | None = None) -> None:
         self.config = config
+        #: PCG64, whose ``advance`` gives back undrawn uniforms
+        #: (:meth:`chunk_abort_index`); ``rng`` seeds it instead of
+        #: ``config.seed``
         self.rng = resolve_rng(config.seed if rng is None else rng)
         self.stats = FaultStats()
         #: a folded stream's owner, end time and clock (:meth:`reserve`)
@@ -205,6 +209,26 @@ class FaultInjector:
         if hit:
             self.stats.chunk_aborts += 1
         return hit
+
+    def chunk_abort_index(self, n_chunks: int) -> int | None:
+        """The first of ``n_chunks`` chunk drains that aborts, or ``None``.
+
+        :meth:`chunk_aborted` over the chunks in order until the first
+        abort, as one vector draw: the uniforms after that abort's go
+        back to the stream (``bit_generator.advance``), so the next draw
+        is the one the per-chunk path would make next.  A zero rate
+        draws nothing.
+        """
+        p = self.config.chunk_abort_rate
+        if p <= 0.0:
+            return None
+        hits = self._stream("chunk_aborted").random(n_chunks) < p
+        k = int(hits.argmax())
+        if not hits[k]:
+            return None
+        self.stats.chunk_aborts += 1
+        self.rng.bit_generator.advance(k + 1 - n_chunks)
+        return k
 
     def span_aborted(self, n_chunks: int) -> bool:
         """Abort draw for an ``n_chunks``-chunk write collapsed into one

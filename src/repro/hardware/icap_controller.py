@@ -38,13 +38,6 @@ from .catalog import PUBLISHED_TABLE2, XD1_NODE, Table2Row
 __all__ = ["IcapController", "IcapTimings", "DEFAULT_ICAP_TIMINGS"]
 
 
-def _draws_nothing(injector: Any, rate: str) -> bool:
-    """True when ``injector`` is absent or its ``config.<rate>`` is zero."""
-    return injector is None or getattr(
-        getattr(injector, "config", None), rate, None
-    ) == 0.0
-
-
 @dataclass(frozen=True)
 class IcapTimings:
     """Timing parameters of the ICAP controller datapath."""
@@ -150,7 +143,7 @@ class IcapTimings:
         t: float,
         transfer_time: Callable[[int], float],
         prefetches: list[tuple[float, float, int]] | None = None,
-        abort: Callable[[int], float | None] | None = None,
+        abort: tuple[int, float] | None = None,
     ) -> float:
         """End time of the double-buffered drain once bank 0 is full at ``t``.
 
@@ -172,25 +165,22 @@ class IcapTimings:
         :func:`~repro.sim.engine.left_sum`, never the builtin ``sum``,
         whose compensated float sums (Python 3.12+) round differently.
 
-        ``abort(i)`` is the per-chunk path's write-abort draw, made at
-        chunk ``i``'s barrier before its drain: ``None`` drains on, a
-        fraction ends the stream at ``t + fraction * drain`` (the float
-        that path's ``Delay`` schedules) before chunk ``i+1``'s prefetch
-        starts.
+        ``abort = (chunk, fraction)`` is a write abort on ``chunk``: the
+        stream ends at its barrier ``t`` plus ``fraction * drain`` (the
+        float the per-chunk path's ``Delay`` schedules), before the next
+        chunk's prefetch starts.  On a drain-bound link that end is
+        ``left_sum(drains[:chunk], t) + fraction * drains[chunk]``.
         """
         drains = self._chunk_drains(sizes)
-        if (
-            prefetches is None
-            and abort is None
-            and drains[0] >= transfer_time(self.chunk_bytes)
-        ):
-            return left_sum(drains, t)
+        if prefetches is None and drains[0] >= transfer_time(self.chunk_bytes):
+            if abort is None:
+                return left_sum(drains, t)
+            chunk, fraction = abort
+            return left_sum(drains[:chunk], t) + fraction * drains[chunk]
         last = len(sizes) - 1
         for i, drain in enumerate(drains):
-            if abort is not None:
-                fraction = abort(i)
-                if fraction is not None:
-                    return t + fraction * drain
+            if abort is not None and i == abort[0]:
+                return t + abort[1] * drain
             if i < last:
                 t_prefetch = t + transfer_time(sizes[i + 1])
                 if prefetches is not None:
@@ -246,6 +236,9 @@ class IcapController:
         self.chunk_retransmits = 0
         self.write_aborts = 0
         self.silent_corruptions = 0
+        #: :meth:`IcapTimings.chunk_sizes` per bitstream size (never
+        #: mutated: folded link records keep a reference)
+        self._sizes: dict[int, list[int]] = {}
 
     # -- pure time model (no queueing) ------------------------------------
 
@@ -274,98 +267,109 @@ class IcapController:
         (:class:`WriteAbort`).  Either fault aborts the whole attempt with
         the ICAP mutex cleanly released, leaving recovery to the caller.
 
-        After the first-chunk fill the rest of the stream is *folded*
-        into one wake-up when the link is free and cannot corrupt a
-        prefetch (:meth:`_can_fold`); otherwise it runs the per-chunk
-        processes (:meth:`_chunk_stream`).  Both give bit-identical
-        times, link intervals, counters, raised faults and injector
-        draws.
+        One generator per attempt: a free ICAP is taken without an
+        event, and a free link that cannot corrupt fills the first bank
+        here.  After that fill the rest of the stream is *folded* into
+        one wake-up when the link is free and cannot corrupt a prefetch
+        (:meth:`_can_fold`); otherwise it runs the per-chunk processes
+        (:meth:`_chunk_stream`).  Both give bit-identical times, link
+        intervals, counters, raised faults and injector draws.
         """
         if not bitstream.is_partial:
             raise ValueError(
                 "the ICAP controller path is for partial bitstreams; "
                 "full configuration goes through the vendor SelectMap API"
             )
-        sizes = self.timings.chunk_sizes(bitstream.nbytes)
-
-        yield from self.icap_mutex.acquire(owner)
-        held_at = self.sim.now
+        nbytes = bitstream.nbytes
+        sizes = self._sizes.get(nbytes)
+        if sizes is None:
+            sizes = self._sizes[nbytes] = self.timings.chunk_sizes(nbytes)
+        sim = self.sim
+        link = self.in_link
+        if not self.icap_mutex.try_acquire(owner):
+            yield from self.icap_mutex.acquire(owner)
+        held_at = sim.now
         try:
             # Fill the first BRAM bank.
-            yield from self._fill_chunk(bitstream, 0, sizes[0], owner)
+            fill = f"{owner}:bs0"
+            if self._link_clean() and link.try_start(fill):
+                yield Delay(link.transfer_time(sizes[0]))
+                link.finish(sizes[0], fill)
+            else:
+                yield from self._fill_chunk(bitstream, 0, sizes[0], owner)
             if self._can_fold():
-                yield from self._folded_stream(bitstream, sizes, owner)
+                # The rest of the stream in one wake-up at its exact end
+                # (IcapTimings.fold_stream), with the per-chunk path's
+                # abort draws.  The link is reserved for the window (a
+                # competing transfer raises), and so is the injector once
+                # the fold has drawn (a competing draw raises).
+                t = sim.now
+                timings = self.timings
+                injector = self.injector
+                drew = (
+                    injector is not None
+                    and injector.config.chunk_abort_rate > 0.0
+                )
+                abort = None
+                if drew:
+                    chunk = injector.chunk_abort_index(len(sizes))
+                    if chunk is not None:
+                        abort = (chunk, injector.abort_fraction())
+                end = timings.fold_stream(
+                    sizes, t, link.transfer_time, None, abort
+                )
+                link.reserve(owner, end)
+                if drew:
+                    injector.reserve(owner, end, sim)
+                yield WaitUntil(end)
+                # Chunk i+1's prefetch starts once chunk i has drawn no
+                # abort; the link rebuilds their intervals when read.
+                ran = len(sizes) - 1 if abort is None else abort[0]
+                link.record_fold(
+                    functools.partial(timings.fold_stream, sizes, t),
+                    sizes[1 : ran + 1],
+                    f"{owner}:bs",
+                )
+                if abort is not None:
+                    self.count_write_abort()
+                    raise WriteAbort(
+                        f"ICAP write abort on chunk {abort[0]} of "
+                        f"{bitstream.name!r}"
+                    )
             else:
                 yield from self._chunk_stream(bitstream, sizes, owner)
             self.configurations += 1
-            self.bytes_configured += bitstream.nbytes
+            self.bytes_configured += nbytes
             obsm.counter("repro_icap_configurations_total").inc()
-            obsm.counter("repro_icap_bytes_total").inc(bitstream.nbytes)
+            obsm.counter("repro_icap_bytes_total").inc(nbytes)
         finally:
             # Busy time covers failed attempts too: the mutex was held
             # either way, which is what occupancy reports care about.
             obsm.counter("repro_icap_busy_seconds_total").inc(
-                self.sim.now - held_at
+                sim.now - held_at
             )
             self.icap_mutex.release(owner)
-        return self.sim.now
+        return sim.now
 
     def count_write_abort(self) -> None:
         """Count one ICAP write abort: the attribute and the metric."""
         self.write_aborts += 1
         obsm.counter("repro_icap_write_aborts_total").inc()
 
+    def _link_clean(self) -> bool:
+        """Can no link transfer be corrupted?  A zero ``transfer_ber``
+        never draws."""
+        injector = self.in_link.injector
+        return injector is None or injector.config.transfer_ber == 0.0
+
     def _can_fold(self) -> bool:
         """May the rest of the stream skip its per-chunk events?
 
         Only when the link is free (no other owner won it during the
-        fill) and its injector cannot corrupt a prefetch: a zero
-        ``transfer_ber`` never draws, so the only draws left in the
-        window are the chunk aborts, whose order the fold reproduces.
+        fill) and cannot corrupt a prefetch, so the only draws left in
+        the window are the chunk aborts, whose order the fold reproduces.
         """
-        return not self.in_link.busy and _draws_nothing(
-            self.in_link.injector, "transfer_ber"
-        )
-
-    def _folded_stream(
-        self, bitstream: Bitstream, sizes: list[int], owner: str
-    ) -> Generator[Any, Any, None]:
-        """The rest of the stream in one wake-up at its exact end time.
-
-        The end time is :meth:`IcapTimings.fold_stream` over this
-        controller's link, making the per-chunk path's abort draws in its
-        order.  The link is reserved for the window (a competing transfer
-        raises), and so is the injector once the fold has drawn (a
-        competing draw raises).  The prefetches that ran are recorded
-        afterwards in one :meth:`BandwidthChannel.record_fold` record,
-        which rebuilds their intervals from the same fold when they are
-        read, and an abort is counted and raised at its instant.
-        """
-        link = self.in_link
-        injector = self.injector
-        fold = functools.partial(self.timings.fold_stream, sizes, self.sim.now)
-        aborted: list[int] = []
-
-        def abort(i: int) -> float | None:
-            if not injector.chunk_aborted():
-                return None
-            aborted.append(i)
-            return injector.abort_fraction()
-
-        draws = not _draws_nothing(injector, "chunk_abort_rate")
-        end = fold(link.transfer_time, None, abort if draws else None)
-        link.reserve(owner, end)
-        if draws:
-            injector.reserve(owner, end, self.sim)
-        yield WaitUntil(end)
-        # Chunk i+1's prefetch starts once chunk i has drawn no abort.
-        ran = aborted[0] if aborted else len(sizes) - 1
-        link.record_fold(fold, sizes[1 : ran + 1], f"{owner}:bs")
-        if aborted:
-            self.count_write_abort()
-            raise WriteAbort(
-                f"ICAP write abort on chunk {aborted[0]} of {bitstream.name!r}"
-            )
+        return not self.in_link.busy and self._link_clean()
 
     def _chunk_stream(
         self, bitstream: Bitstream, sizes: list[int], owner: str

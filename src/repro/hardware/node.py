@@ -108,6 +108,9 @@ class XD1Node:
         )
         self.full_image: Bitstream = full_bitstream(self.device)
         self._bitstreams: dict[tuple[int, str, int | None], Bitstream] = {}
+        #: ``T_FRTR``, measured and wire-only (:meth:`full_config_time`)
+        self._t_full = self.selectmap.configure_time(self.full_image)
+        self._t_full_wire = self.selectmap.wire_time(self.full_image.nbytes)
 
     # -- configuration time models ------------------------------------------
 
@@ -117,9 +120,7 @@ class XD1Node:
         ``estimated=True`` gives the wire-only lower bound (Table 2
         "estimated"); otherwise the vendor-API model (Table 2 "measured").
         """
-        if estimated:
-            return self.selectmap.wire_time(self.full_image.nbytes)
-        return self.selectmap.configure_time(self.full_image)
+        return self._t_full_wire if estimated else self._t_full
 
     def partial_config_time(
         self, bitstream: Bitstream, estimated: bool = False
@@ -180,7 +181,7 @@ class XD1Node:
         """
         if source is not None:
             yield from self._fetch(source, self.full_image, owner)
-        t_full = self.full_config_time(estimated)
+        t_full = self._t_full_wire if estimated else self._t_full
         inj = self.fault_injector
         if inj is not None and inj.port_aborted():
             self.selectmap.write_aborts += 1

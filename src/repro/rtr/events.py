@@ -19,7 +19,7 @@ from ..sim.trace import Timeline
 __all__ = ["CallRecord", "RunResult"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CallRecord:
     """What happened to one function call."""
 

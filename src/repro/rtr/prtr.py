@@ -139,32 +139,26 @@ class PrtrExecutor:
     def _task_body(
         self, call: FunctionCall, timeline: Timeline, lane: str
     ) -> Generator[Any, Any, None]:
+        """A ``detailed_io`` task's data-in, compute and data-out."""
         sim = self.node.sim
         task = call.task
-        if self.detailed_io and (task.data_in_bytes or task.data_out_bytes):
-            t0 = sim.now
-            if task.data_in_bytes:
-                yield from self.node.link.inbound.transfer(
-                    task.data_in_bytes, owner=f"{call.name}#{call.index}:in"
-                )
-                timeline.add(
-                    Phase.DATA_IN, t0, sim.now, task=call.name, lane=lane
-                )
-            t0 = sim.now
-            yield Delay(task.compute_time)
-            timeline.add(Phase.COMPUTE, t0, sim.now, task=call.name, lane=lane)
-            t0 = sim.now
-            if task.data_out_bytes:
-                yield from self.node.link.outbound.transfer(
-                    task.data_out_bytes, owner=f"{call.name}#{call.index}:out"
-                )
-                timeline.add(
-                    Phase.DATA_OUT, t0, sim.now, task=call.name, lane=lane
-                )
-        else:
-            t0 = sim.now
-            yield Delay(task.time)
-            timeline.add(Phase.TASK, t0, sim.now, task=call.name, lane=lane)
+        t0 = sim.now
+        if task.data_in_bytes:
+            yield from self.node.link.inbound.transfer(
+                task.data_in_bytes, owner=f"{call.name}#{call.index}:in"
+            )
+            timeline.add(Phase.DATA_IN, t0, sim.now, task=call.name, lane=lane)
+        t0 = sim.now
+        yield Delay(task.compute_time)
+        timeline.add(Phase.COMPUTE, t0, sim.now, task=call.name, lane=lane)
+        t0 = sim.now
+        if task.data_out_bytes:
+            yield from self.node.link.outbound.transfer(
+                task.data_out_bytes, owner=f"{call.name}#{call.index}:out"
+            )
+            timeline.add(
+                Phase.DATA_OUT, t0, sim.now, task=call.name, lane=lane
+            )
 
     # -- main run -------------------------------------------------------------
 
@@ -294,31 +288,37 @@ class PrtrExecutor:
                 degrade_run(0, ConfigOutcome())
                 return
 
+            cache = self.cache
+            control = self.control_time
+            decision = self.decision_time
+            force_miss = self.force_miss
+            detailed_io = self.detailed_io
+            overlap_possible = cache.slots > 1
+            add = timeline.add
             for i, call in enumerate(calls):
                 stage_start = sim.now
-                if self.control_time:
+                if control:
                     t0 = sim.now
-                    yield Delay(self.control_time)
-                    timeline.add(Phase.CONTROL, t0, sim.now, task=call.name)
+                    yield Delay(control)
+                    add(Phase.CONTROL, t0, sim.now, task=call.name)
 
                 branch_cfg = None
                 serial_cfg = False
                 if i + 1 < n:
                     nxt = calls[i + 1]
-                    resident = self.cache.contains(nxt.name)
-                    is_hit = resident and not self.force_miss
+                    resident = cache.contains(nxt.name)
+                    is_hit = resident and not force_miss
                     hit[i + 1] = is_hit
                     m_cache.inc(result="hit" if is_hit else "miss")
                     m_prefetch.inc(result="hit" if is_hit else "miss")
                     if is_hit:
-                        self.cache.stats.hits += 1
-                        self.cache.policy.on_access(nxt.name)
+                        cache.stats.hits += 1
+                        cache.policy.on_access(nxt.name)
                     else:
-                        self.cache.stats.misses += 1
-                        overlap_possible = self.cache.slots > 1
+                        cache.stats.misses += 1
                         if overlap_possible:
                             if not resident:
-                                self.cache.fill(nxt.name, pinned={call.name})
+                                cache.fill(nxt.name, pinned={call.name})
                             branch_cfg = sim.spawn(
                                 partial_config(i + 1, "partial"),
                                 name=f"cfg{i+1}",
@@ -334,19 +334,25 @@ class PrtrExecutor:
                 # or its data-in request on the shared inbound link) and
                 # its wake-up wins an exact time tie.  The stage ends at
                 # the later of the two branch ends.
-                yield from self._task_body(call, timeline, lane=lane)
-                if self.decision_time:
+                task = call.task
+                if detailed_io and (task.data_in_bytes or task.data_out_bytes):
+                    yield from self._task_body(call, timeline, lane)
+                else:
                     t0 = sim.now
-                    yield Delay(self.decision_time)
-                    timeline.add(Phase.SETUP, t0, sim.now, task=call.name)
+                    yield Delay(task.time)
+                    add(Phase.TASK, t0, sim.now, task=call.name, lane=lane)
+                if decision:
+                    t0 = sim.now
+                    yield Delay(decision)
+                    add(Phase.SETUP, t0, sim.now, task=call.name)
                 if branch_cfg is not None and not branch_cfg.finished:
                     yield branch_cfg.done
 
                 if serial_cfg:
                     yield from partial_config(i + 1, "partial-serial")
                     module = calls[i + 1].name
-                    if outcomes[i + 1].ok and not self.cache.contains(module):
-                        self.cache.fill(module)
+                    if outcomes[i + 1].ok and not cache.contains(module):
+                        cache.fill(module)
 
                 out_i = outcomes.get(i)
                 records.append(
@@ -358,8 +364,8 @@ class PrtrExecutor:
                         end=sim.now,
                         config_time=config_attr[i],
                         slot=(
-                            self.cache.slot_of(call.name)
-                            if self.cache.contains(call.name)
+                            cache.slot_of(call.name)
+                            if cache.contains(call.name)
                             else -1
                         ),
                         retries=out_i.retries if out_i else 0,
@@ -382,8 +388,8 @@ class PrtrExecutor:
                     nxt = calls[i + 1]
                     # Undo the speculative residency fill — the partial
                     # write never completed.
-                    if self.cache.contains(nxt.name):
-                        self.cache.evict(nxt.name)
+                    if cache.contains(nxt.name):
+                        cache.evict(nxt.name)
                     if out_next.fallback:
                         fallback_attr[i + 1] = True
                         t0 = sim.now
@@ -407,9 +413,9 @@ class PrtrExecutor:
                             m_config_s.observe(sim.now - t0, kind="full")
                             # The full image wipes every PRR and leaves
                             # the next module instantiated in PRR 0.
-                            for resident in self.cache.residents:
-                                self.cache.evict(resident)
-                            self.cache.fill(nxt.name)
+                            for resident in cache.residents:
+                                cache.evict(resident)
+                            cache.fill(nxt.name)
                     if out_next.degrade:
                         degrade_run(i + 1, out_next)
                         return

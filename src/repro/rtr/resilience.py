@@ -65,6 +65,9 @@ def resilient(
     path, which has nothing coarser to fall back to) downgrades a
     ``fallback_full`` action to a refetching retry.
     """
+    if recovery is None:
+        yield from attempt(True)
+        return ConfigOutcome()
     t_start = sim.now
     failures = 0
     refetches = 0
@@ -75,8 +78,6 @@ def resilient(
             yield from attempt(fetch)
         except ReconfigurationFault as fault:
             failures += 1
-            if recovery is None:
-                raise
             action = recovery.on_failure(failures, fault)
             if action.delay:
                 yield Delay(action.delay)

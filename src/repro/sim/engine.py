@@ -207,7 +207,10 @@ class Process:
                 self.done.succeed(stop.value)
                 return
             if type(target) is not Delay:
-                self._dispatch(target)
+                if type(target) is WaitUntil:
+                    sim._schedule(target.time, self, None)
+                else:
+                    self._dispatch(target)
                 return
             wake = sim.now + target.duration
             queue = sim._queue
@@ -232,11 +235,9 @@ class Process:
             return
 
     def _dispatch(self, target: Any) -> None:
-        """Wait on anything but a :class:`Delay` (:meth:`_step` does those)."""
-        sim = self.sim
-        if isinstance(target, WaitUntil):
-            sim._schedule(target.time, self, None)
-        elif isinstance(target, WaitEvent):
+        """Wait on anything but a :class:`Delay` or :class:`WaitUntil`
+        (:meth:`_step` schedules those)."""
+        if isinstance(target, WaitEvent):
             target.signal._add_waiter(self)
         elif isinstance(target, Process):
             target.done._add_waiter(self)

@@ -4,8 +4,9 @@ Two resource archetypes cover every piece of hardware we model:
 
 * :class:`MutexResource` — an exclusive-ownership device (a configuration
   port, a memory bank, a PRR).  Requests queue FIFO; holders release
-  explicitly.  Acquisition/holding intervals are recorded for trace
-  validation (no two holders may ever overlap).
+  explicitly.  Each hold is recorded for trace validation (no two
+  holders may ever overlap); its :class:`Interval` is built on the first
+  read of :attr:`MutexResource.intervals`.
 
 * :class:`BandwidthChannel` — a store-and-forward channel moving *bytes* at
   a fixed rate with an optional fixed per-transfer overhead (an I/O link, a
@@ -46,7 +47,10 @@ class MutexResource:
         self._holder: Optional[str] = None
         self._acquired_at: float = 0.0
         self._waiters: list[tuple[EventSignal, str]] = []
-        self.intervals: list[Interval] = []
+        #: holds not yet read, in order: ``(start, end, owner)`` per
+        #: release, or a channel's ``(fold, count, label)`` fold record
+        self._holds: list[tuple[Any, Any, str]] = []
+        self._intervals: list[Interval] = []
 
     @property
     def busy(self) -> bool:
@@ -67,15 +71,21 @@ class MutexResource:
         self._waiters.append((sig, owner))
         yield sig
 
+    def try_acquire(self, owner: str) -> bool:
+        """Take the resource for ``owner`` now if free; ``False`` leaves
+        a held one to :meth:`acquire`, which queues."""
+        if self._holder is not None:
+            return False
+        self._grant(owner)
+        return True
+
     def release(self, owner: str) -> None:
         """Release as ``owner`` and grant the next FIFO waiter, if any."""
         if self._holder != owner:
             raise SimulationError(
                 f"{owner!r} released {self.name!r} held by {self._holder!r}"
             )
-        self.intervals.append(
-            Interval(self._acquired_at, self.sim.now, owner)
-        )
+        self._holds.append((self._acquired_at, self.sim.now, owner))
         self._holder = None
         if self._waiters:
             sig, next_owner = self._waiters.pop(0)
@@ -85,6 +95,40 @@ class MutexResource:
     def _grant(self, owner: str) -> None:
         self._holder = owner
         self._acquired_at = self.sim.now
+
+    def _build(
+        self, transfer_time: Callable[[float], float] | None = None
+    ) -> list[Interval]:
+        """The holding intervals, each hold recorded since the last read
+        built in order.
+
+        A fold record ``(fold, count, label)`` (only a
+        :class:`BandwidthChannel` leaves one, and passes its
+        ``transfer_time``) re-times its stream: ``fold(transfer_time,
+        spans)`` appends each transfer's ``(start, end, index)``, and
+        the first ``count`` become intervals owned by
+        ``f"{label}{index}"``.
+        """
+        holds = self._holds
+        if holds:
+            intervals = self._intervals
+            for first, second, owner in holds:
+                if not callable(first):
+                    intervals.append(Interval(first, second, owner))
+                    continue
+                spans: list[tuple[float, float, int]] = []
+                first(transfer_time, spans)
+                intervals.extend(
+                    Interval(start, end, f"{owner}{idx}")
+                    for start, end, idx in spans[:second]
+                )
+            holds.clear()
+        return self._intervals
+
+    @property
+    def intervals(self) -> list[Interval]:
+        """Every finished hold, in release order."""
+        return self._build()
 
     def utilization(self, horizon: Optional[float] = None) -> float:
         """Fraction of ``[0, horizon]`` the resource was held."""
@@ -164,8 +208,6 @@ class BandwidthChannel(ChannelTiming):
         #: owner and end time of the current folded stream (:meth:`reserve`)
         self._fold_owner = ""
         self._fold_until = 0.0
-        #: whether :meth:`record_fold` left records to expand
-        self._deferred = False
 
     @property
     def busy(self) -> bool:
@@ -196,19 +238,39 @@ class BandwidthChannel(ChannelTiming):
         ``bytes_moved`` and ``transfer_count`` move now, by the float
         additions :meth:`transfer` makes.  Their intervals are built on
         first read of :attr:`intervals`, :meth:`utilization` or
-        :meth:`assert_no_overlap`, in the record's place in the list:
-        ``fold(self.transfer_time, spans)`` re-times the stream,
-        appending each transfer's ``(start, end, index)`` to ``spans``,
-        and the first ``len(payloads)`` become intervals owned by
-        ``f"{label}{index}"``.  ``fold`` must not reference the channel:
-        the record lives in the channel's own interval list, so that
-        would be a cycle only the garbage collector frees.
+        :meth:`assert_no_overlap`, in the record's place among the
+        channel's holds: ``fold(self.transfer_time, spans)`` re-times the
+        stream, and the first ``len(payloads)`` transfers become
+        intervals owned by ``f"{label}{index}"``.  ``fold`` must not
+        reference the channel: the record lives in the channel's own
+        hold list, so that would be a cycle only the garbage collector
+        frees.
         """
         self.bytes_moved = left_sum(payloads, self.bytes_moved)
         self.transfer_count += len(payloads)
-        record = (fold, len(payloads), label)
-        self._mutex.intervals.append(record)  # type: ignore[arg-type]
-        self._deferred = True
+        self._mutex._holds.append((fold, len(payloads), label))
+
+    def try_start(self, owner: str) -> bool:
+        """Take the channel for ``owner``'s transfer now if it is free.
+
+        The event-free start of every transfer: the caller yields the
+        :meth:`transfer_time` delay and then calls :meth:`finish`.
+        ``False`` when another owner holds the channel, which
+        :meth:`transfer` then queues for.
+        """
+        if self.sim.now < self._fold_until:
+            raise SimulationError(
+                f"{owner!r} requested {self.name!r} inside the folded "
+                f"stream of {self._fold_owner!r} (reserved until "
+                f"t={self._fold_until!r})"
+            )
+        return self._mutex.try_acquire(owner)
+
+    def finish(self, nbytes: float, owner: str) -> None:
+        """Account ``owner``'s finished ``nbytes`` transfer and release."""
+        self.bytes_moved += nbytes
+        self.transfer_count += 1
+        self._mutex.release(owner)
 
     def transfer(
         self, nbytes: float, owner: str
@@ -218,19 +280,14 @@ class BandwidthChannel(ChannelTiming):
         Ignores fault injection — use :meth:`transfer_ok` for payloads
         whose integrity matters (bitstreams).
         """
-        if self.sim.now < self._fold_until:
-            raise SimulationError(
-                f"{owner!r} requested {self.name!r} inside the folded "
-                f"stream of {self._fold_owner!r} (reserved until "
-                f"t={self._fold_until!r})"
-            )
-        yield from self._mutex.acquire(owner)
+        if not self.try_start(owner):
+            yield from self._mutex.acquire(owner)
         try:
             yield Delay(self.transfer_time(nbytes))
-            self.bytes_moved += nbytes
-            self.transfer_count += 1
-        finally:
+        except BaseException:
             self._mutex.release(owner)
+            raise
+        self.finish(nbytes, owner)
         return self.sim.now
 
     def transfer_ok(
@@ -251,34 +308,14 @@ class BandwidthChannel(ChannelTiming):
             self.corrupted_count += 1
         return t, ok
 
-    def _expand(self) -> list[Interval]:
-        """The interval list, each :meth:`record_fold` record expanded."""
-        intervals = self._mutex.intervals
-        if self._deferred:
-            expanded: list[Interval] = []
-            for iv in intervals:
-                if not isinstance(iv, tuple):
-                    expanded.append(iv)
-                    continue
-                fold, count, label = iv
-                spans: list[tuple[float, float, int]] = []
-                fold(self.transfer_time, spans)
-                expanded.extend(
-                    Interval(start, end, f"{label}{idx}")
-                    for start, end, idx in spans[:count]
-                )
-            intervals[:] = expanded
-            self._deferred = False
-        return intervals
-
     @property
     def intervals(self) -> list[Interval]:
-        return self._expand()
+        return self._mutex._build(self.transfer_time)
 
     def utilization(self, horizon: Optional[float] = None) -> float:
-        self._expand()
+        self._mutex._build(self.transfer_time)
         return self._mutex.utilization(horizon)
 
     def assert_no_overlap(self) -> None:
-        self._expand()
+        self._mutex._build(self.transfer_time)
         self._mutex.assert_no_overlap()

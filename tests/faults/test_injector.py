@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
 from repro.faults import FaultConfig, FaultInjector
 from repro.model.stochastic import resolve_rng
+from repro.sim import SimulationError, Simulator
 
 
 class TestFaultConfig:
@@ -131,3 +134,63 @@ class TestInjectorDeterminism:
         assert [a.chunk_aborted() for _ in range(50)] == [
             b.chunk_aborted() for _ in range(50)
         ]
+
+
+def per_chunk_abort(injector: FaultInjector, n_chunks: int) -> int | None:
+    """The per-chunk path's draws: ``chunk_aborted`` until an abort."""
+    for k in range(n_chunks):
+        if injector.chunk_aborted():
+            return k
+    return None
+
+
+def abort_index_cases() -> list[tuple[float, int, int]]:
+    """Seeded ``(rate, n_chunks, seed)`` triples, plus rate 0 (no draw),
+    rate 1 (abort at chunk 0) and rate 1 on one chunk."""
+    rng = random.Random(39)
+    drawn = [
+        (10 ** rng.uniform(-3, 0), rng.randint(1, 60), rng.randrange(2**31))
+        for _ in range(200)
+    ]
+    return [(0.0, 25, 7), (1.0, 25, 7), (1.0, 1, 7), *drawn]
+
+
+class TestChunkAbortIndex:
+    """One vector draw per fold against the per-chunk draws."""
+
+    def test_matches_per_chunk_draws(self):
+        kinds = set()
+        for rate, n, seed in abort_index_cases():
+            config = FaultConfig(chunk_abort_rate=rate, seed=seed)
+            vector, scalar = FaultInjector(config), FaultInjector(config)
+            k = vector.chunk_abort_index(n)
+            case = (rate, n, seed)
+            assert k == per_chunk_abort(scalar, n), case
+            if k is not None:
+                assert vector.abort_fraction() == scalar.abort_fraction()
+            assert vector.stats == scalar.stats, case
+            assert (
+                vector.rng.bit_generator.state
+                == scalar.rng.bit_generator.state
+            ), case
+            if rate == 0.0:
+                kinds.add("no draw")
+                fresh = FaultInjector(config).rng.bit_generator.state
+                assert vector.rng.bit_generator.state == fresh
+            elif k is None:
+                kinds.add("no abort, n=1" if n == 1 else "no abort")
+            else:
+                kinds.add("first" if k == 0 else "middle")
+                if k == n - 1:
+                    kinds.add("last, n=1" if n == 1 else "last")
+        assert kinds == {
+            "no draw", "no abort", "no abort, n=1", "first", "middle",
+            "last", "last, n=1",
+        }
+
+    def test_vector_draw_respects_the_hold(self):
+        sim = Simulator()
+        injector = FaultInjector(FaultConfig(chunk_abort_rate=0.5))
+        injector.reserve("cfg", 1.0, sim)
+        with pytest.raises(SimulationError, match=r"chunk_aborted\(\)"):
+            injector.chunk_abort_index(25)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import itertools
 import random
 import re
@@ -497,6 +498,49 @@ class TestLeftFold:
         assert left_folds == [0.25]
 
 
+def hexed_ends(state):
+    """Each attempt's end time as ``float.hex``."""
+    return [
+        (end[0] if isinstance(end, tuple) else end).hex()
+        for end in state["ends"]
+    ]
+
+
+class TestFaultyLeftFold:
+    """A faulty fold on a drain-bound link ends in one left fold too."""
+
+    def test_faulty_fold_runs_no_barrier_loop(self, left_folds):
+        t = DEFAULT_ICAP_TIMINGS
+        drain = t.chunk_handshake + CHUNK / t.icap_bandwidth
+        assert drain >= ChannelTiming(1600 * MB).transfer_time(CHUNK)
+        rng = random.Random(23)
+        aborts = 0
+        for nbytes in (SINGLE, DUAL):
+            for _ in range(15):
+                config = FaultConfig(
+                    chunk_abort_rate=10 ** rng.uniform(-3, 0),
+                    seed=rng.randrange(2**31),
+                )
+                runs = []
+                for per_chunk in (False, True):
+                    injector = FaultInjector(config)
+                    before = len(left_folds)
+                    state, _ = run_stream(
+                        nbytes, per_chunk=per_chunk, injector=injector
+                    )
+                    state["rng"] = injector.rng.bit_generator.state
+                    runs.append((state, len(left_folds) - before))
+                (folded, folds), (reference, reference_folds) = runs
+                # Every folded attempt, aborted or not, ended in one
+                # left fold; the per-chunk path folds nothing.
+                assert folds == len(folded["ends"]), config
+                assert reference_folds == 0
+                assert folded == reference, config
+                assert hexed_ends(folded) == hexed_ends(reference)
+                aborts += folded["write_aborts"]
+        assert aborts > 20
+
+
 #: owners of the prefetched chunks 1, 2, ... (chunk 0 is the first fill)
 PREFETCH = re.compile(r":bs[1-9]\d*$")
 
@@ -613,3 +657,49 @@ class TestDeferredLinkRecord:
             assert link() is None
         finally:
             gc.enable()
+
+
+#: ``(count, SHA-256)`` of the holds the fig9 PRTR run leaves on the ICAP
+#: mutex and on the link, one ``"<start.hex()> <end.hex()> <owner>"``
+#: line each, recorded while every hold built its ``Interval`` at release
+ICAP_HOLDS = (
+    89, "bdc3f41256ea9e5c633e0657a604f71c92c834b0161e1fca7dcb64eaaa9d7f6f"
+)
+LINK_HOLDS = (
+    2225, "d9638827d45b043d7e6565be48b648d812c3b4bab729809719cf4d4ab8f8bd6c"
+)
+
+
+def hold_digest(intervals):
+    text = "\n".join(
+        f"{iv.start.hex()} {iv.end.hex()} {iv.owner}" for iv in intervals
+    )
+    return len(intervals), hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestDeferredHolds:
+    """Mutex holds are recorded as tuples and built on first read."""
+
+    def test_fig9_run_builds_holds_on_first_read(self, monkeypatch):
+        built = []
+
+        def counting(start, end, owner):
+            built.append(owner)
+            return Interval(start, end, owner)
+
+        monkeypatch.setattr(resources, "Interval", counting)
+        node = make_node()
+        fig9_prtr_run(node)
+        assert built == []
+        icap, link = node.icap.icap_mutex, node.link.inbound
+        assert hold_digest(icap.intervals) == ICAP_HOLDS
+        assert hold_digest(link.intervals) == LINK_HOLDS
+        assert len(built) == ICAP_HOLDS[0] + LINK_HOLDS[0]
+        # A second read, of any kind, builds nothing.
+        assert hold_digest(icap.intervals) == ICAP_HOLDS
+        assert hold_digest(link.intervals) == LINK_HOLDS
+        icap.assert_no_overlap()
+        link.assert_no_overlap()
+        assert 0.0 < icap.utilization() < 1.0
+        assert 0.0 < link.utilization() < 1.0
+        assert len(built) == ICAP_HOLDS[0] + LINK_HOLDS[0]
